@@ -1,7 +1,7 @@
 // query_server — export and serve immutable DQRY query snapshots.
 //
 // Export mode builds a graph (or churns one through DapspService), encodes
-// the served tables + per-row statuses into a DQRY v1 blob (optionally with
+// the served tables + per-row statuses into a DQRY blob (optionally with
 // a 2-hop distance labeling), and writes it atomically:
 //
 //   query_server --export snap.dqry --gen random --universe 64 --seed 7

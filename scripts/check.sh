@@ -4,7 +4,7 @@
 #
 # Usage: scripts/check.sh [--tsan] [--perf-smoke] [--kill-matrix [dir]]
 #                         [--query-smoke [dir]] [--overload-smoke [dir]]
-#                         [extra ctest args...]
+#                         [--bench-build] [extra ctest args...]
 #   --tsan         run only the ThreadSanitizer configuration (the concurrency
 #                  surface: engine, equivalence, faults, determinism, and the
 #                  query tier's snapshot-swap soak) instead of the full matrix.
@@ -22,6 +22,9 @@
 #                  query_server overload replay with the shed-trace validated
 #                  against the health counters, and a dapsp_service breaker
 #                  open/half-open/close round trip.
+#   --bench-build  run only the benchmark build: configure perfbench/ out of
+#                  tree into .bench_build/perfbench, build dapsp_perfbench
+#                  and perfbench_tests, and run the benchmark's ctest.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -250,6 +253,23 @@ overload_smoke() {
 
 if [[ "${1:-}" == "--overload-smoke" ]]; then
   overload_smoke "${2:-build}"
+  exit 0
+fi
+
+# Benchmark build (BENCHMARK.json, perfbench/): the benchmark compiles the
+# library sources as a package of its own, so nothing else in this script
+# would notice a library API change that breaks it. Build it the way
+# perfbench/run.py does (Release, out of tree) and run its own tests.
+bench_build() {
+  local dir=".bench_build/perfbench"
+  echo "== benchmark build (${dir}) =="
+  cmake -S perfbench -B "${dir}" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "${dir}" -j "${JOBS}" --target dapsp_perfbench perfbench_tests
+  ctest --test-dir "${dir}" --output-on-failure
+}
+
+if [[ "${1:-}" == "--bench-build" ]]; then
+  bench_build
   exit 0
 fi
 

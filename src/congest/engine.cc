@@ -47,9 +47,6 @@ void accumulate(RunStats& into, const RunStats& from) {
   into.nodes_crashed += from.nodes_crashed;
   into.node_stall_rounds += from.node_stall_rounds;
   into.neighbors_suspected += from.neighbors_suspected;
-  into.repairs_attempted += from.repairs_attempted;
-  into.repairs_escalated += from.repairs_escalated;
-  into.checkpoint_bytes += from.checkpoint_bytes;
 }
 
 std::string RunStats::debug_string() const {
@@ -70,11 +67,6 @@ std::string RunStats::debug_string() const {
     if (messages_corrupted) os << " corrupted=" << messages_corrupted;
     if (node_stall_rounds) os << " stall_rounds=" << node_stall_rounds;
   }
-  // Service-mode health counters: print only when nonzero, so one-shot runs
-  // keep their historical output.
-  if (repairs_attempted) os << " repairs=" << repairs_attempted;
-  if (repairs_escalated) os << " escalated=" << repairs_escalated;
-  if (checkpoint_bytes) os << " checkpoint_bytes=" << checkpoint_bytes;
   return std::move(os).str();
 }
 

@@ -271,15 +271,6 @@ struct RunStats {
   // layers (one per directed edge that went silent past suspect_after).
   std::uint64_t neighbors_suspected = 0;
 
-  // Service-mode health (core/service.h; zero outside service runs).
-  // repairs_attempted counts repair_apsp invocations folded into these stats;
-  // repairs_escalated counts the subset that were full-recompute escalations
-  // (oversized dirty region, exhausted retries, or watchdog trips);
-  // checkpoint_bytes totals the serialized checkpoint blobs written.
-  std::uint64_t repairs_attempted = 0;
-  std::uint64_t repairs_escalated = 0;
-  std::uint64_t checkpoint_bytes = 0;
-
   // One-line human-readable rendering, e.g. for benches and examples.
   std::string debug_string() const;
 };

@@ -131,28 +131,6 @@ FaultInjector::FaultInjector(const Graph& g, const FaultPlan& plan)
   }
 }
 
-namespace {
-
-// SplitMix64 finalizer: a full-avalanche 64-bit mix, used to fold the
-// (node, round) key into the plan seed so that adjacent keys yield
-// statistically independent streams.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-Rng FaultInjector::stream(NodeId node, std::uint64_t round) const noexcept {
-  // Two finalization rounds with distinct odd multipliers per key component:
-  // streams for neighboring (node, round) pairs share no affine structure.
-  std::uint64_t z = plan_.seed;
-  z = mix64(z ^ (0x9e3779b97f4a7c15ULL * (std::uint64_t{node} + 1)));
-  z = mix64(z ^ (0xd1342543de82ef95ULL * (round + 1)));
-  return Rng(z);
-}
-
 FaultDecision FaultInjector::decide(Rng& stream, std::size_t directed_edge,
                                     std::uint32_t message_bits) const {
   FaultDecision d;

@@ -179,7 +179,9 @@ class FaultInjector {
   // (plan seed, node, round). The caller draws one decide() per send, in
   // send order; streams of distinct (node, round) pairs never interact, so
   // shards may hold them concurrently.
-  Rng stream(NodeId node, std::uint64_t round) const noexcept;
+  Rng stream(NodeId node, std::uint64_t round) const noexcept {
+    return keyed_rng(plan_.seed, node, round);
+  }
 
   // Draws the fate of one message sent over `directed_edge` from the
   // sender's stream. Call exactly once per sent message, in send order

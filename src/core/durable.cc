@@ -17,14 +17,6 @@ namespace {
 using congest::TraceEvent;
 using congest::TraceEventKind;
 
-// Missing file reads as empty — classify_checkpoint_blob maps that to
-// kMissing, which is the right answer for an absent generation slot.
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in), {});
-}
-
 bool is_damage(CheckpointError e) {
   return e != CheckpointError::kNone && e != CheckpointError::kMissing;
 }
@@ -35,12 +27,13 @@ bool is_damage(CheckpointError e) {
 std::vector<std::uint8_t> encode_record(std::uint64_t epoch,
                                         std::span<const std::uint64_t> words,
                                         const ChurnBatch& batch) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, epoch);
-  put_u32(payload, static_cast<std::uint32_t>(words.size()));
-  for (const std::uint64_t w : words) put_u64(payload, w);
   const std::vector<std::uint8_t> body = encode_churn_batch(batch);
-  payload.insert(payload.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> payload(8 + 4 + 8 * words.size() + body.size());
+  ByteWriter w(payload);
+  w.u64(epoch);
+  w.u32(static_cast<std::uint32_t>(words.size()));
+  for (const std::uint64_t x : words) w.u64(x);
+  std::ranges::copy(body, w.take(body.size()).begin());
   return payload;
 }
 
@@ -57,8 +50,25 @@ DecodedRecord decode_record(std::span<const std::uint8_t> payload) {
   const std::uint32_t nw = r.u32();
   rec.words.reserve(nw);
   for (std::uint32_t i = 0; i < nw; ++i) rec.words.push_back(r.u64());
-  rec.batch = decode_churn_batch(r.bytes(r.left()));
+  rec.batch = decode_churn_batch(r.take(r.left()));
   return rec;
+}
+
+// One generation slot, read and classified. A missing file reads as empty,
+// which classifies kMissing — the right answer for an absent slot.
+struct Slot {
+  std::vector<std::uint8_t> blob;
+  std::uint64_t epoch = 0;
+  CheckpointError error = CheckpointError::kMissing;
+  bool valid() const noexcept { return error == CheckpointError::kNone; }
+};
+
+Slot read_slot(const std::string& path) {
+  Slot slot;
+  std::ifstream in(path, std::ios::binary);
+  if (in) slot.blob.assign(std::istreambuf_iterator<char>(in), {});
+  slot.error = classify_checkpoint_blob(slot.blob, &slot.epoch);
+  return slot;
 }
 
 }  // namespace
@@ -79,9 +89,9 @@ void CheckpointStore::rotate(std::span<const std::uint8_t> blob) {
   bool valid[2];
   std::uint64_t epoch[2];
   for (int slot = 0; slot < 2; ++slot) {
-    const std::vector<std::uint8_t> b = read_file(slot_path(slot));
-    valid[slot] = classify_checkpoint_blob(b) == CheckpointError::kNone;
-    epoch[slot] = valid[slot] ? peek_checkpoint_epoch(b) : 0;
+    const Slot s = read_slot(slot_path(slot));  // one blob in memory at a time
+    valid[slot] = s.valid();
+    epoch[slot] = s.epoch;
   }
   int target;
   if (!valid[0]) {
@@ -104,26 +114,21 @@ void CheckpointStore::rotate(std::span<const std::uint8_t> blob) {
 
 CheckpointStore::Loaded CheckpointStore::load() const {
   Loaded out;
-  std::vector<std::uint8_t> blobs[2];
-  for (int slot = 0; slot < 2; ++slot) {
-    blobs[slot] = read_file(slot_path(slot));
-    out.slot_errors[slot] = classify_checkpoint_blob(blobs[slot]);
-  }
+  Slot s[2] = {read_slot(slot_path(0)), read_slot(slot_path(1))};
   int best = -1;
   for (int slot = 0; slot < 2; ++slot) {
-    if (out.slot_errors[slot] != CheckpointError::kNone) continue;
-    if (best < 0 ||
-        peek_checkpoint_epoch(blobs[slot]) > peek_checkpoint_epoch(blobs[best])) {
+    out.slot_errors[slot] = s[slot].error;
+    if (s[slot].valid() && (best < 0 || s[slot].epoch > s[best].epoch)) {
       best = slot;
     }
   }
   for (int slot = 0; slot < 2; ++slot) {
-    if (slot != best && is_damage(out.slot_errors[slot])) {
-      out.rejected_error = out.slot_errors[slot];
+    if (slot != best && is_damage(s[slot].error)) {
+      out.rejected_error = s[slot].error;
       out.fallback = best >= 0;
     }
   }
-  if (best >= 0) out.blob = std::move(blobs[best]);
+  if (best >= 0) out.blob = std::move(s[best].blob);
   return out;
 }
 
@@ -249,35 +254,28 @@ DurableDapspService DurableDapspService::recover(const DurableConfig& cfg,
   // Newest restorable generation wins; damaged slots are recorded and
   // passed over (the generation fallback).
   CheckpointStore store(cfg.dir + "/ckpt", cfg.crash);
-  struct Candidate {
-    std::vector<std::uint8_t> blob;
-    std::uint64_t epoch;
-  };
-  std::vector<Candidate> candidates;
-  for (int slot = 0; slot < 2; ++slot) {
-    std::vector<std::uint8_t> blob = read_file(store.slot_path(slot));
-    const CheckpointError err = classify_checkpoint_blob(blob);
-    if (err == CheckpointError::kNone) {
-      const std::uint64_t epoch = peek_checkpoint_epoch(blob);
-      candidates.push_back({std::move(blob), epoch});
-    } else if (is_damage(err)) {
-      rr.rejected_error = err;
+  const Slot slots[2] = {read_slot(store.slot_path(0)),
+                         read_slot(store.slot_path(1))};
+  std::vector<const Slot*> candidates;
+  for (const Slot& slot : slots) {
+    if (slot.valid()) {
+      candidates.push_back(&slot);
+    } else if (is_damage(slot.error)) {
+      rr.rejected_error = slot.error;
       rr.generation_fallback = true;
     }
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.epoch > b.epoch;
-            });
+            [](const Slot* a, const Slot* b) { return a->epoch > b->epoch; });
 
   std::optional<DapspService> svc;
   std::vector<std::uint64_t> words;
   for (std::size_t i = 0; i < candidates.size() && !svc; ++i) {
     CheckpointError err = CheckpointError::kNone;
-    svc = DapspService::try_restore_blob(candidates[i].blob, cfg.service,
+    svc = DapspService::try_restore_blob(candidates[i]->blob, cfg.service,
                                          &words, &err);
     if (svc) {
-      rr.checkpoint_epoch = candidates[i].epoch;
+      rr.checkpoint_epoch = candidates[i]->epoch;
       if (i > 0) rr.generation_fallback = true;
     } else {
       rr.rejected_error = err;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "graph/delta.h"
-#include "util/journal.h"
 
 namespace dapsp::core {
 namespace {
@@ -20,147 +18,93 @@ namespace {
 static_assert(std::endian::native == std::endian::little,
               "DQRY snapshots assume a little-endian host");
 
-constexpr std::size_t kQueryHeaderBytes = 40;
 constexpr std::uint32_t kMaxQueryNodes = 1u << 20;
+constexpr std::uint64_t kQueryFieldBytes = 32;  // body bytes before dist[]
 
-std::uint32_t load_u32(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
-         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}  // namespace
+
+CheckpointError QuerySnapshot::parse(std::span<const std::uint8_t> blob,
+                                     QuerySnapshot& q) noexcept {
+  std::span<const std::uint8_t> body;
+  const CheckpointError err = open_blob(blob, kQueryTag, body);
+  if (err != CheckpointError::kNone) return err;
+  std::span<const std::uint8_t> dom;
+  try {
+    ByteReader r(body, "DQRY body");
+    q.n_ = r.u32();
+    q.epoch_ = r.u64();
+    q.sequence_ = r.u64();
+    q.flags_ = r.u32();
+    q.k_ = r.u32();
+    q.dom_count_ = r.u32();
+    if (q.n_ == 0 || q.n_ > kMaxQueryNodes ||
+        (q.flags_ & ~(kQueryFlagLabels | kQueryFlagDegraded)) != 0 ||
+        q.has_labels() != (q.dom_count_ != 0) || q.dom_count_ > q.n_) {
+      return CheckpointError::kBadPayload;
+    }
+    const auto u32s = [&r](std::uint64_t count) {
+      return reinterpret_cast<const std::uint32_t*>(r.take(count, 4).data());
+    };
+    q.dist_ = u32s(std::uint64_t{q.n_} * q.n_);
+    q.hop_ = u32s(std::uint64_t{q.n_} * q.n_);
+    dom = r.take(q.dom_count_, 4);
+    q.dom_ = reinterpret_cast<const std::uint32_t*>(dom.data());
+    q.labels_ = u32s(std::uint64_t{q.n_} * q.dom_count_);
+    q.active_ = r.take(q.n_).data();
+    q.status_ = r.take(q.n_).data();
+    if (r.left() != 0) return CheckpointError::kBadPayload;
+  } catch (const std::exception&) {
+    return CheckpointError::kBadPayload;
+  }
+  // Field sanity: dominator ids in-universe, statuses in-enum, active mask
+  // boolean.
+  for (std::size_t i = 0; i < dom.size(); i += 4) {
+    if (load_u32(dom.data() + i) >= q.n_) return CheckpointError::kBadPayload;
+  }
+  for (NodeId v = 0; v < q.n_; ++v) {
+    if (q.active_[v] > 1 ||
+        q.status_[v] > static_cast<std::uint8_t>(RowStatus::kStale)) {
+      return CheckpointError::kBadPayload;
+    }
+  }
+  q.bytes_ = blob;
+  return CheckpointError::kNone;
 }
 
-std::uint64_t load_u64(const std::uint8_t* p) {
-  return std::uint64_t{load_u32(p)} | std::uint64_t{load_u32(p + 4)} << 32;
+CheckpointError classify_query_blob(
+    std::span<const std::uint8_t> blob) noexcept {
+  QuerySnapshot scratch;
+  return QuerySnapshot::parse(blob, scratch);
 }
 
-void store_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
+namespace {
 
-void store_u64(std::uint8_t* p, std::uint64_t v) {
-  store_u32(p, static_cast<std::uint32_t>(v));
-  store_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-struct QueryLayout {
-  std::uint64_t dist_off;    // == kQueryHeaderBytes
-  std::uint64_t hop_off;
-  std::uint64_t dom_off;
-  std::uint64_t labels_off;
-  std::uint64_t active_off;
-  std::uint64_t status_off;
-  std::uint64_t checksum_off;
-  std::uint64_t total;
-};
-
-QueryLayout layout_for(std::uint64_t n, std::uint64_t dom_count) {
-  QueryLayout lo;
-  const std::uint64_t table = 4 * n * n;
-  lo.dist_off = kQueryHeaderBytes;
-  lo.hop_off = lo.dist_off + table;
-  lo.dom_off = lo.hop_off + table;
-  lo.labels_off = lo.dom_off + 4 * dom_count;
-  lo.active_off = lo.labels_off + 4 * n * dom_count;
-  lo.status_off = lo.active_off + n;
-  lo.checksum_off = lo.status_off + n;
-  lo.total = lo.checksum_off + 8;
-  return lo;
+void throw_unless_none(CheckpointError err, const std::string& where) {
+  if (err != CheckpointError::kNone) {
+    throw std::runtime_error(std::string("QuerySnapshot: ") + to_string(err) +
+                             " blob" + where);
+  }
 }
 
 }  // namespace
 
-CheckpointError classify_query_blob(
-    std::span<const std::uint8_t> blob) noexcept {
-  if (blob.size() < kQueryHeaderBytes + 8) return CheckpointError::kTruncated;
-  if (std::memcmp(blob.data(), kQueryMagic, 4) != 0) {
-    return CheckpointError::kBadMagic;
-  }
-  if (std::memcmp(blob.data() + 4, kQueryVersion, 4) != 0) {
-    return CheckpointError::kVersionMismatch;
-  }
-  const std::uint32_t n = load_u32(blob.data() + 8);
-  const std::uint32_t flags = load_u32(blob.data() + 28);
-  const std::uint32_t dom_count = load_u32(blob.data() + 36);
-  if (n == 0 || n > kMaxQueryNodes) return CheckpointError::kBadPayload;
-  if ((flags & ~(kQueryFlagLabels | kQueryFlagDegraded)) != 0) {
-    return CheckpointError::kBadPayload;
-  }
-  const bool has_labels = (flags & kQueryFlagLabels) != 0;
-  if (!has_labels && dom_count != 0) return CheckpointError::kBadPayload;
-  if (has_labels && (dom_count == 0 || dom_count > n)) {
-    return CheckpointError::kBadPayload;
-  }
-  const QueryLayout lo = layout_for(n, dom_count);
-  if (blob.size() != lo.total) return CheckpointError::kTruncated;
-  const std::uint64_t want = load_u64(blob.data() + lo.checksum_off);
-  if (fnv1a64(blob.first(lo.checksum_off)) != want) {
-    return CheckpointError::kChecksumMismatch;
-  }
-  // Field-level sanity: dominator ids in-universe, statuses in-enum,
-  // active mask boolean.
-  const std::uint8_t* base = blob.data();
-  for (std::uint32_t i = 0; i < dom_count; ++i) {
-    if (load_u32(base + lo.dom_off + 4 * std::uint64_t{i}) >= n) {
-      return CheckpointError::kBadPayload;
-    }
-  }
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (base[lo.active_off + v] > 1) return CheckpointError::kBadPayload;
-    if (base[lo.status_off + v] >
-        static_cast<std::uint8_t>(RowStatus::kStale)) {
-      return CheckpointError::kBadPayload;
-    }
-  }
-  return CheckpointError::kNone;
-}
-
-void QuerySnapshot::bind(std::span<const std::uint8_t> blob) {
-  const std::uint8_t* base = blob.data();
-  n_ = load_u32(base + 8);
-  epoch_ = load_u64(base + 12);
-  sequence_ = load_u64(base + 20);
-  flags_ = load_u32(base + 28);
-  k_ = load_u32(base + 32);
-  dom_count_ = load_u32(base + 36);
-  const QueryLayout lo = layout_for(n_, dom_count_);
-  dist_ = reinterpret_cast<const std::uint32_t*>(base + lo.dist_off);
-  hop_ = reinterpret_cast<const std::uint32_t*>(base + lo.hop_off);
-  dom_ = reinterpret_cast<const std::uint32_t*>(base + lo.dom_off);
-  labels_ = reinterpret_cast<const std::uint32_t*>(base + lo.labels_off);
-  active_ = base + lo.active_off;
-  status_ = base + lo.status_off;
+QuerySnapshot QuerySnapshot::borrow(std::span<const std::uint8_t> blob) {
+  QuerySnapshot snap;
+  throw_unless_none(parse(blob, snap), "");
+  return snap;
 }
 
 QuerySnapshot QuerySnapshot::from_blob(std::vector<std::uint8_t> bytes) {
-  const CheckpointError err = classify_query_blob(bytes);
-  if (err != CheckpointError::kNone) {
-    throw std::runtime_error(std::string("QuerySnapshot: ") + to_string(err) +
-                             " blob");
-  }
-  QuerySnapshot snap;
-  snap.owned_ = std::move(bytes);
-  snap.bind(snap.owned_);
+  QuerySnapshot snap = borrow(bytes);
+  snap.owned_ = std::move(bytes);  // moving keeps the buffer in place
   return snap;
 }
 
 QuerySnapshot QuerySnapshot::from_file(const std::string& path) {
-  MappedBlob mapped = MappedBlob::map_file(path);
-  const CheckpointError err = classify_query_blob(mapped.bytes());
-  if (err != CheckpointError::kNone) {
-    throw std::runtime_error(std::string("QuerySnapshot: ") + to_string(err) +
-                             " blob at " + path);
-  }
   QuerySnapshot snap;
-  snap.mapped_ = std::move(mapped);
-  snap.bind(snap.mapped_.bytes());
+  snap.mapped_ = MappedBlob::map_file(path);
+  throw_unless_none(parse(snap.mapped_.bytes(), snap), " at " + path);
   return snap;
-}
-
-std::span<const std::uint8_t> QuerySnapshot::bytes() const noexcept {
-  return owned_.empty() ? mapped_.bytes()
-                        : std::span<const std::uint8_t>(owned_);
 }
 
 QueryAnswer QuerySnapshot::p2p(NodeId from, NodeId to) const {
@@ -281,11 +225,32 @@ std::uint32_t QuerySnapshot::label_estimate(NodeId u, NodeId v) const {
 
 namespace {
 
-std::vector<std::uint8_t> encode_common(
-    std::uint32_t n, std::uint64_t epoch, std::uint64_t sequence,
-    bool degraded, const DistanceLabeling* labels,
+std::uint32_t dom_count_of(const DistanceLabeling* labels, std::uint32_t n) {
+  if (labels == nullptr) return 0;
+  const auto dom_count =
+      static_cast<std::uint32_t>(labels->dominators().size());
+  if (dom_count == 0 || dom_count > n) {
+    throw std::invalid_argument(
+        "encode_query_snapshot: label section does not match universe");
+  }
+  return dom_count;
+}
+
+}  // namespace
+
+std::uint64_t query_blob_size(NodeId n, std::uint32_t dom_count) {
+  const std::uint64_t n64 = n;
+  return framed_size(kQueryFieldBytes + 8 * n64 * n64 + 4 * dom_count +
+                     4 * n64 * dom_count + 2 * n64);
+}
+
+void encode_query_snapshot_into(
+    std::span<std::uint8_t> blob, const DistanceMatrix& dist,
+    const std::vector<std::vector<NodeId>>* next_hop,
     std::span<const std::uint8_t> active, std::span<const RowStatus> status,
-    const auto& dist_to, const auto& hop_to) {
+    std::uint64_t epoch, std::uint64_t sequence, bool degraded,
+    const DistanceLabeling* labels) {
+  const auto n = static_cast<std::uint32_t>(dist.n());
   if (n == 0) {
     throw std::invalid_argument("encode_query_snapshot: empty universe");
   }
@@ -293,76 +258,42 @@ std::vector<std::uint8_t> encode_common(
     throw std::invalid_argument(
         "encode_query_snapshot: active/status size mismatch");
   }
-  std::uint32_t dom_count = 0;
-  std::uint32_t flags = degraded ? kQueryFlagDegraded : 0u;
-  if (labels != nullptr) {
-    dom_count = static_cast<std::uint32_t>(labels->dominators().size());
-    flags |= kQueryFlagLabels;
-    if (dom_count == 0 || dom_count > n) {
-      throw std::invalid_argument(
-          "encode_query_snapshot: label section does not match universe");
-    }
-  }
-  const QueryLayout lo = layout_for(n, dom_count);
-  std::vector<std::uint8_t> out(lo.total);
-  std::uint8_t* base = out.data();
-  std::memcpy(base, kQueryMagic, 4);
-  std::memcpy(base + 4, kQueryVersion, 4);
-  store_u32(base + 8, n);
-  store_u64(base + 12, epoch);
-  store_u64(base + 20, sequence);
-  store_u32(base + 28, flags);
-  store_u32(base + 32, labels != nullptr ? labels->k() : 0u);
-  store_u32(base + 36, dom_count);
+  const std::uint32_t dom_count = dom_count_of(labels, n);
+  ByteWriter w = begin_blob(blob, kQueryTag);
+  w.u32(n);
+  w.u64(epoch);
+  w.u64(sequence);
+  w.u32((degraded ? kQueryFlagDegraded : 0u) |
+        (labels != nullptr ? kQueryFlagLabels : 0u));
+  w.u32(labels != nullptr ? labels->k() : 0u);
+  w.u32(dom_count);
   // Row s = served values toward source s, indexed by node v.
-  for (std::uint32_t s = 0; s < n; ++s) {
-    std::uint8_t* drow = base + lo.dist_off + 4 * std::uint64_t{s} * n;
-    std::uint8_t* hrow = base + lo.hop_off + 4 * std::uint64_t{s} * n;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      store_u32(drow + 4 * std::size_t{v}, dist_to(v, s));
-      store_u32(hrow + 4 * std::size_t{v}, hop_to(v, s));
+  const auto table = [&](const auto& cell) {
+    for (std::uint32_t s = 0; s < n; ++s) {
+      std::uint8_t* row = w.take(4 * std::size_t{n}).data();
+      for (std::uint32_t v = 0; v < n; ++v) store_u32(row + 4 * v, cell(v, s));
     }
-  }
+  };
+  table([&](NodeId v, NodeId s) { return dist.at(v, s); });
+  table([&](NodeId v, NodeId s) {
+    return next_hop != nullptr ? (*next_hop)[v][s] : kNoNextHop;
+  });
   if (labels != nullptr) {
-    const std::vector<NodeId>& dom = labels->dominators();
-    for (std::uint32_t i = 0; i < dom_count; ++i) {
-      store_u32(base + lo.dom_off + 4 * std::uint64_t{i}, dom[i]);
-    }
+    for (const NodeId d : labels->dominators()) w.u32(d);
     for (std::uint32_t v = 0; v < n; ++v) {
       const std::span<const std::uint32_t> lab = labels->label(v);
       if (lab.size() != dom_count) {
         throw std::invalid_argument(
             "encode_query_snapshot: ragged label row");
       }
-      std::uint8_t* lrow =
-          base + lo.labels_off + 4 * std::uint64_t{v} * dom_count;
-      for (std::uint32_t i = 0; i < dom_count; ++i) {
-        store_u32(lrow + 4 * std::size_t{i}, lab[i]);
-      }
+      for (const std::uint32_t x : lab) w.u32(x);
     }
   }
+  for (std::uint32_t v = 0; v < n; ++v) w.u8(active[v] != 0 ? 1 : 0);
   for (std::uint32_t v = 0; v < n; ++v) {
-    base[lo.active_off + v] = active[v] != 0 ? 1 : 0;
-    base[lo.status_off + v] = static_cast<std::uint8_t>(status[v]);
+    w.u8(static_cast<std::uint8_t>(status[v]));
   }
-  store_u64(base + lo.checksum_off,
-            fnv1a64(std::span<const std::uint8_t>(out).first(lo.checksum_off)));
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_query_snapshot(
-    const DapspService& svc, std::uint64_t sequence, bool degraded,
-    const DistanceLabeling* labels) {
-  const DistanceMatrix& dist = svc.served_dist();
-  const std::vector<std::vector<NodeId>>& hop = svc.served_next_hop();
-  const std::uint32_t n = svc.dynamic_graph().universe();
-  return encode_common(
-      n, svc.epoch(), sequence, degraded, labels,
-      svc.dynamic_graph().active_mask(), svc.row_statuses(),
-      [&](NodeId v, NodeId s) { return dist.at(v, s); },
-      [&](NodeId v, NodeId s) { return hop[v][s]; });
+  seal_blob(blob, w);
 }
 
 std::vector<std::uint8_t> encode_query_snapshot_tables(
@@ -371,13 +302,20 @@ std::vector<std::uint8_t> encode_query_snapshot_tables(
     std::span<const std::uint8_t> active, std::span<const RowStatus> status,
     std::uint64_t epoch, std::uint64_t sequence, bool degraded,
     const DistanceLabeling* labels) {
-  const std::uint32_t n = static_cast<std::uint32_t>(dist.n());
-  return encode_common(
-      n, epoch, sequence, degraded, labels, active, status,
-      [&](NodeId v, NodeId s) { return dist.at(v, s); },
-      [&](NodeId v, NodeId s) {
-        return next_hop != nullptr ? (*next_hop)[v][s] : kNoNextHop;
-      });
+  const auto n = static_cast<std::uint32_t>(dist.n());
+  std::vector<std::uint8_t> out(query_blob_size(n, dom_count_of(labels, n)));
+  encode_query_snapshot_into(out, dist, next_hop, active, status, epoch,
+                             sequence, degraded, labels);
+  return out;
+}
+
+std::vector<std::uint8_t> encode_query_snapshot(
+    const DapspService& svc, std::uint64_t sequence, bool degraded,
+    const DistanceLabeling* labels) {
+  return encode_query_snapshot_tables(
+      svc.served_dist(), &svc.served_next_hop(),
+      svc.dynamic_graph().active_mask(), svc.row_statuses(), svc.epoch(),
+      sequence, degraded, labels);
 }
 
 // ---- SnapshotStore -------------------------------------------------------

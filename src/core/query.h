@@ -4,27 +4,23 @@
 // The service layer (core/service.h) keeps APSP tables certified under
 // churn; this module is the consumer story. Three pieces:
 //
-//   * DQRY snapshot blobs — an immutable, checksummed serialization of the
-//     service's served tables (flat row-major u32 distance + next-hop
-//     tables, per-row exact/repaired/stale status, active mask, optional
-//     2-hop label section from core/distance_labels.h), following the same
-//     blob conventions as DSVC0001 checkpoints: little-endian fields,
-//     self-delimiting structure, trailing FNV-1a 64 checksum. Blobs are
-//     mmap-able (util/blob.h): the table pointers of a file-backed
-//     QuerySnapshot read straight off the page cache.
-//
-//     Layout (all little-endian):
-//       "DQRY" | "0001" | u32 n | u64 epoch | u64 sequence | u32 flags
-//       | u32 k | u32 dom_count                      (40-byte header)
+//   * DQRY snapshot blobs — an immutable serialization of the service's
+//     served tables in the shared blob frame of util/blob.h (which defines
+//     the header, checksum and failure taxonomy). Blobs are mmap-able: the
+//     table pointers of a file-backed QuerySnapshot read straight off the
+//     page cache. Body (all little-endian, starting at blob offset 16):
+//       u32 n | u64 epoch | u64 sequence | u32 flags | u32 k | u32 dom_count
 //       | u32 dist[n*n]      dist[s*n + v] = served d(v, s)
 //       | u32 next_hop[n*n]  next_hop[s*n + v] = v's hop toward s
 //       | u32 dom[dom_count] | u32 labels[n*dom_count]   (iff flags bit 0)
-//       | u8 active[n] | u8 status[n] | u64 fnv1a64(everything before)
+//       | u8 active[n] | u8 status[n]
+//     The tables start at blob offset 48, so their u32 views stay aligned.
 //     Row s carries the served distances *to* source s for every node, so
 //     every query kind scans one contiguous row and inherits exactly that
 //     row's status — the same per-row freshness contract DapspService::query
 //     exposes. flags bit 0 = label section present, bit 1 = degraded
-//     (published mid-epoch, after dirty analysis and before repair).
+//     (published mid-epoch, after dirty analysis and before repair). A DSVC
+//     checkpoint ends with the DQRY blob of its served state.
 //
 //   * SnapshotStore — an epoch-tagged atomic snapshot pointer with
 //     hazard-free retire-after-grace reclamation. publish() swaps the
@@ -70,14 +66,12 @@
 
 namespace dapsp::core {
 
-inline constexpr char kQueryMagic[4] = {'D', 'Q', 'R', 'Y'};
-inline constexpr char kQueryVersion[4] = {'0', '0', '0', '1'};
+inline constexpr BlobTag kQueryTag{'D', 'Q', 'R', 'Y', '0', '0', '0', '2'};
 inline constexpr std::uint32_t kQueryFlagLabels = 1u << 0;
 inline constexpr std::uint32_t kQueryFlagDegraded = 1u << 1;
 
-// Classifies a DQRY blob without building a snapshot from it. Same failure
-// taxonomy as service checkpoints (the blob conventions are shared), pure
-// and noexcept: a dry structural parse plus the trailing-checksum check.
+// Classifies a DQRY blob without building a snapshot from it: the shared
+// frame checks (util/blob.h), then the body parse. Pure and noexcept.
 CheckpointError classify_query_blob(
     std::span<const std::uint8_t> blob) noexcept;
 
@@ -156,6 +150,9 @@ class QuerySnapshot {
   static QuerySnapshot from_blob(std::vector<std::uint8_t> bytes);
   // Maps `path` read-only (zero-copy when mmap is available) and validates.
   static QuerySnapshot from_file(const std::string& path);
+  // Validates and views bytes the caller keeps alive and unchanged for the
+  // snapshot's lifetime (how a checkpoint restore reads its served section).
+  static QuerySnapshot borrow(std::span<const std::uint8_t> blob);
 
   QuerySnapshot(QuerySnapshot&&) noexcept = default;
   QuerySnapshot& operator=(QuerySnapshot&&) noexcept = default;
@@ -227,11 +224,16 @@ class QuerySnapshot {
   std::uint32_t label_estimate(NodeId u, NodeId v) const;
 
   // The underlying blob bytes (for re-serialization / persistence).
-  std::span<const std::uint8_t> bytes() const noexcept;
+  std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
 
  private:
+  friend CheckpointError classify_query_blob(
+      std::span<const std::uint8_t> blob) noexcept;
   QuerySnapshot() = default;
-  void bind(std::span<const std::uint8_t> blob);  // after validation
+  // The one DQRY reader: frame checks, then the body parse into `snap`'s
+  // fields and table views.
+  static CheckpointError parse(std::span<const std::uint8_t> blob,
+                               QuerySnapshot& snap) noexcept;
 
   std::vector<std::uint8_t> owned_;
   MappedBlob mapped_;
@@ -248,6 +250,7 @@ class QuerySnapshot {
   const std::uint32_t* labels_ = nullptr;
   const std::uint8_t* active_ = nullptr;
   const std::uint8_t* status_ = nullptr;
+  std::span<const std::uint8_t> bytes_;  // into owned_, mapped_ or borrowed
 };
 
 // Serializes the service's served snapshot (and optionally a label section)
@@ -264,6 +267,17 @@ std::vector<std::uint8_t> encode_query_snapshot(
 // benches and tests.
 std::vector<std::uint8_t> encode_query_snapshot_tables(
     const DistanceMatrix& dist,
+    const std::vector<std::vector<NodeId>>* next_hop,
+    std::span<const std::uint8_t> active, std::span<const RowStatus> status,
+    std::uint64_t epoch, std::uint64_t sequence, bool degraded,
+    const DistanceLabeling* labels = nullptr);
+
+// The same, written in place into `out` of exactly query_blob_size(n,
+// |dominators|) bytes — how a checkpoint embeds its served section without
+// a second copy.
+std::uint64_t query_blob_size(NodeId n, std::uint32_t dom_count = 0);
+void encode_query_snapshot_into(
+    std::span<std::uint8_t> out, const DistanceMatrix& dist,
     const std::vector<std::vector<NodeId>>* next_hop,
     std::span<const std::uint8_t> active, std::span<const RowStatus> status,
     std::uint64_t epoch, std::uint64_t sequence, bool degraded,

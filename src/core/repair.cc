@@ -121,7 +121,7 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
   }
   report.suspect_sources = suspects;
   report.rows_repaired = static_cast<std::uint32_t>(suspects.size());
-  report.stats.repairs_attempted = 1;
+  report.repairs_attempted = 1;
 
   // Supplied-empty fast path: nothing to repair, and with certify_all off
   // nothing to certify either — return a zero-cost report (the convergence

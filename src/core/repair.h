@@ -85,6 +85,7 @@ struct RepairReport {
   // partial, or failed pre-repair certification.
   std::vector<NodeId> suspect_sources;
   std::uint32_t rows_repaired = 0;  // |suspect_sources|
+  std::uint32_t repairs_attempted = 0;  // 1 once suspects are validated
 
   // Real engine rounds of the repair: max over surviving components that
   // re-ran S-SP (component repairs are independent).

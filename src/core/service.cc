@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <istream>
 #include <iterator>
 #include <ostream>
@@ -10,7 +9,8 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/journal.h"
+#include "core/query.h"
+#include "util/blob.h"
 #include "util/rng.h"
 
 namespace dapsp::core {
@@ -25,15 +25,37 @@ using congest::TraceEventKind;
 // telling apart in traces).
 constexpr std::uint32_t kDeltaCrashBit = 0x100u;
 
-// First four bytes identify the file kind, the next four its format
-// version — classify_checkpoint_blob tells the two mismatches apart.
-constexpr char kCheckpointMagic[4] = {'D', 'S', 'V', 'C'};
-constexpr char kCheckpointVersion[4] = {'0', '0', '0', '1'};
+constexpr BlobTag kCheckpointTag{'D', 'S', 'V', 'C', '0', '0', '0', '2'};
 
-// FNV-1a 64 over the blob body — catches truncation and bit damage of a
-// checkpoint file before any field is trusted.
-std::uint64_t blob_checksum(std::span<const std::uint8_t> bytes) {
-  return fnv1a64(bytes);
+// The sections of a DSVC body (layout in DESIGN.md §14), as views into the
+// blob. The working tables are row-major by node: dist[v*n + s] = d(v, s).
+// The body's n and epoch must match the served section's, which carries them.
+struct CheckpointSections {
+  std::span<const std::uint8_t> user, edges, dist, hop;
+  std::optional<QuerySnapshot> served;
+};
+
+CheckpointError parse_checkpoint(std::span<const std::uint8_t> blob,
+                                 CheckpointSections& c) noexcept {
+  std::span<const std::uint8_t> body;
+  const CheckpointError err = open_blob(blob, kCheckpointTag, body);
+  if (err != CheckpointError::kNone) return err;
+  try {
+    ByteReader r(body, "DSVC body");
+    const NodeId n = r.u32();
+    const std::uint64_t epoch = r.u64();
+    c.user = r.take(r.u64(), 8);
+    c.edges = r.take(r.u64(), 8);
+    c.dist = r.take(std::uint64_t{n} * n, 4);
+    c.hop = r.take(std::uint64_t{n} * n, 4);
+    c.served.emplace(QuerySnapshot::borrow(r.take(r.left())));
+    if (c.served->n() != n || c.served->epoch() != epoch) {
+      return CheckpointError::kBadPayload;
+    }
+  } catch (const std::exception&) {
+    return CheckpointError::kBadPayload;
+  }
+  return CheckpointError::kNone;
 }
 
 std::uint32_t abs_diff(std::uint32_t a, std::uint32_t b) {
@@ -42,102 +64,21 @@ std::uint32_t abs_diff(std::uint32_t a, std::uint32_t b) {
 
 }  // namespace
 
-const char* to_string(CheckpointError e) noexcept {
-  switch (e) {
-    case CheckpointError::kNone:
-      return "none";
-    case CheckpointError::kMissing:
-      return "missing";
-    case CheckpointError::kTruncated:
-      return "truncated";
-    case CheckpointError::kBadMagic:
-      return "bad-magic";
-    case CheckpointError::kVersionMismatch:
-      return "version-mismatch";
-    case CheckpointError::kChecksumMismatch:
-      return "checksum-mismatch";
-    case CheckpointError::kBadPayload:
-      return "bad-payload";
+CheckpointError classify_checkpoint_blob(std::span<const std::uint8_t> blob,
+                                         std::uint64_t* epoch_out) noexcept {
+  CheckpointSections c;
+  const CheckpointError err = parse_checkpoint(blob, c);
+  if (err == CheckpointError::kNone && epoch_out != nullptr) {
+    *epoch_out = c.served->epoch();
   }
-  return "?";
-}
-
-CheckpointError classify_checkpoint_blob(
-    std::span<const std::uint8_t> blob) noexcept {
-  if (blob.empty()) return CheckpointError::kMissing;
-  if (blob.size() < 8) return CheckpointError::kTruncated;
-  if (std::memcmp(blob.data(), kCheckpointMagic, 4) != 0) {
-    return CheckpointError::kBadMagic;
-  }
-  if (std::memcmp(blob.data() + 4, kCheckpointVersion, 4) != 0) {
-    return CheckpointError::kVersionMismatch;
-  }
-  // Dry structural parse (sizes only): the blob is self-delimiting, so its
-  // exact length is recomputable — shorter is truncation, longer means
-  // appended bytes the checksum cannot cover.
-  const std::uint64_t size = blob.size();
-  std::uint64_t need = 8;  // magic + version
-  const auto fits = [&](std::uint64_t more) {
-    if (more > size - need) return false;
-    need += more;
-    return true;
-  };
-  const auto read_u32 = [&](std::uint64_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t{blob[static_cast<std::size_t>(at) +
-                              static_cast<std::size_t>(i)]}
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto read_u64 = [&](std::uint64_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t{blob[static_cast<std::size_t>(at) +
-                              static_cast<std::size_t>(i)]}
-           << (8 * i);
-    }
-    return v;
-  };
-  if (!fits(4)) return CheckpointError::kTruncated;
-  const std::uint64_t n = read_u32(need - 4);
-  if (n == 0) return CheckpointError::kBadPayload;
-  if (!fits(8)) return CheckpointError::kTruncated;  // epoch
-  if (!fits(8)) return CheckpointError::kTruncated;  // user word count
-  const std::uint64_t user_count = read_u64(need - 8);
-  if (user_count > size / 8 || !fits(user_count * 8)) {
-    return CheckpointError::kTruncated;
-  }
-  if (!fits(n)) return CheckpointError::kTruncated;  // active mask
-  if (!fits(8)) return CheckpointError::kTruncated;  // edge count
-  const std::uint64_t m = read_u64(need - 8);
-  if (m > size / 8 || !fits(m * 8)) return CheckpointError::kTruncated;
-  if (!fits(n)) return CheckpointError::kTruncated;  // row statuses
-  // Four n*n u32 tables, then the trailing checksum.
-  if (n > (std::uint64_t{1} << 20) || !fits(4 * n * n * 4)) {
-    return CheckpointError::kTruncated;
-  }
-  if (!fits(8)) return CheckpointError::kTruncated;  // checksum
-  if (need != size) return CheckpointError::kChecksumMismatch;  // extra bytes
-  const std::span<const std::uint8_t> body = blob.first(blob.size() - 8);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : body) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  if (h != read_u64(size - 8)) return CheckpointError::kChecksumMismatch;
-  return CheckpointError::kNone;
+  return err;
 }
 
 std::uint64_t peek_checkpoint_epoch(
     std::span<const std::uint8_t> blob) noexcept {
-  if (blob.size() < 20) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= std::uint64_t{blob[12 + static_cast<std::size_t>(i)]} << (8 * i);
-  }
-  return v;
+  std::uint64_t epoch = 0;
+  classify_checkpoint_blob(blob, &epoch);
+  return epoch;
 }
 
 std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
@@ -152,26 +93,11 @@ std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
   return shifted;
 }
 
-namespace {
-
-// SplitMix64 finalizer — the same full-avalanche mix the fault injector
-// uses to key its per-(node, round) streams (congest/faults.cc).
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
                              std::uint64_t seed, std::uint64_t a,
                              std::uint64_t b) noexcept {
   if (hi <= lo) return lo;
-  std::uint64_t z = seed;
-  z = mix64(z ^ (0x9e3779b97f4a7c15ULL * (a + 1)));
-  z = mix64(z ^ (0xd1342543de82ef95ULL * (b + 1)));
-  return lo + Rng(z).below(hi - lo + 1);
+  return lo + keyed_rng(seed, a, b).below(hi - lo + 1);
 }
 
 std::uint64_t decorrelated_backoff_ms(std::uint64_t base_ms,
@@ -396,16 +322,8 @@ void DapspService::validate_config() const {
 }
 
 DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
-    : config_(config), graph_(initial), served_dist_(initial.num_nodes()) {
-  validate_config();
+    : DapspService(RestoreTag{}, config, DynamicGraph(initial)) {
   const NodeId n = initial.num_nodes();
-  apsp_.dist = DistanceMatrix(n);
-  apsp_.next_hop.assign(n, std::vector<NodeId>(n, kNoNextHop));
-  apsp_.survived.assign(n, 1);
-  apsp_.status = congest::RunStatus::kCompleted;
-  served_next_hop_.assign(n, std::vector<NodeId>(n, kNoNextHop));
-  row_status_.assign(n, RowStatus::kStale);
-
   // Initial build: one full S-SP recompute (works on disconnected inputs —
   // the repair layer runs per component), certified over every row.
   RepairOptions ropts;
@@ -422,6 +340,7 @@ DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
         rep.debug_string());
   }
   stats_.rows_repaired += rep.rows_repaired;
+  stats_.repairs_attempted += rep.repairs_attempted;
   congest::accumulate(stats_.run, rep.stats);
   std::vector<NodeId> rows(all);
   refresh_served(rows, RowStatus::kExact);
@@ -434,6 +353,14 @@ DapspService::DapspService(RestoreTag, const ServiceConfig& config,
                            DynamicGraph graph)
     : config_(config), graph_(std::move(graph)) {
   validate_config();
+  const NodeId n = graph_.universe();
+  apsp_.dist = DistanceMatrix(n);
+  apsp_.next_hop.assign(n, std::vector<NodeId>(n, kNoNextHop));
+  apsp_.survived = graph_.active_mask();
+  apsp_.status = congest::RunStatus::kCompleted;
+  served_dist_ = DistanceMatrix(n);
+  served_next_hop_.assign(n, std::vector<NodeId>(n, kNoNextHop));
+  row_status_.assign(n, RowStatus::kStale);
 }
 
 void DapspService::zero_row(NodeId x) {
@@ -548,7 +475,7 @@ void DapspService::run_repair_ladder(
     ++ep.attempts;
     if (rung.escalation) {
       ep.escalated = true;
-      ep.stats.repairs_escalated += 1;
+      ++stats_.repairs_escalated;
     }
     RepairOptions ropts;
     ropts.engine = config_.engine;
@@ -559,6 +486,7 @@ void DapspService::run_repair_ladder(
     ropts.certify_all = rung.certify_all;
     try {
       const RepairReport rep = repair_apsp(snap, apsp_, ropts);
+      stats_.repairs_attempted += rep.repairs_attempted;
       congest::accumulate(ep.stats, rep.stats);
       if (!rep.all_certified()) continue;  // failed attempt: next rung
       ep.certified = true;
@@ -843,44 +771,38 @@ ServiceQuery DapspService::query(NodeId from, NodeId to) const {
 std::vector<std::uint8_t> DapspService::checkpoint_blob(
     std::span<const std::uint64_t> user_words) {
   const NodeId n = graph_.universe();
-  std::vector<std::uint8_t> b;
-  b.reserve(64 + std::size_t{n} * n * 16);
-  for (const char c : kCheckpointMagic) {
-    b.push_back(static_cast<std::uint8_t>(c));
-  }
-  for (const char c : kCheckpointVersion) {
-    b.push_back(static_cast<std::uint8_t>(c));
-  }
-  put_u32(b, n);
-  put_u64(b, epoch_);
-  put_u64(b, user_words.size());
-  for (const std::uint64_t w : user_words) put_u64(b, w);
-  for (NodeId v = 0; v < n; ++v) b.push_back(graph_.active(v) ? 1 : 0);
   const std::vector<Edge> edges = graph_.sorted_edges();
-  put_u64(b, edges.size());
+  const std::uint64_t served_len = query_blob_size(n);
+  std::vector<std::uint8_t> b(framed_size(
+      4 + 8 + 8 + 8 * user_words.size() + 8 + 8 * edges.size() +
+      8 * std::uint64_t{n} * n + served_len));
+  ByteWriter w = begin_blob(b, kCheckpointTag);
+  w.u32(n);
+  w.u64(epoch_);
+  w.u64(user_words.size());
+  for (const std::uint64_t x : user_words) w.u64(x);
+  w.u64(edges.size());
   for (const Edge& e : edges) {
-    put_u32(b, e.u);
-    put_u32(b, e.v);
-  }
-  for (NodeId s = 0; s < n; ++s) {
-    b.push_back(static_cast<std::uint8_t>(row_status_[s]));
+    w.u32(e.u);
+    w.u32(e.v);
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, apsp_.dist.at(v, s));
+    std::uint8_t* row = w.take(4 * std::size_t{n}).data();
+    for (NodeId s = 0; s < n; ++s) store_u32(row + 4 * s, apsp_.dist.at(v, s));
   }
   for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, apsp_.next_hop[v][s]);
+    std::uint8_t* row = w.take(4 * std::size_t{n}).data();
+    for (NodeId s = 0; s < n; ++s) store_u32(row + 4 * s, apsp_.next_hop[v][s]);
   }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, served_dist_.at(v, s));
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) put_u32(b, served_next_hop_[v][s]);
-  }
-  put_u64(b, blob_checksum(b));
+  // A pure function of the served state: sequence 0, no labels, not
+  // degraded — so checkpoints stay byte-identical across runs.
+  encode_query_snapshot_into(w.take(served_len), served_dist_,
+                             &served_next_hop_, graph_.active_mask(),
+                             row_status_, epoch_, 0, false);
+  seal_blob(b, w);
 
   stats_.checkpoints += 1;
-  stats_.run.checkpoint_bytes += b.size();
+  stats_.checkpoint_bytes += b.size();
   return b;
 }
 
@@ -904,79 +826,58 @@ DapspService DapspService::restore(std::istream& in,
 DapspService DapspService::restore_blob(
     std::span<const std::uint8_t> blob, const ServiceConfig& config,
     std::vector<std::uint64_t>* user_words_out) {
-  const CheckpointError err = classify_checkpoint_blob(blob);
-  if (err != CheckpointError::kNone) {
+  CheckpointError err = CheckpointError::kNone;
+  std::optional<DapspService> svc =
+      try_restore_blob(blob, config, user_words_out, &err);
+  if (!svc) {
     throw std::runtime_error(std::string("DapspService::restore: ") +
                              to_string(err) + " checkpoint");
   }
-  // Magic, version and trailing checksum verified by the classification;
-  // parse the body between them.
-  ByteReader r(blob.subspan(8, blob.size() - 16), "DapspService::restore");
-  const NodeId n = r.u32();
-  const std::uint64_t epoch = r.u64();
-  const std::uint64_t user_count = r.u64();
-  std::vector<std::uint64_t> user(user_count);
-  for (std::uint64_t i = 0; i < user_count; ++i) user[i] = r.u64();
-
-  std::vector<std::uint8_t> active(n);
-  for (NodeId v = 0; v < n; ++v) active[v] = r.u8();
-  DynamicGraph g(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (!active[v]) g.apply({DeltaKind::kNodeLeave, v, v});
-  }
-  const std::uint64_t m = r.u64();
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const NodeId u = r.u32();
-    const NodeId v = r.u32();
-    g.apply({DeltaKind::kEdgeInsert, u, v});  // throws on inconsistent blobs
-  }
-
-  DapspService svc(RestoreTag{}, config, std::move(g));
-  svc.epoch_ = epoch;
-  svc.row_status_.resize(n);
-  for (NodeId s = 0; s < n; ++s) {
-    const std::uint8_t raw = r.u8();
-    if (raw > static_cast<std::uint8_t>(RowStatus::kStale)) {
-      throw std::runtime_error("DapspService::restore: bad row status");
-    }
-    svc.row_status_[s] = static_cast<RowStatus>(raw);
-  }
-  svc.apsp_.dist = DistanceMatrix(n);
-  svc.apsp_.next_hop.assign(n, std::vector<NodeId>(n, kNoNextHop));
-  svc.served_dist_ = DistanceMatrix(n);
-  svc.served_next_hop_.assign(n, std::vector<NodeId>(n, kNoNextHop));
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.apsp_.dist.set(v, s, r.u32());
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.apsp_.next_hop[v][s] = r.u32();
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.served_dist_.set(v, s, r.u32());
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId s = 0; s < n; ++s) svc.served_next_hop_[v][s] = r.u32();
-  }
-  svc.apsp_.survived = svc.graph_.active_mask();
-  svc.apsp_.status = congest::RunStatus::kCompleted;
-
-  if (user_words_out != nullptr) *user_words_out = std::move(user);
-  return svc;
+  return std::move(*svc);
 }
 
 std::optional<DapspService> DapspService::try_restore_blob(
     std::span<const std::uint8_t> blob, const ServiceConfig& config,
     std::vector<std::uint64_t>* user_words_out, CheckpointError* error_out) {
-  CheckpointError err = classify_checkpoint_blob(blob);
+  CheckpointSections c;
+  CheckpointError err = parse_checkpoint(blob, c);
   if (err == CheckpointError::kNone) {
     try {
-      std::optional<DapspService> svc =
-          restore_blob(blob, config, user_words_out);
+      const QuerySnapshot& served = *c.served;
+      const NodeId n = served.n();
+      DynamicGraph g(n);
+      for (NodeId v = 0; v < n; ++v) {
+        if (!served.active(v)) g.apply({DeltaKind::kNodeLeave, v, v});
+      }
+      ByteReader edges(c.edges, "DSVC edges");
+      while (edges.left() > 0) {
+        const NodeId u = edges.u32();
+        // Throws on an edge list inconsistent with the active mask.
+        g.apply({DeltaKind::kEdgeInsert, u, edges.u32()});
+      }
+
+      DapspService svc(RestoreTag{}, config, std::move(g));
+      svc.epoch_ = served.epoch();
+      for (NodeId s = 0; s < n; ++s) svc.row_status_[s] = served.status(s);
+      ByteReader dist(c.dist, "DSVC dist"), hop(c.hop, "DSVC next_hop");
+      for (NodeId v = 0; v < n; ++v) {
+        for (NodeId s = 0; s < n; ++s) {
+          svc.apsp_.dist.set(v, s, dist.u32());
+          svc.apsp_.next_hop[v][s] = hop.u32();
+          svc.served_dist_.set(v, s, served.dist(v, s));
+          svc.served_next_hop_[v][s] = served.next_hop(v, s);
+        }
+      }
+      if (user_words_out != nullptr) {
+        ByteReader user(c.user, "DSVC user words");
+        user_words_out->assign(c.user.size() / 8, 0);
+        for (std::uint64_t& x : *user_words_out) x = user.u64();
+      }
       if (error_out != nullptr) *error_out = CheckpointError::kNone;
       return svc;
     } catch (const std::exception&) {
-      // Checksum held but a field is inconsistent (bad row status, edge at
-      // an inactive endpoint, trailing body bytes...).
+      // Checksum held but a field is inconsistent (an edge at an inactive
+      // endpoint, a duplicate edge...).
       err = CheckpointError::kBadPayload;
     }
   }
@@ -1001,7 +902,9 @@ std::string ServiceStats::debug_string() const {
      << " crashes=" << crashes << " corrupted=" << corrupted_entries
      << " rows_repaired=" << rows_repaired << " failed=" << epochs_failed
      << " suppressed=" << repairs_suppressed
-     << " scrubs=" << scrubs << " checkpoints=" << checkpoints << " | "
+     << " scrubs=" << scrubs << " checkpoints=" << checkpoints
+     << " repairs=" << repairs_attempted << " escalated=" << repairs_escalated
+     << " checkpoint_bytes=" << checkpoint_bytes << " | "
      << run.debug_string();
   return std::move(os).str();
 }

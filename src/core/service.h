@@ -66,8 +66,8 @@
 // is what catches it (ServiceConfig::scrub_every automates the cadence).
 //
 // Checkpoint/restore. checkpoint() serializes the full *state* (graph,
-// working tables, served snapshot, row statuses, epoch counter, caller
-// words for e.g. DeltaPlan resume) with a trailing checksum; restore()
+// working tables, epoch counter, caller words for e.g. DeltaPlan resume, and
+// the served snapshot as an embedded DQRY blob; DESIGN.md §14); restore()
 // rebuilds a service that continues bit-identically — state excludes the
 // cumulative stats, so a restored run and a straight-through run produce
 // identical checkpoints from the same epoch onward, at any thread count.
@@ -84,35 +84,24 @@
 #include "core/repair.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
+#include "util/blob.h"
 
 namespace dapsp::core {
 
-// Why a checkpoint blob was rejected — the distinct failure modes a durable
-// deployment must tell apart (DESIGN.md §15). kTruncated is what a process
-// kill mid-write leaves; kChecksumMismatch is bit damage of a full-length
-// blob; kVersionMismatch is a checkpoint from a different format version
-// (right magic, wrong version word) and must not be repaired away.
-enum class CheckpointError : std::uint8_t {
-  kNone = 0,
-  kMissing = 1,           // no bytes at all
-  kTruncated = 2,         // shorter than its own structure claims
-  kBadMagic = 3,          // not a service checkpoint
-  kVersionMismatch = 4,   // "DSVC" magic, different version word
-  kChecksumMismatch = 5,  // full structure, body damaged (or bytes appended)
-  kBadPayload = 6,        // checksum holds but a field is inconsistent
-};
+// The blob failure taxonomy lives with the shared frame (util/blob.h).
+using dapsp::CheckpointError;
+using dapsp::to_string;
 
-const char* to_string(CheckpointError e) noexcept;
-
-// Classifies a checkpoint blob without building a service from it. Pure and
-// noexcept: a dry structural parse plus the trailing-checksum check.
-// (kBadPayload cases that need full deserialization — an inconsistent edge
-// list, say — are only caught by restore_blob/try_restore_blob.)
+// Classifies a checkpoint blob without building a service from it: the
+// frame checks, then the body parse, embedded DQRY section included. Pure
+// and noexcept; on kNone, `epoch_out` (when given) receives the epoch. (An
+// inconsistent edge list is only caught by restore_blob/try_restore_blob.)
 CheckpointError classify_checkpoint_blob(
-    std::span<const std::uint8_t> blob) noexcept;
+    std::span<const std::uint8_t> blob,
+    std::uint64_t* epoch_out = nullptr) noexcept;
 
-// The epoch stored in a checkpoint blob. Only meaningful when
-// classify_checkpoint_blob returned kNone.
+// The epoch stored in a checkpoint blob; 0 unless classify_checkpoint_blob
+// returns kNone.
 std::uint64_t peek_checkpoint_epoch(std::span<const std::uint8_t> blob) noexcept;
 
 // Retry backoff saturates here instead of overflowing: long degraded
@@ -232,10 +221,13 @@ struct ServiceStats {
   // also a kBreaker trace event).
   std::uint64_t repairs_suppressed = 0;
   std::uint64_t breaker_transitions = 0;
+  // repair_apsp reports folded in (initial build included), full-recompute
+  // rungs entered, and total serialized checkpoint bytes.
+  std::uint64_t repairs_attempted = 0;
+  std::uint64_t repairs_escalated = 0;
+  std::uint64_t checkpoint_bytes = 0;
 
-  // Accumulated engine stats over every repair/certify run, including the
-  // service counters (repairs_attempted / repairs_escalated /
-  // checkpoint_bytes) surfaced in RunStats::debug_string().
+  // Accumulated engine stats over every repair/certify run.
   congest::RunStats run;
 
   std::string debug_string() const;
@@ -389,7 +381,7 @@ class DapspService {
 
   // Serializes the full service state (see header; excludes stats) plus the
   // caller's words (e.g. DeltaPlan rng state + batch counter). Counts the
-  // blob size into stats().run.checkpoint_bytes.
+  // blob size into stats().checkpoint_bytes.
   void checkpoint(std::ostream& out,
                   std::span<const std::uint64_t> user_words = {});
   std::vector<std::uint8_t> checkpoint_blob(
@@ -413,6 +405,8 @@ class DapspService {
       std::vector<std::uint64_t>* user_words_out, CheckpointError* error_out);
 
  private:
+  // Validates the config and sizes every table for `graph`, all rows stale:
+  // the shared start of the initial build and of restore().
   struct RestoreTag {};
   DapspService(RestoreTag, const ServiceConfig& config, DynamicGraph graph);
 

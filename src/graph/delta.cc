@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/journal.h"
+#include "util/blob.h"
 
 namespace dapsp {
 
@@ -38,18 +38,19 @@ const char* to_string(DeltaKind k) noexcept {
 }
 
 std::vector<std::uint8_t> encode_churn_batch(const ChurnBatch& b) {
-  std::vector<std::uint8_t> out;
-  out.reserve(24 + b.deltas.size() * 9 + b.crashes.size() * 4);
-  put_u32(out, static_cast<std::uint32_t>(b.deltas.size()));
+  std::vector<std::uint8_t> out(4 + 9 * b.deltas.size() + 4 +
+                                4 * b.crashes.size() + 4 + 8);
+  ByteWriter w(out);
+  w.u32(static_cast<std::uint32_t>(b.deltas.size()));
   for (const GraphDelta& d : b.deltas) {
-    out.push_back(static_cast<std::uint8_t>(d.kind));
-    put_u32(out, d.u);
-    put_u32(out, d.v);
+    w.u8(static_cast<std::uint8_t>(d.kind));
+    w.u32(d.u);
+    w.u32(d.v);
   }
-  put_u32(out, static_cast<std::uint32_t>(b.crashes.size()));
-  for (const NodeId v : b.crashes) put_u32(out, v);
-  put_u32(out, b.corrupt_flips);
-  put_u64(out, b.corrupt_seed);
+  w.u32(static_cast<std::uint32_t>(b.crashes.size()));
+  for (const NodeId v : b.crashes) w.u32(v);
+  w.u32(b.corrupt_flips);
+  w.u64(b.corrupt_seed);
   return out;
 }
 

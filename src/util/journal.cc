@@ -2,78 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 namespace dapsp {
-
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void ByteReader::need(std::size_t k) const {
-  if (left_ < k) {
-    throw std::runtime_error(std::string(context_) + ": truncated input");
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  const std::uint8_t v = *p_;
-  ++p_;
-  --left_;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p_[i]} << (8 * i);
-  p_ += 4;
-  left_ -= 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p_[i]} << (8 * i);
-  p_ += 8;
-  left_ -= 8;
-  return v;
-}
-
-std::vector<std::uint8_t> ByteReader::bytes(std::size_t k) {
-  need(k);
-  std::vector<std::uint8_t> out(p_, p_ + k);
-  p_ += k;
-  left_ -= k;
-  return out;
-}
-
-void ByteReader::skip(std::size_t k) {
-  need(k);
-  p_ += k;
-  left_ -= k;
-}
 
 // ------------------------------------------------------------------ FileSink
 
@@ -110,7 +42,6 @@ void FileSink::write(std::span<const std::uint8_t> bytes) {
     impl_->out.write(reinterpret_cast<const char*>(bytes.data()),
                      static_cast<std::streamsize>(allowed));
     if (!impl_->out) throw std::runtime_error("FileSink: write failed");
-    written_ += allowed;
     if (crash_ != nullptr) crash_->written += allowed;
   }
   if (fire) {
@@ -160,46 +91,39 @@ JournalScan scan_journal(const std::string& path) {
   }
   std::vector<std::uint8_t> b{std::istreambuf_iterator<char>(in), {}};
   scan.file_bytes = b.size();
-  if (b.size() < kJournalHeaderBytes) {
-    scan.error = JournalError::kTornHeader;
-    return scan;
+  switch (check_blob_tag(b, kJournalTag)) {
+    case CheckpointError::kNone:
+      break;
+    case CheckpointError::kBadMagic:
+      scan.error = JournalError::kBadMagic;
+      return scan;
+    case CheckpointError::kVersionMismatch:
+      scan.error = JournalError::kVersionMismatch;
+      return scan;
+    default:  // fewer than 8 bytes: a crash before the header landed
+      scan.error = JournalError::kTornHeader;
+      return scan;
   }
-  if (std::memcmp(b.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    scan.error = JournalError::kBadMagic;
-    return scan;
-  }
-  std::uint32_t version = 0;
-  for (int i = 0; i < 4; ++i) {
-    version |= std::uint32_t{b[4 + static_cast<std::size_t>(i)]} << (8 * i);
-  }
-  if (version != kJournalVersion) {
-    scan.error = JournalError::kVersionMismatch;
-    return scan;
-  }
+  // The longest prefix of whole records. Whatever follows it — a partial
+  // record header, a partial (or absurd) payload, a record whose checksum
+  // breaks — is a torn tail, dropped from that record on (crash-only fault
+  // model, see header).
   scan.valid_bytes = kJournalHeaderBytes;
   ByteReader r(std::span<const std::uint8_t>(b).subspan(kJournalHeaderBytes),
                "scan_journal");
-  while (r.left() > 0) {
-    if (!r.can_read(4 + 8)) {
-      scan.error = JournalError::kTornTail;  // partial record header
-      return scan;
+  try {
+    while (r.left() > 0) {
+      const std::uint32_t len = r.u32();
+      const std::uint64_t want = r.u64();
+      if (len > kJournalMaxPayload) break;
+      const std::span<const std::uint8_t> payload = r.take(len);
+      if (fnv1a64(payload) != want) break;
+      scan.records.emplace_back(payload.begin(), payload.end());
+      scan.valid_bytes += 4 + 8 + std::uint64_t{len};
     }
-    const std::uint32_t len = r.u32();
-    const std::uint64_t want = r.u64();
-    if (len > kJournalMaxPayload || !r.can_read(len)) {
-      scan.error = JournalError::kTornTail;  // partial (or absurd) payload
-      return scan;
-    }
-    std::vector<std::uint8_t> payload = r.bytes(len);
-    if (fnv1a64(payload) != want) {
-      // A checksum break is treated as tail damage: everything from this
-      // record on is dropped (crash-only fault model — see header).
-      scan.error = JournalError::kTornTail;
-      return scan;
-    }
-    scan.records.push_back(std::move(payload));
-    scan.valid_bytes += 4 + 8 + std::uint64_t{len};
+  } catch (const std::runtime_error&) {
   }
+  if (scan.valid_bytes < b.size()) scan.error = JournalError::kTornTail;
   return scan;
 }
 
@@ -226,34 +150,27 @@ bool repair_journal(const std::string& path) {
   return true;
 }
 
+namespace {
+
+// Only a journal that already has its header is continued in place; a
+// missing or header-less file is (re)started fresh.
+bool has_header(const std::string& path) {
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  return !ec && size >= kJournalHeaderBytes;
+}
+
+}  // namespace
+
 JournalWriter::JournalWriter(const std::string& path, FileSink::Mode mode,
                              CrashPoint* crash)
     : sink_(path,
-            [&] {
-              if (mode == FileSink::Mode::kAppend) {
-                std::error_code ec;
-                const auto size = std::filesystem::file_size(path, ec);
-                // A missing or header-less file cannot be appended to —
-                // restart it fresh (the header is rewritten below).
-                if (ec || size < kJournalHeaderBytes) {
-                  return FileSink::Mode::kTruncate;
-                }
-              }
-              return mode;
-            }(),
+            mode == FileSink::Mode::kAppend && has_header(path)
+                ? FileSink::Mode::kAppend
+                : FileSink::Mode::kTruncate,
             crash) {
-  if (sink_.bytes_written() == 0 &&
-      [&] {
-        std::error_code ec;
-        const auto size = std::filesystem::file_size(path, ec);
-        return !ec && size >= kJournalHeaderBytes;
-      }()) {
-    return;  // appending to an existing, headered journal
-  }
-  std::vector<std::uint8_t> header;
-  header.insert(header.end(), kJournalMagic, kJournalMagic + 4);
-  put_u32(header, kJournalVersion);
-  sink_.write(header);
+  if (has_header(path)) return;  // appending to an existing journal
+  sink_.write(kJournalTag);
   sink_.flush();
 }
 
@@ -261,15 +178,13 @@ std::uint64_t JournalWriter::append(std::span<const std::uint8_t> payload) {
   if (payload.size() > kJournalMaxPayload) {
     throw std::invalid_argument("JournalWriter::append: payload too large");
   }
-  std::vector<std::uint8_t> rec;
-  rec.reserve(12 + payload.size());
-  put_u32(rec, static_cast<std::uint32_t>(payload.size()));
-  put_u64(rec, fnv1a64(payload));
-  rec.insert(rec.end(), payload.begin(), payload.end());
-  sink_.write(rec);
+  std::uint8_t head[4 + 8];
+  store_u32(head, static_cast<std::uint32_t>(payload.size()));
+  store_u64(head + 4, fnv1a64(payload));
+  sink_.write(head);
+  sink_.write(payload);
   sink_.flush();
-  ++records_;
-  return rec.size();
+  return sizeof(head) + payload.size();
 }
 
 }  // namespace dapsp

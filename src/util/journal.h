@@ -5,12 +5,10 @@
 // must never lose an acknowledged update. This module supplies the storage
 // substrate for that contract:
 //
-//   * File format — an 8-byte versioned header ("DJRN" + little-endian
-//     format version) followed by self-delimiting records:
-//         u32 payload_len | u64 fnv1a64(payload) | payload bytes
-//     Every field is little-endian. The per-record checksum catches bit
-//     damage; the length prefix makes the valid prefix recognizable after a
-//     crash mid-append.
+//   * File format — the 8-byte blob tag of util/blob.h ("DJRN" + u32 1),
+//     then self-delimiting records `u32 payload_len | u64 fnv1a64(payload)
+//     | payload`. The per-record checksum catches bit damage; the length
+//     prefix makes the valid prefix recognizable after a crash mid-append.
 //
 //   * Torn-tail semantics — a crash can leave any byte prefix of the file.
 //     scan_journal() reads the longest valid record prefix and classifies
@@ -42,40 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "util/blob.h"
+
 namespace dapsp {
-
-// FNV-1a 64-bit over `bytes` — the checksum used by journal records and
-// service checkpoints.
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept;
-
-// Little-endian append helpers shared by every serializer in the repo.
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-
-// Bounds-checked little-endian reader. Throws std::runtime_error with
-// `context` in the message when a read would run past the end.
-class ByteReader {
- public:
-  ByteReader(std::span<const std::uint8_t> bytes, const char* context)
-      : p_(bytes.data()), left_(bytes.size()), context_(context) {}
-
-  std::size_t left() const noexcept { return left_; }
-  bool can_read(std::size_t k) const noexcept { return left_ >= k; }
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  // Copies `k` raw bytes out.
-  std::vector<std::uint8_t> bytes(std::size_t k);
-  void skip(std::size_t k);
-
- private:
-  void need(std::size_t k) const;
-
-  const std::uint8_t* p_;
-  std::size_t left_;
-  const char* context_;
-};
 
 // Thrown by a sink when its CrashPoint budget fires in soft mode: the bytes
 // up to the budget are durable, everything after is lost — exactly what a
@@ -114,18 +81,15 @@ class FileSink {
   void write(std::span<const std::uint8_t> bytes);
   void flush();
 
-  std::uint64_t bytes_written() const noexcept { return written_; }
-
  private:
   struct Impl;
   Impl* impl_;
   CrashPoint* crash_;
-  std::uint64_t written_ = 0;
 };
 
-inline constexpr char kJournalMagic[4] = {'D', 'J', 'R', 'N'};
-inline constexpr std::uint32_t kJournalVersion = 1;
-inline constexpr std::size_t kJournalHeaderBytes = 8;
+// The journal header is the shared blob tag alone: "DJRN" + u32 1.
+inline constexpr BlobTag kJournalTag{'D', 'J', 'R', 'N', 1, 0, 0, 0};
+inline constexpr std::size_t kJournalHeaderBytes = kJournalTag.size();
 // Sanity cap on one record's payload; larger length prefixes are treated as
 // tail damage rather than attempted as allocations.
 inline constexpr std::uint32_t kJournalMaxPayload = 1u << 30;
@@ -172,11 +136,8 @@ class JournalWriter {
   // disk (header excluded).
   std::uint64_t append(std::span<const std::uint8_t> payload);
 
-  std::uint64_t records_appended() const noexcept { return records_; }
-
  private:
   FileSink sink_;
-  std::uint64_t records_ = 0;
 };
 
 }  // namespace dapsp

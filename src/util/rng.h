@@ -11,6 +11,13 @@
 
 namespace dapsp {
 
+// SplitMix64 finalizer: a full-avalanche 64-bit mix.
+constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 // SplitMix64: tiny, fast, statistically solid generator used to seed and to
 // drive all randomness in the library. Satisfies UniformRandomBitGenerator.
 class Rng {
@@ -25,10 +32,7 @@ class Rng {
   }
 
   result_type operator()() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return mix64(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
   // Uniform integer in [0, bound). Requires bound > 0.
@@ -54,6 +58,15 @@ class Rng {
  private:
   std::uint64_t state_;
 };
+
+// A keyed stream: one mix64 round per key component, with distinct odd
+// multipliers, so streams for neighboring (a, b) keys share no affine
+// structure (fault streams, backoff jitter, overload-sim requests).
+inline Rng keyed_rng(std::uint64_t seed, std::uint64_t a,
+                     std::uint64_t b) noexcept {
+  const std::uint64_t z = mix64(seed ^ (0x9e3779b97f4a7c15ULL * (a + 1)));
+  return Rng(mix64(z ^ (0xd1342543de82ef95ULL * (b + 1))));
+}
 
 // In-place Fisher-Yates shuffle.
 template <typename T>

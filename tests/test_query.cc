@@ -260,7 +260,7 @@ TEST(QueryBlob, ClassifyTaxonomy) {
   std::vector<std::uint8_t> blob = encode_static(g);
   ASSERT_EQ(classify_query_blob(blob), CheckpointError::kNone);
 
-  EXPECT_EQ(classify_query_blob({}), CheckpointError::kTruncated);
+  EXPECT_EQ(classify_query_blob({}), CheckpointError::kMissing);
   EXPECT_EQ(classify_query_blob(std::span(blob).first(17)),
             CheckpointError::kTruncated);
   {
@@ -269,7 +269,7 @@ TEST(QueryBlob, ClassifyTaxonomy) {
     EXPECT_EQ(classify_query_blob(b), CheckpointError::kTruncated);
     b = blob;
     b.push_back(0);  // appended bytes are damage, not slack
-    EXPECT_EQ(classify_query_blob(b), CheckpointError::kTruncated);
+    EXPECT_EQ(classify_query_blob(b), CheckpointError::kChecksumMismatch);
   }
   {
     std::vector<std::uint8_t> b = blob;
@@ -278,7 +278,7 @@ TEST(QueryBlob, ClassifyTaxonomy) {
   }
   {
     std::vector<std::uint8_t> b = blob;
-    b[7] = '2';
+    b[7] = '1';  // the previous format version
     EXPECT_EQ(classify_query_blob(b), CheckpointError::kVersionMismatch);
   }
   {

@@ -320,7 +320,7 @@ TEST(Service, ServesOracleExactTablesThroughEveryEpoch) {
   }
   EXPECT_EQ(svc.stats().epochs, 60u);
   EXPECT_EQ(svc.stats().epochs_failed, 0u);
-  EXPECT_GT(svc.stats().run.repairs_attempted, 0u);
+  EXPECT_GT(svc.stats().repairs_attempted, 0u);
 }
 
 TEST(Service, CleanEpochRunsNoProtocol) {
@@ -344,7 +344,7 @@ TEST(Service, OversizedDirtyRegionEscalates) {
   EXPECT_EQ(ep.outcome, EpochOutcome::kEscalated);
   EXPECT_TRUE(ep.certified);
   EXPECT_EQ(ep.attempts, 1u);
-  EXPECT_EQ(svc.stats().run.repairs_escalated, 1u);
+  EXPECT_EQ(svc.stats().repairs_escalated, 1u);
   expect_oracle_exact(svc);
   for (NodeId s = 0; s < 10; ++s) {
     EXPECT_EQ(svc.row_status(s), RowStatus::kExact);
@@ -421,7 +421,7 @@ TEST(Service, CheckpointRestoreRoundTripsBitIdentically) {
   std::ostringstream out;
   svc.checkpoint(out, words);
   EXPECT_EQ(svc.stats().checkpoints, 1u);
-  EXPECT_GT(svc.stats().run.checkpoint_bytes, 0u);
+  EXPECT_GT(svc.stats().checkpoint_bytes, 0u);
 
   std::istringstream in(out.str());
   std::vector<std::uint64_t> restored_words;
@@ -844,10 +844,9 @@ TEST(Service, CountersSurfaceInDebugStrings) {
   ChurnBatch b;
   b.deltas.push_back({DeltaKind::kEdgeInsert, 0, 8});
   svc.step(b);
-  const std::string run = svc.stats().run.debug_string();
-  EXPECT_NE(run.find("repairs="), std::string::npos);
-  EXPECT_NE(run.find("checkpoint_bytes="), std::string::npos);
   const std::string s = svc.stats().debug_string();
+  EXPECT_NE(s.find("repairs="), std::string::npos);
+  EXPECT_NE(s.find("checkpoint_bytes="), std::string::npos);
   EXPECT_NE(s.find("epochs=1"), std::string::npos);  // ctor counts no epoch
   EXPECT_EQ(std::string(to_string(RowStatus::kRepaired)), "repaired");
   EXPECT_EQ(std::string(to_string(EpochOutcome::kEscalated)), "escalated");
