@@ -307,7 +307,7 @@ bool bench_repair(const Graph& g, const std::string& label) {
     if (k >= n) break;
     core::ApspResult r;
     r.dist = oracle;
-    r.next_hop.assign(n, std::vector<NodeId>(n, core::kNoNextHop));
+    r.next_hop = Table<NodeId>(n, n, core::kNoNextHop);
     r.status = congest::RunStatus::kDegraded;
     r.survived.assign(n, 1);
     // Break k rows outright: all-infinite except the diagonal, spread over

@@ -148,32 +148,33 @@ int main() {
 
   // Observability (DESIGN.md section 12): attach a structured trace and load
   // histograms to a fault-free APSP run. Collection is sharded with the
-  // engine, so watching costs no parallelism, and the per-edge histogram
-  // shows Lemma 1's schedule live: no edge ever carries two floods in one
-  // round.
+  // engine, so watching costs no parallelism, and the trace shows Lemma 1's
+  // schedule: no edge ever carries two floods in one round.
   congest::TraceLog trace;
   congest::EngineMetrics metrics;
   core::ApspOptions watched;
   watched.engine.trace = &trace;
   watched.engine.metrics = &metrics;
-  core::FloodCongestionMonitor monitor(small);
-  watched.engine.send_observer = monitor.hook();
   const auto traced = core::run_pebble_apsp(small, watched);
+  std::uint64_t floods = 0;
+  for (const congest::TraceEvent& ev : trace.events()) {
+    if (ev.kind == congest::TraceEventKind::kSend &&
+        ev.msg.kind == core::kApspFlood) {
+      ++floods;
+    }
+  }
   std::printf("\ninstrumented APSP on %s:\n", small.summary().c_str());
   std::printf("  %zu trace events over %llu rounds; %llu flood sends, "
-              "%llu Lemma 1 violations\n",
+              "max %llu kApspFlood per edge-round (Lemma 1: 1)\n",
               trace.size(),
               static_cast<unsigned long long>(traced.stats.rounds),
-              static_cast<unsigned long long>(monitor.flood_sends()),
-              static_cast<unsigned long long>(monitor.violations()));
+              static_cast<unsigned long long>(floods),
+              static_cast<unsigned long long>(congest::max_sends_per_edge_round(
+                  trace.events(), core::kApspFlood)));
   std::printf("  per-(edge,round) messages: max %llu (Lemma 1 admits one "
               "flood + pebble/control)\n",
               static_cast<unsigned long long>(
                   metrics.edge_messages.max_value()));
-  std::printf("  flood congestion from the trace itself: max %llu "
-              "kApspFlood per edge-round\n",
-              static_cast<unsigned long long>(congest::max_sends_per_edge_round(
-                  trace.events(), core::kApspFlood)));
   std::printf("  round activity: mean %.1f msgs/round, peak %llu "
               "(busiest wave)\n",
               metrics.round_activity.mean(),

@@ -6,8 +6,9 @@
 #                         [--query-smoke [dir]] [--overload-smoke [dir]]
 #                         [--bench-build] [extra ctest args...]
 #   --tsan         run only the ThreadSanitizer configuration (the concurrency
-#                  surface: engine, equivalence, faults, determinism, and the
-#                  query tier's snapshot-swap soak) instead of the full matrix.
+#                  surface: engine, equivalence, faults, determinism, the
+#                  sharded trace drain, and the query tier's snapshot-swap
+#                  soak) instead of the full matrix.
 #   --perf-smoke   run only the engine perf-regression gate
 #                  (bench_engine_perf --assert-speedup); self-skips on hosts
 #                  with < 4 hardware threads.
@@ -43,9 +44,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   shift
   # The tests that exercise the worker pool and the sharded phases —
   # test_engine_equivalence in particular runs the flat engine's arenas and
-  # inbox frames differentially at 1/2/8 threads.
+  # inbox frames differentially at 1/2/8 threads, and test_trace runs the
+  # sharded collection and drain of the TraceLog, the engine's one event
+  # channel, at 1/2/8 threads.
   run_config build-tsan Tsan \
-    -R 'test_engine|test_engine_equivalence|test_arena|test_faults|test_determinism|test_query|test_resilience' "$@"
+    -R 'test_engine|test_engine_equivalence|test_arena|test_faults|test_determinism|test_query|test_resilience|test_trace' "$@"
   echo "TSan checks passed."
   exit 0
 fi
@@ -191,11 +194,14 @@ query_smoke() {
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "${dir}" -j "${JOBS}" \
     --target bench_query dapsp_service query_server
-  "${dir}/bench/bench_query" --smoke --assert-rate 1000000 >/dev/null
-  "${dir}/examples/dapsp_service" --universe 24 --updates 60 --seed 7 \
-    --serve 2 --serve-lookups 128 --chaos 0.05 --quiet
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
+  # Run in ${tmp}: the smoke run's BENCH_query.json must not clobber the
+  # committed full-size rows.
+  ( cd "${tmp}" && "${OLDPWD}/${dir}/bench/bench_query" \
+      --smoke --assert-rate 1000000 >/dev/null )
+  "${dir}/examples/dapsp_service" --universe 24 --updates 60 --seed 7 \
+    --serve 2 --serve-lookups 128 --chaos 0.05 --quiet
   "${dir}/examples/query_server" --export "${tmp}/s.dqry" \
     --universe 32 --seed 7 --labels 2
   "${dir}/examples/query_server" --snapshot "${tmp}/s.dqry" --info

@@ -231,7 +231,6 @@ Engine::Engine(const Graph& g, EngineConfig config)
                  ? config_.threads
                  : std::max(1u, std::thread::hardware_concurrency());
   record_trace_ = config_.trace != nullptr;
-  record_events_ = record_trace_ || static_cast<bool>(config_.send_observer);
   const std::uint32_t shards =
       static_cast<std::uint32_t>(std::min<std::uint64_t>(threads_, n));
   accum_.resize(shards);
@@ -372,7 +371,7 @@ void Engine::account_node(NodeId v, ShardAccum& acc) {
     acc.stats.max_node_bits = std::max(acc.stats.max_node_bits, node_bits_[v]);
     acc.stats.messages += 1;
     acc.stats.total_bits += cost;
-    if (record_events_) record(TraceEventKind::kSend, to, m, 0);
+    if (record_trace_) record(TraceEventKind::kSend, to, m, 0);
     if (config_.record_activity) ++acc.activity;
 
     // Index of `v` in `to`'s adjacency list: a precomputed load, not a
@@ -434,9 +433,9 @@ void Engine::run_phases() {
       static_cast<std::uint32_t>(std::min<std::uint64_t>(threads_, n));
   for (ShardAccum& acc : accum_) acc.reset();
 
-  // Phases A+B fused, always inline: observers and traces are fed from the
-  // per-sender event buffers after the merge, so instrumentation never
-  // forces a serial accounting pass (the pre-§12 serialization cliff).
+  // Phases A+B fused, always inline: the trace is fed from the per-sender
+  // event buffers after the merge, so instrumentation never forces a serial
+  // accounting pass.
   const auto shard_body = [&](unsigned s) {
     const NodeId lo = static_cast<NodeId>(std::uint64_t{n} * s / shards);
     const NodeId hi = static_cast<NodeId>(std::uint64_t{n} * (s + 1) / shards);
@@ -467,10 +466,9 @@ void Engine::run_phases() {
     activity_[round_] = activity;
   }
 
-  // Replay buffered events in global send order before error propagation:
-  // the serial engine surfaced observer callbacks for every accounted send
-  // of the failing round too.
-  if (record_events_) drain_node_events();
+  // Drain buffered events in global send order before error propagation:
+  // the trace keeps every accounted send of the failing round too.
+  if (record_trace_) drain_node_events();
 
   // Rethrow the failure of the smallest node (shard ranges ascend, so the
   // first failed shard's record is the smallest; scan all for clarity). A
@@ -492,12 +490,7 @@ void Engine::drain_node_events() {
   // order, each sender's events in append order — the serial engine's
   // global send order.
   for (const ShardAccum& acc : accum_) {
-    for (const TraceEvent& ev : acc.events.span()) {
-      if (config_.send_observer && ev.kind == TraceEventKind::kSend) {
-        config_.send_observer(SendEvent{ev.node, ev.peer, ev.round, ev.msg});
-      }
-      if (record_trace_) config_.trace->append(ev);
-    }
+    for (const TraceEvent& ev : acc.events.span()) config_.trace->append(ev);
   }
 }
 

@@ -17,9 +17,9 @@
 // appended directly, at fixed points of the round, so they land at the same
 // stream positions regardless of thread count.
 //
-// The same merged stream drives EngineConfig::send_observer, which therefore
-// no longer forces a serial accounting pass (the pre-§12 serialization
-// cliff): observers see kSend events replayed in the order above.
+// The TraceLog is the engine's only event channel: anything that watches
+// sends (the Lemma 1 check max_sends_per_edge_round below, the reference
+// engine's send-stream comparison in tests/) reads it after the run.
 //
 // Exporters: Chrome-trace JSON (load into chrome://tracing or Perfetto; one
 // lane per node, or one lane per flood source for kApspFlood/kSspToken/

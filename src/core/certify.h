@@ -33,23 +33,15 @@
 //     matching the O(1)-round certificate flavor of the paper's lower-bound
 //     section (checking is as hard as computing only when done from scratch).
 //
-//  3. FloodCongestionMonitor: an engine-level observer asserting Lemma 1 /
-//     Claim 1 at runtime — in a fault-free pebble run, no directed edge ever
-//     carries two kApspFlood messages in one round. Wire it into
-//     EngineConfig::send_observer on an *unwrapped* run (wrapped runs put
-//     kRel* frames on the wire, not protocol messages). Under the sharded
-//     observer API (DESIGN.md §12) the hook is invoked from the engine's
-//     serial replay of per-shard event buffers — global send order, one
-//     thread — so its unsynchronized state is safe at every thread count and
-//     the monitor no longer costs the parallel speedup. The same check runs
-//     offline via scan() over a recorded TraceLog.
+//  Lemma 1 / Claim 1 (no directed edge ever carries two kApspFlood messages
+//  in one round of a fault-free pebble run) is a property of the send
+//  stream, not of a table: check it with congest::max_sends_per_edge_round(
+//  trace.events(), kApspFlood) over a recorded TraceLog (congest/trace.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "congest/engine.h"
@@ -105,31 +97,5 @@ CertifyReport certify_rows(const Graph& g,
                            std::span<const NodeId> sources,
                            const DistEntryFn& entry,
                            const CertifyOptions& options = {});
-
-// Lemma 1 monitor: counts kApspFlood sends per (directed edge, round); any
-// second flood message on the same edge-round is a violation of the paper's
-// zero-congestion claim. The hook is a copyable std::function sharing this
-// monitor's state, so the monitor can be inspected after the run.
-class FloodCongestionMonitor {
- public:
-  explicit FloodCongestionMonitor(const Graph& g);
-
-  // Install as EngineConfig::send_observer (also reachable through
-  // ApspOptions::engine). Invoked serially, in global send order, from the
-  // engine's post-round event replay.
-  congest::EngineConfig::SendObserver hook() const;
-
-  // Offline variant: runs the same per-(edge, round) check over a recorded
-  // event stream (kSend events only), e.g. a TraceLog's events(). Counts
-  // accumulate with any live hook() observations.
-  void scan(std::span<const congest::TraceEvent> events);
-
-  std::uint64_t flood_sends() const noexcept;
-  std::uint64_t violations() const noexcept;
-
- private:
-  struct State;
-  std::shared_ptr<State> state_;
-};
 
 }  // namespace dapsp::core

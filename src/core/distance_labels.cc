@@ -81,23 +81,22 @@ DistanceLabeling build_distance_labels(const Graph& g, std::uint32_t k,
   // Harvest per-node labels, indexed by dominator order. Each label holds
   // exactly |DOM| entries — no over-reservation on the k = 0 (DOM = V)
   // path beyond the n entries the exact oracle genuinely needs.
-  out.labels_.assign(n, std::vector<std::uint32_t>(out.dom_.size(), kInfDist));
+  out.labels_ = Table<std::uint32_t>(n, out.dom_.size());
   for (NodeId v = 0; v < n; ++v) {
     for (std::size_t i = 0; i < out.dom_.size(); ++i) {
-      out.labels_[v][i] = ssp.delta[v][out.dom_[i]];
+      out.labels_.set(v, i, ssp.delta.at(v, out.dom_[i]));
     }
   }
   // Connected input + verified DOM ⇒ every label entry is finite; a hole
   // here means the S-SP schedule under-ran and the oracle would silently
   // degrade, so refuse to return it.
-  for (NodeId v = 0; v < n; ++v) {
-    for (const std::uint32_t d : out.labels_[v]) {
-      if (d == kInfDist) {
-        throw std::logic_error(
-            "build_distance_labels: incomplete label at node " +
-            std::to_string(v) + " despite a connected input");
-      }
-    }
+  const std::span<const std::uint32_t> cells = out.labels_.data();
+  const auto hole = std::ranges::find(cells, kInfDist) - cells.begin();
+  if (static_cast<std::size_t>(hole) < cells.size()) {
+    throw std::logic_error(
+        "build_distance_labels: incomplete label at node " +
+        std::to_string(static_cast<std::size_t>(hole) / out.dom_.size()) +
+        " despite a connected input");
   }
   return out;
 }

@@ -24,6 +24,7 @@
 
 #include "congest/engine.h"
 #include "graph/graph.h"
+#include "util/table.h"
 
 namespace dapsp::core {
 
@@ -56,8 +57,8 @@ class DistanceLabeling {
                                                 const congest::EngineConfig&);
   std::uint32_t k_ = 0;
   std::vector<NodeId> dom_;
-  // labels_[v][i] = d(v, dom_[i]).
-  std::vector<std::vector<std::uint32_t>> labels_;
+  // labels_[v][i] = d(v, dom_[i]): n x |DOM|.
+  Table<std::uint32_t> labels_;
   congest::RunStats stats_;
 };
 

@@ -328,7 +328,7 @@ ApspResult run_pebble_apsp(const Graph& g, const ApspOptions& options) {
   out.stats = outcome.stats;
   out.round_activity = engine.round_activity();
   out.dist = DistanceMatrix(n);
-  out.next_hop.assign(n, std::vector<NodeId>(n, kNoNextHop));
+  out.next_hop = Table<NodeId>(n, n, kNoNextHop);
   out.ecc.resize(n);
   out.is_center.assign(n, 0);
   out.is_peripheral.assign(n, 0);

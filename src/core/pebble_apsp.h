@@ -35,6 +35,7 @@
 #include "graph/graph.h"
 #include "seq/apsp.h"
 #include "seq/properties.h"
+#include "util/table.h"
 
 namespace dapsp::core {
 
@@ -50,7 +51,7 @@ struct ApspResult {
   // next_hop[v][u]: the neighbor of v that lies on a shortest v->u path
   // (v's parent in the BFS tree T_u) — Remark 4: "shortest paths are
   // implicitly stored via BFS trees". kNoNextHop on the diagonal.
-  std::vector<std::vector<NodeId>> next_hop;
+  Table<NodeId> next_hop;
   std::vector<std::uint32_t> ecc;      // per node (valid if aggregate)
   std::uint32_t diameter = 0;
   std::uint32_t radius = 0;

@@ -236,20 +236,14 @@ std::uint32_t dom_count_of(const DistanceLabeling* labels, std::uint32_t n) {
   return dom_count;
 }
 
-}  // namespace
-
-std::uint64_t query_blob_size(NodeId n, std::uint32_t dom_count) {
-  const std::uint64_t n64 = n;
-  return framed_size(kQueryFieldBytes + 8 * n64 * n64 + 4 * dom_count +
-                     4 * n64 * dom_count + 2 * n64);
-}
-
-void encode_query_snapshot_into(
-    std::span<std::uint8_t> blob, const DistanceMatrix& dist,
-    const std::vector<std::vector<NodeId>>* next_hop,
-    std::span<const std::uint8_t> active, std::span<const RowStatus> status,
-    std::uint64_t epoch, std::uint64_t sequence, bool degraded,
-    const DistanceLabeling* labels) {
+// The one DQRY body writer. `hop(v, s)` is v's next hop toward s, read from
+// whichever node-major table the caller holds.
+template <class HopFn>
+void write_query_blob(std::span<std::uint8_t> blob, const DistanceMatrix& dist,
+                      const HopFn& hop, std::span<const std::uint8_t> active,
+                      std::span<const RowStatus> status, std::uint64_t epoch,
+                      std::uint64_t sequence, bool degraded,
+                      const DistanceLabeling* labels) {
   const auto n = static_cast<std::uint32_t>(dist.n());
   if (n == 0) {
     throw std::invalid_argument("encode_query_snapshot: empty universe");
@@ -267,7 +261,8 @@ void encode_query_snapshot_into(
         (labels != nullptr ? kQueryFlagLabels : 0u));
   w.u32(labels != nullptr ? labels->k() : 0u);
   w.u32(dom_count);
-  // Row s = served values toward source s, indexed by node v.
+  // The one transposition: the tables are node-major, DQRY row s holds the
+  // served values toward source s, indexed by node v.
   const auto table = [&](const auto& cell) {
     for (std::uint32_t s = 0; s < n; ++s) {
       std::uint8_t* row = w.take(4 * std::size_t{n}).data();
@@ -275,19 +270,10 @@ void encode_query_snapshot_into(
     }
   };
   table([&](NodeId v, NodeId s) { return dist.at(v, s); });
-  table([&](NodeId v, NodeId s) {
-    return next_hop != nullptr ? (*next_hop)[v][s] : kNoNextHop;
-  });
+  table(hop);
   if (labels != nullptr) {
-    for (const NodeId d : labels->dominators()) w.u32(d);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::span<const std::uint32_t> lab = labels->label(v);
-      if (lab.size() != dom_count) {
-        throw std::invalid_argument(
-            "encode_query_snapshot: ragged label row");
-      }
-      for (const std::uint32_t x : lab) w.u32(x);
-    }
+    w.u32s(labels->dominators());
+    for (std::uint32_t v = 0; v < n; ++v) w.u32s(labels->label(v));
   }
   for (std::uint32_t v = 0; v < n; ++v) w.u8(active[v] != 0 ? 1 : 0);
   for (std::uint32_t v = 0; v < n; ++v) {
@@ -296,26 +282,56 @@ void encode_query_snapshot_into(
   seal_blob(blob, w);
 }
 
+std::vector<std::uint8_t> blob_for(const DistanceMatrix& dist,
+                                   const DistanceLabeling* labels) {
+  const auto n = static_cast<std::uint32_t>(dist.n());
+  return std::vector<std::uint8_t>(
+      query_blob_size(n, dom_count_of(labels, n)));
+}
+
+}  // namespace
+
+std::uint64_t query_blob_size(NodeId n, std::uint32_t dom_count) {
+  const std::uint64_t n64 = n;
+  return framed_size(kQueryFieldBytes + 8 * n64 * n64 + 4 * dom_count +
+                     4 * n64 * dom_count + 2 * n64);
+}
+
+void encode_query_snapshot_into(
+    std::span<std::uint8_t> blob, const DistanceMatrix& dist,
+    const Table<NodeId>& next_hop, std::span<const std::uint8_t> active,
+    std::span<const RowStatus> status, std::uint64_t epoch,
+    std::uint64_t sequence, bool degraded, const DistanceLabeling* labels) {
+  write_query_blob(
+      blob, dist, [&](NodeId v, NodeId s) { return next_hop.at(v, s); },
+      active, status, epoch, sequence, degraded, labels);
+}
+
 std::vector<std::uint8_t> encode_query_snapshot_tables(
     const DistanceMatrix& dist,
     const std::vector<std::vector<NodeId>>* next_hop,
     std::span<const std::uint8_t> active, std::span<const RowStatus> status,
     std::uint64_t epoch, std::uint64_t sequence, bool degraded,
     const DistanceLabeling* labels) {
-  const auto n = static_cast<std::uint32_t>(dist.n());
-  std::vector<std::uint8_t> out(query_blob_size(n, dom_count_of(labels, n)));
-  encode_query_snapshot_into(out, dist, next_hop, active, status, epoch,
-                             sequence, degraded, labels);
+  std::vector<std::uint8_t> out = blob_for(dist, labels);
+  write_query_blob(
+      out, dist,
+      [&](NodeId v, NodeId s) {
+        return next_hop != nullptr ? (*next_hop)[v][s] : kNoNextHop;
+      },
+      active, status, epoch, sequence, degraded, labels);
   return out;
 }
 
 std::vector<std::uint8_t> encode_query_snapshot(
     const DapspService& svc, std::uint64_t sequence, bool degraded,
     const DistanceLabeling* labels) {
-  return encode_query_snapshot_tables(
-      svc.served_dist(), &svc.served_next_hop(),
-      svc.dynamic_graph().active_mask(), svc.row_statuses(), svc.epoch(),
-      sequence, degraded, labels);
+  std::vector<std::uint8_t> out = blob_for(svc.served_dist(), labels);
+  encode_query_snapshot_into(out, svc.served_dist(), svc.served_next_hop(),
+                             svc.dynamic_graph().active_mask(),
+                             svc.row_statuses(), svc.epoch(), sequence,
+                             degraded, labels);
+  return out;
 }
 
 // ---- SnapshotStore -------------------------------------------------------

@@ -261,23 +261,26 @@ std::vector<std::uint8_t> encode_query_snapshot(
     const DapspService& svc, std::uint64_t sequence, bool degraded,
     const DistanceLabeling* labels = nullptr);
 
-// Same, from raw tables: dist.at(v, s) = served distance v -> s (what the
-// encoder transposes into row-major-by-source form). `next_hop` may be null
-// (all entries become kNoNextHop) — the seq::apsp-backed path used by
-// benches and tests.
-std::vector<std::uint8_t> encode_query_snapshot_tables(
-    const DistanceMatrix& dist,
-    const std::vector<std::vector<NodeId>>* next_hop,
-    std::span<const std::uint8_t> active, std::span<const RowStatus> status,
-    std::uint64_t epoch, std::uint64_t sequence, bool degraded,
-    const DistanceLabeling* labels = nullptr);
-
-// The same, written in place into `out` of exactly query_blob_size(n,
-// |dominators|) bytes — how a checkpoint embeds its served section without
-// a second copy.
+// The same from raw node-major tables, written in place into `out` of
+// exactly query_blob_size(n, |dominators|) bytes — how a checkpoint embeds
+// its served section without a second copy. dist.at(v, s) = served distance
+// v -> s and next_hop.at(v, s) = v's hop toward s (what the encoder
+// transposes into row-major-by-source form).
 std::uint64_t query_blob_size(NodeId n, std::uint32_t dom_count = 0);
 void encode_query_snapshot_into(
     std::span<std::uint8_t> out, const DistanceMatrix& dist,
+    const Table<NodeId>& next_hop, std::span<const std::uint8_t> active,
+    std::span<const RowStatus> status, std::uint64_t epoch,
+    std::uint64_t sequence, bool degraded,
+    const DistanceLabeling* labels = nullptr);
+
+// Into a new blob, with next hops given as nested rows, (*next_hop)[v][s]
+// (null = all kNoNextHop): the seq::apsp-backed path of benches and tests,
+// kept in this form because perfbench's serve workload builds nested rows.
+// Same bytes as the flat path over equal tables; the rows are read in
+// place, never copied into a Table.
+std::vector<std::uint8_t> encode_query_snapshot_tables(
+    const DistanceMatrix& dist,
     const std::vector<std::vector<NodeId>>* next_hop,
     std::span<const std::uint8_t> active, std::span<const RowStatus> status,
     std::uint64_t epoch, std::uint64_t sequence, bool degraded,

@@ -19,7 +19,6 @@ congest::EngineConfig sanitized(const congest::EngineConfig& in) {
   congest::EngineConfig cfg = in;
   cfg.faults.reset();
   cfg.process_wrapper = nullptr;
-  cfg.send_observer = nullptr;
   cfg.trace = nullptr;
   cfg.metrics = nullptr;
   cfg.record_activity = false;
@@ -44,16 +43,10 @@ void add_coverage(Histogram& h, std::span<const RowCoverage> cov) {
 RepairReport repair_apsp(const Graph& g, ApspResult& result,
                          const RepairOptions& options) {
   const NodeId n = g.num_nodes();
-  if (result.dist.n() != n || result.next_hop.size() != n ||
-      result.survived.size() != n) {
+  if (result.dist.n() != n || result.next_hop.rows() != n ||
+      result.next_hop.cols() != n || result.survived.size() != n) {
     throw std::invalid_argument(
         "repair_apsp: result tables do not match the graph");
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    if (result.next_hop[v].size() != n) {
-      throw std::invalid_argument(
-          "repair_apsp: result tables do not match the graph");
-    }
   }
 
   std::vector<NodeId> all_sources(n);
@@ -227,8 +220,8 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
           continue;
         }
         const NodeId nv = new_id[v];
-        result.dist.set(v, s, rc.delta[nv][ns]);
-        const std::uint32_t pi = rc.parent_index[nv][ns];
+        result.dist.set(v, s, rc.delta.at(nv, ns));
+        const std::uint32_t pi = rc.parent_index.at(nv, ns);
         result.next_hop[v][s] =
             pi == kNoParent ? kNoNextHop : members[sub.neighbors(nv)[pi]];
       }

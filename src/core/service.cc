@@ -355,11 +355,11 @@ DapspService::DapspService(RestoreTag, const ServiceConfig& config,
   validate_config();
   const NodeId n = graph_.universe();
   apsp_.dist = DistanceMatrix(n);
-  apsp_.next_hop.assign(n, std::vector<NodeId>(n, kNoNextHop));
+  apsp_.next_hop = Table<NodeId>(n, n, kNoNextHop);
   apsp_.survived = graph_.active_mask();
   apsp_.status = congest::RunStatus::kCompleted;
   served_dist_ = DistanceMatrix(n);
-  served_next_hop_.assign(n, std::vector<NodeId>(n, kNoNextHop));
+  served_next_hop_ = Table<NodeId>(n, n, kNoNextHop);
   row_status_.assign(n, RowStatus::kStale);
 }
 
@@ -367,9 +367,9 @@ void DapspService::zero_row(NodeId x) {
   const NodeId n = graph_.universe();
   for (NodeId v = 0; v < n; ++v) {
     apsp_.dist.set(v, x, kInfDist);
-    apsp_.next_hop[v][x] = kNoNextHop;
+    apsp_.next_hop.set(v, x, kNoNextHop);
     served_dist_.set(v, x, kInfDist);
-    served_next_hop_[v][x] = kNoNextHop;
+    served_next_hop_.set(v, x, kNoNextHop);
   }
   row_status_[x] = RowStatus::kStale;
 }
@@ -393,7 +393,7 @@ void DapspService::patch_join_entries(const DirtyReport& dr) {
         }
       }
       apsp_.dist.set(w, s, mn == kInfDist ? kInfDist : mn + 1);
-      apsp_.next_hop[w][s] = arg;
+      apsp_.next_hop.set(w, s, arg);
     }
   }
 }
@@ -404,7 +404,7 @@ void DapspService::refresh_served(std::span<const NodeId> rows,
   for (const NodeId s : rows) {
     for (NodeId v = 0; v < n; ++v) {
       served_dist_.set(v, s, apsp_.dist.at(v, s));
-      served_next_hop_[v][s] = apsp_.next_hop[v][s];
+      served_next_hop_.set(v, s, apsp_.next_hop.at(v, s));
     }
     row_status_[s] = status;
   }
@@ -678,7 +678,7 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
         for (NodeId s = 0; s < graph_.universe(); ++s) {
           if (!graph_.active(s)) continue;
           served_dist_.set(w, s, apsp_.dist.at(w, s));
-          served_next_hop_[w][s] = apsp_.next_hop[w][s];
+          served_next_hop_.set(w, s, apsp_.next_hop.at(w, s));
         }
       }
       for (const auto& [s, prev] : join_guard) {
@@ -763,7 +763,7 @@ ServiceQuery DapspService::query(NodeId from, NodeId to) const {
   if (!graph_.active(from) || !graph_.active(to)) return q;
   q.active = true;
   q.dist = served_dist_.at(from, to);
-  q.next_hop = served_next_hop_[from][to];
+  q.next_hop = served_next_hop_.at(from, to);
   q.status = row_status_[to];
   return q;
 }
@@ -786,18 +786,12 @@ std::vector<std::uint8_t> DapspService::checkpoint_blob(
     w.u32(e.u);
     w.u32(e.v);
   }
-  for (NodeId v = 0; v < n; ++v) {
-    std::uint8_t* row = w.take(4 * std::size_t{n}).data();
-    for (NodeId s = 0; s < n; ++s) store_u32(row + 4 * s, apsp_.dist.at(v, s));
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    std::uint8_t* row = w.take(4 * std::size_t{n}).data();
-    for (NodeId s = 0; s < n; ++s) store_u32(row + 4 * s, apsp_.next_hop[v][s]);
-  }
+  w.u32s(apsp_.dist.data());
+  w.u32s(apsp_.next_hop.data());
   // A pure function of the served state: sequence 0, no labels, not
   // degraded — so checkpoints stay byte-identical across runs.
   encode_query_snapshot_into(w.take(served_len), served_dist_,
-                             &served_next_hop_, graph_.active_mask(),
+                             served_next_hop_, graph_.active_mask(),
                              row_status_, epoch_, 0, false);
   seal_blob(b, w);
 
@@ -859,13 +853,12 @@ std::optional<DapspService> DapspService::try_restore_blob(
       DapspService svc(RestoreTag{}, config, std::move(g));
       svc.epoch_ = served.epoch();
       for (NodeId s = 0; s < n; ++s) svc.row_status_[s] = served.status(s);
-      ByteReader dist(c.dist, "DSVC dist"), hop(c.hop, "DSVC next_hop");
+      ByteReader(c.dist, "DSVC dist").u32s(svc.apsp_.dist.data());
+      ByteReader(c.hop, "DSVC next_hop").u32s(svc.apsp_.next_hop.data());
       for (NodeId v = 0; v < n; ++v) {
         for (NodeId s = 0; s < n; ++s) {
-          svc.apsp_.dist.set(v, s, dist.u32());
-          svc.apsp_.next_hop[v][s] = hop.u32();
           svc.served_dist_.set(v, s, served.dist(v, s));
-          svc.served_next_hop_[v][s] = served.next_hop(v, s);
+          svc.served_next_hop_.set(v, s, served.next_hop(v, s));
         }
       }
       if (user_words_out != nullptr) {

@@ -368,7 +368,7 @@ class DapspService {
   // encoder (core/query.h). served_dist().at(v, s) is the served distance
   // from v to s with the freshness of row s (= row_status(s)).
   const DistanceMatrix& served_dist() const noexcept { return served_dist_; }
-  const std::vector<std::vector<NodeId>>& served_next_hop() const noexcept {
+  const Table<NodeId>& served_next_hop() const noexcept {
     return served_next_hop_;
   }
   // True when no active row is stale — every served row is certified
@@ -428,7 +428,7 @@ class DapspService {
   DynamicGraph graph_;
   ApspResult apsp_;  // working tables over the fixed universe
   DistanceMatrix served_dist_;
-  std::vector<std::vector<NodeId>> served_next_hop_;
+  Table<NodeId> served_next_hop_;
   std::vector<RowStatus> row_status_;
   std::uint64_t epoch_ = 0;
   std::uint64_t degraded_streak_ = 0;

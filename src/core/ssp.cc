@@ -350,14 +350,13 @@ SspResult run_ssp(const Graph& g, std::span<const NodeId> sources,
   out.stats = outcome.stats;
   out.survived.resize(n);
   for (NodeId v = 0; v < n; ++v) out.survived[v] = engine.crashed(v) ? 0 : 1;
-  out.delta.resize(n);
-  out.parent_index.resize(n);
+  // A node that never configured its machine keeps empty rows: all unknown.
+  out.delta = Table<std::uint32_t>(n, n, kInfDist);
+  out.parent_index = Table<std::uint32_t>(n, n, kNoParent);
   for (NodeId v = 0; v < n; ++v) {
     auto& p = engine.process_as<SspProcess>(v);
-    out.delta[v] = p.ssp().delta();
-    if (out.delta[v].empty()) out.delta[v].assign(n, kInfDist);
-    out.parent_index[v] = p.ssp().parent_index();
-    if (out.parent_index[v].empty()) out.parent_index[v].assign(n, kNoParent);
+    std::ranges::copy(p.ssp().delta(), out.delta[v].begin());
+    std::ranges::copy(p.ssp().parent_index(), out.parent_index[v].begin());
     if (out.survived[v] != 0 && p.degraded()) out.degraded_nodes.push_back(v);
     out.min_girth_witness =
         std::min(out.min_girth_witness, p.ssp().girth_witness());
@@ -371,7 +370,7 @@ SspResult run_ssp(const Graph& g, std::span<const NodeId> sources,
   }
   out.coverage = classify_coverage(
       out.survived, out.sources,
-      [&](NodeId v, NodeId s) { return out.delta[v][s]; });
+      [&](NodeId v, NodeId s) { return out.delta.at(v, s); });
   return out;
 }
 

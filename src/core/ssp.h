@@ -33,6 +33,7 @@
 #include "core/certify.h"
 #include "core/primitives/bfs_process.h"
 #include "graph/graph.h"
+#include "util/table.h"
 
 namespace dapsp::core {
 
@@ -156,14 +157,15 @@ struct SspOptions {
 
 struct SspResult {
   std::vector<NodeId> sources;
-  // dist[v][u] for u in 0..n-1: distance from v to u if u is a source
-  // (kInfDist otherwise). Kept dense for simplicity of validation.
-  std::vector<std::vector<std::uint32_t>> delta;
+  // delta[v][u] for u in 0..n-1: distance from v to u if u is a source
+  // (kInfDist otherwise). n x n for any |S|: each node's SspMachine already
+  // holds n-sized state, so the harvest copies rows as they are.
+  Table<std::uint32_t> delta;
   // parent_index[v][u]: index (in v's adjacency list) of v's parent in
   // source u's BFS tree T_u (kNoParent if v learned no distance to u, or
   // v == u) — the distributedly stored trees of Remark 4, harvested so that
   // callers (core/repair.h) can rebuild next-hop tables from repaired rows.
-  std::vector<std::vector<std::uint32_t>> parent_index;
+  Table<std::uint32_t> parent_index;
   std::uint32_t leader_ecc = 0;
   std::uint32_t d0 = 0;                  // the broadcast 2*ecc(leader) bound
   std::uint64_t loop_rounds = 0;         // schedule_length(|S|, D0)

@@ -1,12 +1,14 @@
 #include "seq/apsp.h"
 
+#include <algorithm>
+
 #include "seq/bfs.h"
 
 namespace dapsp {
 
 std::uint32_t DistanceMatrix::max_finite() const {
   std::uint32_t best = 0;
-  for (const std::uint32_t d : d_) {
+  for (const std::uint32_t d : data()) {
     if (d != kInfDist && d > best) best = d;
   }
   return best;
@@ -18,7 +20,7 @@ DistanceMatrix apsp(const Graph& g) {
   DistanceMatrix m(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const BfsResult r = bfs(g, u);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) m.set(u, v, r.dist[v]);
+    std::ranges::copy(r.dist, m[u].begin());
   }
   return m;
 }

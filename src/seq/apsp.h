@@ -3,41 +3,22 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.h"
+#include "util/table.h"
 
 namespace dapsp {
 
 // Dense n x n matrix of hop distances. Row u holds distances from u.
-class DistanceMatrix {
+class DistanceMatrix : public Table<std::uint32_t> {
  public:
   DistanceMatrix() = default;
-  explicit DistanceMatrix(NodeId n)
-      : n_(n), d_(std::size_t{n} * n, kInfDist) {}
+  explicit DistanceMatrix(NodeId n) : Table(n, n, kInfDist) {}
 
-  NodeId n() const noexcept { return n_; }
-
-  std::uint32_t at(NodeId u, NodeId v) const {
-    return d_[std::size_t{u} * n_ + v];
-  }
-  void set(NodeId u, NodeId v, std::uint32_t dist) {
-    d_[std::size_t{u} * n_ + v] = dist;
-  }
-
-  // Row of distances from u.
-  std::span<const std::uint32_t> row(NodeId u) const {
-    return {d_.data() + std::size_t{u} * n_, n_};
-  }
+  NodeId n() const noexcept { return static_cast<NodeId>(rows()); }
 
   // Maximum finite entry (the diameter, if the graph is connected).
   std::uint32_t max_finite() const;
-
-  friend bool operator==(const DistanceMatrix&, const DistanceMatrix&) = default;
-
- private:
-  NodeId n_ = 0;
-  std::vector<std::uint32_t> d_;
 };
 
 namespace seq {

@@ -69,6 +69,11 @@ class ByteWriter {
   void u8(std::uint8_t v) { take(1)[0] = v; }
   void u32(std::uint32_t v) { store_u32(take(4).data(), v); }
   void u64(std::uint64_t v) { store_u64(take(8).data(), v); }
+  // A u32 array, e.g. every cell of a table.
+  void u32s(std::span<const std::uint32_t> vs) {
+    std::uint8_t* p = take(4 * vs.size()).data();
+    for (std::size_t i = 0; i < vs.size(); ++i) store_u32(p + 4 * i, vs[i]);
+  }
 
  private:
   std::span<std::uint8_t> rest_;
@@ -88,6 +93,10 @@ class ByteReader {
   std::uint8_t u8() { return take(1)[0]; }
   std::uint32_t u32() { return load_u32(take(4).data()); }
   std::uint64_t u64() { return load_u64(take(8).data()); }
+  void u32s(std::span<std::uint32_t> out) {
+    const std::uint8_t* p = take(out.size(), 4).data();
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = load_u32(p + 4 * i);
+  }
 
  private:
   std::span<const std::uint8_t> rest_;

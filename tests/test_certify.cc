@@ -270,49 +270,5 @@ TEST(Certify, RejectsMalformedInputs) {
                std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// The Lemma 1 congestion monitor
-
-TEST(FloodMonitor, FaultFreePebbleRunHasZeroViolations) {
-  for (const Graph& g : test_families()) {
-    FloodCongestionMonitor monitor(g);
-    ApspOptions opt;
-    opt.engine.send_observer = monitor.hook();
-    const auto r = run_pebble_apsp(g, opt);
-    ASSERT_EQ(r.status, congest::RunStatus::kCompleted);
-    EXPECT_GT(monitor.flood_sends(), 0u) << g.summary();
-    EXPECT_EQ(monitor.violations(), 0u) << g.summary();
-  }
-}
-
-TEST(FloodMonitor, DetectsSyntheticDoubleFlood) {
-  // A rogue process that puts two kApspFlood messages on the same directed
-  // edge in one round — exactly what Lemma 1 forbids.
-  class DoubleFlooder final : public congest::Process {
-   public:
-    void on_round(congest::RoundCtx& ctx) override {
-      if (ctx.round() == 0 && ctx.id() == 0) {
-        ctx.send(0, congest::Message::make(kApspFlood, 0, 1));
-        ctx.send(0, congest::Message::make(kApspFlood, 0, 1));
-      }
-      done_ = true;
-    }
-    bool done() const override { return done_; }
-
-   private:
-    bool done_ = false;
-  };
-  const Graph g = gen::path(2);
-  FloodCongestionMonitor monitor(g);
-  congest::EngineConfig cfg;
-  cfg.bandwidth_ids = 8;  // room for both sends; the monitor, not B, judges
-  cfg.send_observer = monitor.hook();
-  congest::Engine e(g, cfg);
-  e.init([](NodeId) { return std::make_unique<DoubleFlooder>(); });
-  e.run();
-  EXPECT_EQ(monitor.flood_sends(), 2u);
-  EXPECT_EQ(monitor.violations(), 1u);
-}
-
 }  // namespace
 }  // namespace dapsp::core

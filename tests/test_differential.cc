@@ -182,7 +182,7 @@ TEST(Differential, RepairedStaleHarvestsMatchSubgraphOracle) {
 
     core::ApspResult r;
     r.dist = seq::apsp(g);
-    r.next_hop.assign(n, std::vector<NodeId>(n, core::kNoNextHop));
+    r.next_hop = Table<NodeId>(n, n, core::kNoNextHop);
     r.status = congest::RunStatus::kDegraded;
     r.survived = survived;
 

@@ -10,8 +10,8 @@
 //
 //   * statuses, error strings, every RunStats counter, and the harvested
 //     per-node protocol state must match the reference exactly;
-//   * the send-observer stream (round-major, sender-major, send order) must
-//     be byte-identical to the reference's serial stream;
+//   * the kSend events of the trace (round-major, sender-major, send order)
+//     must be byte-identical to the reference's serial send stream;
 //   * congestion / field-width / round-limit error paths must surface the
 //     same error text from the same node;
 //   * the reliable-delivery wrapper must behave identically on both.
@@ -29,6 +29,7 @@
 #include "congest/engine.h"
 #include "congest/faults.h"
 #include "congest/reliable.h"
+#include "congest/trace.h"
 #include "graph/generators.h"
 #include "testing/reference_engine.h"
 #include "util/rng.h"
@@ -108,7 +109,7 @@ struct Digest {
   std::string status;
   std::string stats;
   std::vector<std::string> harvest;
-  std::string observed;  // send-observer stream
+  std::string sends;  // the trace's kSend events
 
   bool operator==(const Digest&) const = default;
 };
@@ -127,17 +128,23 @@ std::string harvest_process(Protocol p, Process& proc) {
   return dynamic_cast<const Gossip&>(proc.underlying()).harvest();
 }
 
-EngineConfig with_observer(EngineConfig cfg, std::string* sink) {
-  cfg.send_observer = [sink](const SendEvent& ev) {
-    *sink += std::to_string(ev.round) + ":" + std::to_string(ev.from) + ">" +
-             std::to_string(ev.to) + "." + std::to_string(ev.msg.kind) + ";";
-  };
-  return cfg;
+// The kSend events of a trace, one "round:from>to.kind;" record each.
+std::string send_stream(const TraceLog& trace) {
+  std::string out;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.kind != TraceEventKind::kSend) continue;
+    out += std::to_string(ev.round) + ":" + std::to_string(ev.node) + ">" +
+           std::to_string(ev.peer) + "." + std::to_string(ev.msg.kind) + ";";
+  }
+  return out;
 }
 
 Digest run_reference(const Graph& g, const EngineConfig& cfg, Protocol p) {
   Digest d;
-  dapsp::testing::ReferenceEngine eng(g, with_observer(cfg, &d.observed));
+  TraceLog trace;
+  EngineConfig run_cfg = cfg;
+  run_cfg.trace = &trace;
+  dapsp::testing::ReferenceEngine eng(g, run_cfg);
   eng.init([&](NodeId v) { return make_process(p, v); });
   const Outcome out = eng.run_bounded();
   d.status = std::string(to_string(out.status)) + "|" + out.message;
@@ -145,14 +152,17 @@ Digest run_reference(const Graph& g, const EngineConfig& cfg, Protocol p) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     d.harvest.push_back(harvest_process(p, eng.process(v)));
   }
+  d.sends = send_stream(trace);
   return d;
 }
 
 Digest run_flat(const Graph& g, const EngineConfig& cfg, Protocol p,
                 std::uint32_t threads) {
   Digest d;
-  EngineConfig run_cfg = with_observer(cfg, &d.observed);
+  TraceLog trace;
+  EngineConfig run_cfg = cfg;
   run_cfg.threads = threads;
+  run_cfg.trace = &trace;
   Engine eng(g, run_cfg);
   eng.init([&](NodeId v) { return make_process(p, v); });
   const Outcome out = eng.run_bounded();
@@ -161,6 +171,7 @@ Digest run_flat(const Graph& g, const EngineConfig& cfg, Protocol p,
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     d.harvest.push_back(harvest_process(p, eng.process(v)));
   }
+  d.sends = send_stream(trace);
   return d;
 }
 
@@ -260,7 +271,7 @@ TEST(EngineEquivalence, RandomizedDifferentialAgainstReference) {
           << "seed=" << seed << " threads=" << t << " " << g.summary();
       ASSERT_EQ(flat.harvest, ref.harvest)
           << "seed=" << seed << " threads=" << t << " " << g.summary();
-      ASSERT_EQ(flat.observed, ref.observed)
+      ASSERT_EQ(flat.sends, ref.sends)
           << "seed=" << seed << " threads=" << t << " " << g.summary();
     }
   }
@@ -282,7 +293,7 @@ TEST(EngineEquivalence, FaultFreeDifferential) {
       ASSERT_EQ(flat.status, ref.status) << "seed=" << seed << " t=" << t;
       ASSERT_EQ(flat.stats, ref.stats) << "seed=" << seed << " t=" << t;
       ASSERT_EQ(flat.harvest, ref.harvest) << "seed=" << seed << " t=" << t;
-      ASSERT_EQ(flat.observed, ref.observed) << "seed=" << seed << " t=" << t;
+      ASSERT_EQ(flat.sends, ref.sends) << "seed=" << seed << " t=" << t;
     }
   }
 }
@@ -308,14 +319,20 @@ TEST(EngineEquivalence, CongestionErrorTextMatchesReference) {
 
   const Graph g = gen::complete(9);
   EngineConfig cfg;
-  dapsp::testing::ReferenceEngine ref(g, cfg);
+  TraceLog ref_trace;
+  EngineConfig ref_cfg = cfg;
+  ref_cfg.trace = &ref_trace;
+  dapsp::testing::ReferenceEngine ref(g, ref_cfg);
   ref.init([](NodeId) { return std::make_unique<Spammer>(); });
   const Outcome ref_out = ref.run_bounded();
+  ASSERT_FALSE(send_stream(ref_trace).empty());
   ASSERT_EQ(ref_out.status, RunStatus::kCongestion);
 
   for (const std::uint32_t t : kThreadCounts) {
+    TraceLog trace;
     EngineConfig run_cfg = cfg;
     run_cfg.threads = t;
+    run_cfg.trace = &trace;
     Engine eng(g, run_cfg);
     eng.init([](NodeId) { return std::make_unique<Spammer>(); });
     const Outcome out = eng.run_bounded();
@@ -323,6 +340,8 @@ TEST(EngineEquivalence, CongestionErrorTextMatchesReference) {
     ASSERT_EQ(out.message, ref_out.message) << "threads=" << t;
     ASSERT_EQ(out.stats.debug_string(), ref_out.stats.debug_string())
         << "threads=" << t;
+    // Every accounted send is in the stream, the failing round's too.
+    ASSERT_EQ(send_stream(trace), send_stream(ref_trace)) << "threads=" << t;
   }
 }
 
@@ -349,15 +368,21 @@ TEST(EngineEquivalence, FieldWidthErrorTextMatchesReference) {
 
   const Graph g = gen::cycle(8);
   EngineConfig cfg;
-  dapsp::testing::ReferenceEngine ref(g, cfg);
+  TraceLog ref_trace;
+  EngineConfig ref_cfg = cfg;
+  ref_cfg.trace = &ref_trace;
+  dapsp::testing::ReferenceEngine ref(g, ref_cfg);
   ref.init([](NodeId v) { return std::make_unique<Liar>(v); });
   const Outcome ref_out = ref.run_bounded();
+  ASSERT_FALSE(send_stream(ref_trace).empty());
   ASSERT_EQ(ref_out.status, RunStatus::kCongestion);
   ASSERT_NE(ref_out.message.find("exceeds value width"), std::string::npos);
 
   for (const std::uint32_t t : kThreadCounts) {
+    TraceLog trace;
     EngineConfig run_cfg = cfg;
     run_cfg.threads = t;
+    run_cfg.trace = &trace;
     Engine eng(g, run_cfg);
     eng.init([](NodeId v) { return std::make_unique<Liar>(v); });
     const Outcome out = eng.run_bounded();
@@ -365,6 +390,8 @@ TEST(EngineEquivalence, FieldWidthErrorTextMatchesReference) {
     ASSERT_EQ(out.message, ref_out.message) << "threads=" << t;
     ASSERT_EQ(out.stats.debug_string(), ref_out.stats.debug_string())
         << "threads=" << t;
+    // Every accounted send is in the stream, the failing round's too.
+    ASSERT_EQ(send_stream(trace), send_stream(ref_trace)) << "threads=" << t;
   }
 }
 
@@ -380,14 +407,20 @@ TEST(EngineEquivalence, RoundLimitMatchesReference) {
   const Graph g = gen::path(6);
   EngineConfig cfg;
   cfg.max_rounds = 50;
-  dapsp::testing::ReferenceEngine ref(g, cfg);
+  TraceLog ref_trace;
+  EngineConfig ref_cfg = cfg;
+  ref_cfg.trace = &ref_trace;
+  dapsp::testing::ReferenceEngine ref(g, ref_cfg);
   ref.init([](NodeId) { return std::make_unique<Babbler>(); });
   const Outcome ref_out = ref.run_bounded();
+  ASSERT_FALSE(send_stream(ref_trace).empty());
   ASSERT_EQ(ref_out.status, RunStatus::kRoundLimit);
 
   for (const std::uint32_t t : kThreadCounts) {
+    TraceLog trace;
     EngineConfig run_cfg = cfg;
     run_cfg.threads = t;
+    run_cfg.trace = &trace;
     Engine eng(g, run_cfg);
     eng.init([](NodeId) { return std::make_unique<Babbler>(); });
     const Outcome out = eng.run_bounded();
@@ -395,6 +428,8 @@ TEST(EngineEquivalence, RoundLimitMatchesReference) {
     ASSERT_EQ(out.message, ref_out.message) << "threads=" << t;
     ASSERT_EQ(out.stats.debug_string(), ref_out.stats.debug_string())
         << "threads=" << t;
+    // Every accounted send is in the stream, the failing round's too.
+    ASSERT_EQ(send_stream(trace), send_stream(ref_trace)) << "threads=" << t;
   }
 }
 

@@ -275,6 +275,23 @@ TEST(DistanceMatrix, Equality) {
   EXPECT_NE(a, b);
   b.set(0, 1, 1);
   EXPECT_EQ(a, b);
+
+  // The same storage at the n x |DOM| shape of distance labels.
+  Table<std::uint32_t> l(5, 2, kInfDist), m(5, 2, kInfDist);
+  EXPECT_EQ(l.rows(), 5u);
+  EXPECT_EQ(l.cols(), 2u);
+  EXPECT_EQ(l.row(4).size(), 2u);
+  EXPECT_EQ(l, m);
+  l[3][1] = 9;
+  EXPECT_EQ(l.at(3, 1), 9u);
+  EXPECT_EQ(l.data()[3 * 2 + 1], 9u);  // row-major
+  EXPECT_NE(l, m);
+  m.set(3, 1, 9);
+  EXPECT_EQ(l, m);
+  // Equal cells in another shape are another table.
+  Table<std::uint32_t> t(2, 5, kInfDist);
+  t.data()[7] = 9;
+  EXPECT_NE(l, t);
 }
 
 TEST(DistanceMatrix, MaxFiniteIgnoresInfinity) {

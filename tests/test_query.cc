@@ -341,6 +341,21 @@ TEST(QueryBlob, FreshServiceHopsAdvanceThePath) {
       ASSERT_EQ(oracle.at(a.next_hop, v), a.dist - 1);
     }
   }
+  // The served next hops as nested rows encode to the same bytes as the
+  // flat path, with and without a label section.
+  std::vector<std::vector<NodeId>> rows;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto row = svc.served_next_hop()[v];
+    rows.emplace_back(row.begin(), row.end());
+  }
+  const DistanceLabeling lab = build_distance_labels(g, 1);
+  const DistanceLabeling* const label_sections[] = {nullptr, &lab};
+  for (const DistanceLabeling* labels : label_sections) {
+    EXPECT_EQ(encode_query_snapshot_tables(
+                  svc.served_dist(), &rows, svc.dynamic_graph().active_mask(),
+                  svc.row_statuses(), svc.epoch(), 0, false, labels),
+              encode_query_snapshot(svc, 0, false, labels));
+  }
 }
 
 // ----------------------------------------------- differential churn validation

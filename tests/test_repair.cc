@@ -106,7 +106,7 @@ ApspResult stale_harvest(const Graph& g, std::vector<NodeId> dead) {
   const NodeId n = g.num_nodes();
   ApspResult r;
   r.dist = seq::apsp(g);
-  r.next_hop.assign(n, std::vector<NodeId>(n, kNoNextHop));
+  r.next_hop = Table<NodeId>(n, n, kNoNextHop);
   for (NodeId v = 0; v < n; ++v) {
     for (NodeId s = 0; s < n; ++s) {
       if (v == s) continue;
