@@ -4,11 +4,17 @@
 // Sweep 1: fixed graph, growing |S| — rounds grow linearly in |S| with
 //          slope ~2 (our doubled schedule) and intercept ~D.
 // Sweep 2: fixed |S|, growing D (path length) — rounds grow linearly in D.
+// Wall:    S = V SSP against pebble APSP (Algorithm 1) on the same graph —
+//          both compute all distances, so their simulation cost per message
+//          and end to end is directly comparable.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/pebble_apsp.h"
 #include "core/ssp.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -88,9 +94,6 @@ void late_improvement_audit() {
   };
   for (const Case& c : cases) {
     const auto sources = pick_sources(c.g.num_nodes(), c.s, 5);
-    // run_ssp does not currently expose the per-node counters; re-run via
-    // the public result and report rounds (the counter sum is asserted ~0 in
-    // tests). Kept here as a table of the runs themselves.
     const core::SspResult r = core::run_ssp(c.g, sources);
     t.cell(std::string(c.name));
     t.cell(std::uint64_t{c.s});
@@ -100,6 +103,43 @@ void late_improvement_audit() {
   }
 }
 
+template <typename F>
+double wall_ms(F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  const std::chrono::duration<double, std::milli> dt =
+      std::chrono::steady_clock::now() - t0;
+  return dt.count();
+}
+
+void wall_vs_pebble() {
+  bench::Table t("S=V SSP vs pebble APSP wall (1 engine thread)");
+  t.header({"graph", "ssp_ms", "ssp_msgs", "ssp_ns/msg", "apsp_ms",
+            "apsp_msgs", "apsp_ns/msg", "ssp/apsp"});
+  for (const NodeId n : {256u, 512u, 1024u}) {
+    for (const std::size_t extra : {std::size_t{n} / 2, std::size_t{n} * 4}) {
+      const Graph g = gen::random_connected(n, extra, 1);
+      std::vector<NodeId> all(n);
+      std::iota(all.begin(), all.end(), NodeId{0});
+      core::SspResult s;
+      core::ApspResult a;
+      const double ssp_ms = wall_ms([&] { s = core::run_ssp(g, all); });
+      const double apsp_ms = wall_ms([&] { a = core::run_pebble_apsp(g); });
+      t.cell("rand" + std::to_string(n) +
+             (extra == n / 2 ? "+n/2" : "+4n"));
+      t.cell(ssp_ms);
+      t.cell(s.stats.messages);
+      t.cell(ssp_ms * 1e6 / static_cast<double>(s.stats.messages));
+      t.cell(apsp_ms);
+      t.cell(a.stats.messages);
+      t.cell(apsp_ms * 1e6 / static_cast<double>(a.stats.messages));
+      t.cell(ssp_ms / apsp_ms);
+      t.end_row();
+    }
+  }
+  bench::note("ROADMAP target: S=V SSP within 2x of pebble-APSP wall");
+}
+
 }  // namespace
 
 int main() {
@@ -107,5 +147,6 @@ int main() {
   sweep_sources();
   sweep_diameter();
   late_improvement_audit();
+  wall_vs_pebble();
   return 0;
 }

@@ -25,8 +25,10 @@
 // its freshness or the shed accounting fails to balance:
 //
 //   query_server --snapshot snap.dqry --overload 20000 --offered 200000
-//   query_server --snapshot snap.dqry --overload 20000 --offered 200000 \
+//   query_server --snapshot snap.dqry --overload 20000 --offered 200000
 //       --deadline-us 8 --trace-out shed.jsonl --metrics-out health.json
+//
+// (the last example is one command line).
 //
 // Every answer carries its serving status (exact/repaired/stale, plus
 // approximate for label estimates): a stale row is served, but the caller

@@ -49,7 +49,8 @@ int main() {
               static_cast<unsigned long long>(r.stats.rounds));
   std::printf("  messages   = %llu\n",
               static_cast<unsigned long long>(r.stats.messages));
-  std::printf("  bandwidth  = %u bits/edge/round, worst edge load %u bits\n",
-              r.stats.bandwidth_bits, r.stats.max_edge_bits);
+  std::printf("  bandwidth  = %u bits/edge/round, worst edge load %llu bits\n",
+              r.stats.bandwidth_bits,
+              static_cast<unsigned long long>(r.stats.max_edge_bits));
   return 0;
 }

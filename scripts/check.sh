@@ -31,11 +31,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# run_config <dir> <build type> <DAPSP_WERROR ON|OFF> [ctest args...]
 run_config() {
-  local dir="$1" type="$2"
-  shift 2
+  local dir="$1" type="$2" werror="$3"
+  shift 3
   echo "== ${type} (${dir}) =="
-  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE="${type}" >/dev/null
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE="${type}" \
+    -DDAPSP_WERROR="${werror}" >/dev/null
   cmake --build "${dir}" -j "${JOBS}"
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" "$@"
 }
@@ -47,7 +49,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # inbox frames differentially at 1/2/8 threads, and test_trace runs the
   # sharded collection and drain of the TraceLog, the engine's one event
   # channel, at 1/2/8 threads.
-  run_config build-tsan Tsan \
+  run_config build-tsan Tsan OFF \
     -R 'test_engine|test_engine_equivalence|test_arena|test_faults|test_determinism|test_query|test_resilience|test_trace' "$@"
   echo "TSan checks passed."
   exit 0
@@ -279,14 +281,15 @@ if [[ "${1:-}" == "--bench-build" ]]; then
   exit 0
 fi
 
-run_config build RelWithDebInfo "$@"
+# The two main configurations build warning-free: -Werror keeps them so.
+run_config build RelWithDebInfo ON "$@"
 trace_smoke build
 chaos_smoke build
 churn_smoke build
 perf_smoke build
 query_smoke build
 overload_smoke build
-run_config build-asan Asan "$@"
+run_config build-asan Asan ON "$@"
 kill_matrix_smoke build-asan
 
 echo "All checks passed. (Run scripts/check.sh --tsan for the TSan config.)"

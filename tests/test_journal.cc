@@ -163,7 +163,7 @@ TEST(Journal, ForeignFilesAreRefused) {
 TEST(Journal, AppendContinuesARepairedJournal) {
   const std::string path = make_journal("cont.wal");
   std::vector<std::uint8_t> bytes = read_all(path);
-  bytes.resize(bytes.size() - 2);  // tear the last record
+  bytes.erase(bytes.end() - 2, bytes.end());  // tear the last record
   write_all(path, bytes);
   EXPECT_TRUE(repair_journal(path));
   {

@@ -128,7 +128,7 @@ TEST(TreeMachine, MarkedCountSumsMarks) {
 
   e.run();
   std::uint32_t want = 0;
-  for (NodeId v = 0; v < 40; ++v) want += (v % 3 == 0) ? 1 : 0;
+  for (NodeId v = 0; v < 40; ++v) want += (v % 3 == 0) ? 1u : 0u;
   EXPECT_EQ(e.process_as<Marked>(0).tree_.root_marked_count(), want);
 }
 

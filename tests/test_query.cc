@@ -114,7 +114,9 @@ std::size_t validate_snapshot(const QuerySnapshot& snap,
         // an equal-length path without perturbing any certified distance).
         // Hop path-consistency is asserted where it is guaranteed — see
         // QueryBlob.FreshServiceHopsAdvanceThePath — here only presence.
-        if (expect_hops) EXPECT_NE(a.next_hop, kNoNextHop);
+        if (expect_hops) {
+          EXPECT_NE(a.next_hop, kNoNextHop);
+        }
       }
     }
     // One k-nearest and one eccentricity probe per row, against the naive
@@ -148,7 +150,9 @@ std::size_t validate_snapshot(const QuerySnapshot& snap,
     }
     EXPECT_EQ(ec.ecc, naive_ecc);
     EXPECT_EQ(kn.nearest.size(), std::min<std::size_t>(3, finite));
-    if (!kn.nearest.empty()) EXPECT_EQ(kn.nearest.front().dist, best);
+    if (!kn.nearest.empty()) {
+      EXPECT_EQ(kn.nearest.front().dist, best);
+    }
   }
   return fresh;
 }

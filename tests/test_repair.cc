@@ -198,7 +198,7 @@ TEST(Repair, EmptyExternalSuspectSetIsZeroCost) {
   ApspResult r = run_pebble_apsp(g);
   const DistanceMatrix before = r.dist;
   RepairOptions opts;
-  opts.suspects = std::vector<NodeId>{};
+  opts.suspects.emplace();  // engaged and empty
   opts.certify_all = false;
   const RepairReport report = repair_apsp(g, r, opts);
   EXPECT_EQ(report.rows_repaired, 0u);
@@ -314,10 +314,13 @@ struct Campaign {
 Campaign make_campaign(std::uint64_t i) {
   Campaign c;
   switch (i % 4) {
-    case 0: c.graph = gen::path(8 + i % 5); break;
-    case 1: c.graph = gen::grid(3, 3 + i % 3); break;
-    case 2: c.graph = gen::cycle(9 + i % 6); break;
-    default: c.graph = gen::random_connected(12 + i % 6, 14, 100 + i); break;
+    case 0: c.graph = gen::path(static_cast<NodeId>(8 + i % 5)); break;
+    case 1: c.graph = gen::grid(3, static_cast<NodeId>(3 + i % 3)); break;
+    case 2: c.graph = gen::cycle(static_cast<NodeId>(9 + i % 6)); break;
+    default:
+      c.graph =
+          gen::random_connected(static_cast<NodeId>(12 + i % 6), 14, 100 + i);
+      break;
   }
   const NodeId n = c.graph.num_nodes();
   c.plan.seed = 5000 + i;
