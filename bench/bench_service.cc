@@ -5,12 +5,13 @@
 //     join/leave) with crash-stops and stored-entry bit-rot interleaved, on
 //     a random and a grid family. The service must end fully certified.
 //
-//  2. Repair-cost scaling — benign (fault-free, local) churn across n. The
-//     dirty-region analyzer maps each batch to the invalidated rows and the
-//     ladder heals exactly those, so mean engine rounds per update must grow
-//     sublinearly in n (fit exponent < 0.75, against the O(n)-round full
-//     recompute the paper's static Algorithm 1 would pay per change); every
-//     successful epoch must also respect the O(|suspects| + D) round bound.
+//  2. Repair-cost scaling — benign (fault-free, local) churn across n up to
+//     1024. The cell rung heals exactly the changed entries, so mean engine
+//     rounds per update must grow sublinearly in n (fit exponent < 0.75,
+//     against the O(n)-round full recompute the paper's static Algorithm 1
+//     would pay per change); every successful epoch must also respect its
+//     O(|S_aff| + h) round bound. Cells changed, messages and wall time per
+//     update are reported next to the rounds.
 //
 //  3. Checkpoint determinism — the checkpoint blob after a chaos stream is
 //     bit-identical at 1, 2 and 8 engine threads, and a restore-continue run
@@ -48,6 +49,9 @@ struct JsonRow {
   std::uint64_t updates = 0;
   double mean_rounds = 0.0;    // engine rounds per update, amortized
   double mean_suspects = 0.0;  // suspect rows per update, amortized
+  double mean_cells = 0.0;     // entries changed per update, amortized
+  double mean_messages = 0.0;  // engine messages per update, amortized
+  double mean_ms = 0.0;        // wall time per update (this host)
   std::uint64_t escalated = 0;
   std::uint64_t crashes = 0;
   std::uint64_t corrupted = 0;
@@ -75,11 +79,13 @@ void write_json(const char* path) {
         f,
         "  {\"section\": \"%s\", \"graph\": \"%s\", \"n\": %u, "
         "\"updates\": %llu, \"mean_rounds\": %.3f, \"mean_suspects\": %.3f, "
+        "\"mean_cells\": %.3f, \"mean_messages\": %.1f, \"mean_ms\": %.3f, "
         "\"escalated\": %llu, \"crashes\": %llu, \"corrupted\": %llu, "
         "\"exponent\": %.3f, \"recover_ms\": %.3f, \"ok\": %s}%s\n",
         r.section.c_str(), r.graph.c_str(), r.n,
         static_cast<unsigned long long>(r.updates), r.mean_rounds,
-        r.mean_suspects, static_cast<unsigned long long>(r.escalated),
+        r.mean_suspects, r.mean_cells, r.mean_messages, r.mean_ms,
+        static_cast<unsigned long long>(r.escalated),
         static_cast<unsigned long long>(r.crashes),
         static_cast<unsigned long long>(r.corrupted), r.exponent,
         r.recover_ms, r.ok ? "true" : "false",
@@ -93,6 +99,9 @@ void write_json(const char* path) {
 struct RunResult {
   double mean_rounds = 0.0;
   double mean_suspects = 0.0;
+  double mean_cells = 0.0;
+  double mean_messages = 0.0;
+  double mean_ms = 0.0;
   std::uint64_t escalated = 0;
   bool certified = false;
   bool bounds_ok = true;
@@ -187,7 +196,8 @@ RunResult drive_flutter(const Graph& g, std::uint64_t updates,
   Rng rng(seed);
   std::optional<Edge> pending;  // removed last update, reinserted this one
   RunResult r;
-  std::uint64_t rounds = 0, suspects = 0;
+  std::uint64_t rounds = 0, suspects = 0, cells = 0, messages = 0;
+  double ms = 0.0;
   for (std::uint64_t u = 0; u < updates; ++u) {
     ChurnBatch batch;
     if (pending) {
@@ -205,15 +215,26 @@ RunResult drive_flutter(const Graph& g, std::uint64_t updates,
         }
       }
     }
+    const auto t0 = std::chrono::steady_clock::now();
     const core::EpochReport ep = svc.step(batch);
+    ms += std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
     rounds += ep.stats.rounds;
     suspects += ep.suspect_rows;
+    cells += ep.cells_changed;
+    messages += ep.stats.messages;
     if (ep.escalated) ++r.escalated;
     if (ep.certified && !ep.bound_ok) r.bounds_ok = false;
   }
-  r.mean_rounds = static_cast<double>(rounds) / static_cast<double>(updates);
-  r.mean_suspects =
-      static_cast<double>(suspects) / static_cast<double>(updates);
+  const auto per_update = [&](double x) {
+    return x / static_cast<double>(updates);
+  };
+  r.mean_rounds = per_update(static_cast<double>(rounds));
+  r.mean_suspects = per_update(static_cast<double>(suspects));
+  r.mean_cells = per_update(static_cast<double>(cells));
+  r.mean_messages = per_update(static_cast<double>(messages));
+  r.mean_ms = per_update(ms);
   r.certified = svc.fully_certified();
   r.stats = svc.stats();
   return r;
@@ -224,7 +245,8 @@ bool bench_scaling(const std::string& family, const std::vector<Graph>& gs,
   bench::Table t("repair cost vs n: " + family +
                  " (benign edge flutter, " + std::to_string(updates) +
                  " updates each)");
-  t.header({"n", "mean-rounds", "mean-susp", "escalated", "certified"});
+  t.header({"n", "mean-rounds", "mean-susp", "mean-cells", "mean-msgs",
+            "mean-ms", "escalated", "certified"});
   std::vector<double> xs, ys;
   bool ok = true;
   for (const Graph& g : gs) {
@@ -232,6 +254,9 @@ bool bench_scaling(const std::string& family, const std::vector<Graph>& gs,
     t.cell(std::uint64_t{g.num_nodes()});
     t.cell(r.mean_rounds);
     t.cell(r.mean_suspects);
+    t.cell(r.mean_cells);
+    t.cell(r.mean_messages);
+    t.cell(r.mean_ms);
     t.cell(r.escalated);
     t.cell(std::string(r.certified ? "YES" : "NO"));
     t.end_row();
@@ -246,6 +271,9 @@ bool bench_scaling(const std::string& family, const std::vector<Graph>& gs,
     row.updates = updates;
     row.mean_rounds = r.mean_rounds;
     row.mean_suspects = r.mean_suspects;
+    row.mean_cells = r.mean_cells;
+    row.mean_messages = r.mean_messages;
+    row.mean_ms = r.mean_ms;
     row.escalated = r.escalated;
     row.ok = r.certified && r.bounds_ok;
     json_rows().push_back(row);
@@ -404,10 +432,10 @@ int main() {
   ok = bench_soak(gen::grid(6, 4), "grid", 2000) && ok;
 
   std::vector<Graph> randoms, grids;
-  for (const NodeId n : {16u, 32u, 64u, 128u}) {
+  for (const NodeId n : {16u, 32u, 64u, 128u, 256u, 512u, 1024u}) {
     randoms.push_back(gen::random_connected(n, n, 7));
   }
-  for (const NodeId side : {4u, 6u, 8u, 11u}) {
+  for (const NodeId side : {4u, 6u, 8u, 11u, 16u, 23u, 32u}) {
     grids.push_back(gen::grid(side, side));
   }
   ok = bench_scaling("random", randoms, 40) && ok;

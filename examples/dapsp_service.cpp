@@ -27,8 +27,9 @@
 // Serve mode (--serve <readers>) attaches the query tier (core/query.h):
 // every epoch publishes immutable DQRY snapshots through a lock-free
 // SnapshotStore while reader threads concurrently validate answers against
-// a per-epoch sequential oracle — fresh-status answers must match exactly;
-// stale ones make no claim. Exits 1 on any overclaim. The soak contract:
+// a per-epoch sequential oracle — fresh-status answers must match exactly,
+// next hops included; stale ones make no claim. Exits 1 on any overclaim.
+// The soak contract:
 //
 //   dapsp_service --universe 24 --updates 60 --serve 2 --chaos 0.05
 #include <atomic>
@@ -374,13 +375,19 @@ class ServeSoak {
         const NodeId v = static_cast<NodeId>(rng.below(n));
         const core::QueryAnswer a = ref->p2p(u, v);
         if (!a.active || a.status == core::RowStatus::kStale) continue;
-        if (a.dist != oracle.at(u, v)) {
+        // A fresh hop is an active node one step closer to the target.
+        const bool hop_ok =
+            u == v || a.dist == dapsp::kInfDist ||
+            (a.next_hop != core::kNoNextHop && ref->active(a.next_hop) &&
+             oracle.at(a.next_hop, v) + 1 == a.dist);
+        if (a.dist != oracle.at(u, v) || !hop_ok) {
           wrong_.fetch_add(1);
           std::fprintf(stderr,
                        "OVERCLAIM: epoch %llu (%u -> %u) status %s served "
-                       "%u oracle %u\n",
+                       "%u via %u, oracle %u\n",
                        static_cast<unsigned long long>(ref->epoch()), u, v,
-                       core::to_string(a.status), a.dist, oracle.at(u, v));
+                       core::to_string(a.status), a.dist, a.next_hop,
+                       oracle.at(u, v));
         } else {
           ++ok;
         }

@@ -4,7 +4,7 @@
 #
 # Usage: scripts/check.sh [--tsan] [--perf-smoke] [--kill-matrix [dir]]
 #                         [--query-smoke [dir]] [--overload-smoke [dir]]
-#                         [--bench-build] [extra ctest args...]
+#                         [--bench-build] [--scale] [extra ctest args...]
 #   --tsan         run only the ThreadSanitizer configuration (the concurrency
 #                  surface: engine, equivalence, faults, determinism, the
 #                  sharded trace drain, and the query tier's snapshot-swap
@@ -26,6 +26,9 @@
 #   --bench-build  run only the benchmark build: configure perfbench/ out of
 #                  tree into .bench_build/perfbench, build dapsp_perfbench
 #                  and perfbench_tests, and run the benchmark's ctest.
+#   --scale        run only the churn differential at universe 1024 and 2048
+#                  (every cell and next hop against seq::apsp; ~20 s on a
+#                  4-vCPU host, ~200 MB).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -278,6 +281,17 @@ bench_build() {
 
 if [[ "${1:-}" == "--bench-build" ]]; then
   bench_build
+  exit 0
+fi
+
+# Churn differential at realistic n (DESIGN.md section 14): the disabled-by-
+# default CellRepair.DISABLED_DifferentialAtScale test of test_service.
+if [[ "${1:-}" == "--scale" ]]; then
+  echo "== scale differential (build) =="
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build -j "${JOBS}" --target test_service
+  build/tests/test_service --gtest_also_run_disabled_tests \
+    --gtest_filter='CellRepair.DISABLED_DifferentialAtScale'
   exit 0
 fi
 

@@ -263,8 +263,22 @@ void Engine::init(
   crashed_.assign(n, 0);
   for (auto& slot : delay_ring_) slot.clear();
   delayed_pending_ = 0;
+  refresh_flags();
   // Crash-at-round-0 nodes never execute at all.
   apply_crashes();
+}
+
+void Engine::refresh_flags() {
+  const NodeId n = graph_->num_nodes();
+  done_.assign(n, 1);
+  idle_.assign(n, 1);
+  busy_ = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (crashed_[v] != 0) continue;
+    done_[v] = processes_[v]->done() ? 1 : 0;
+    idle_[v] = done_[v] != 0 && processes_[v]->idle() ? 1 : 0;
+    if (done_[v] == 0) ++busy_;
+  }
 }
 
 void Engine::run_node(NodeId v, ShardAccum& acc) {
@@ -277,10 +291,16 @@ void Engine::run_node(NodeId v, ShardAccum& acc) {
     ++acc.stats.node_stall_rounds;
     return;
   }
+  if (skip_idle_ && idle_[v] != 0 && inbox_[cur_inbox_].len[v] == 0) return;
   acc.outbox.reset();  // the previous node's sends were consumed below
   Ctx ctx(*this, v, acc);
+  Process& p = *processes_[v];
   try {
-    processes_[v]->on_round(ctx);
+    p.on_round(ctx);
+    const std::uint8_t done = p.done() ? 1 : 0;
+    acc.busy_delta += static_cast<std::int64_t>(done_[v]) - done;
+    done_[v] = done;
+    idle_[v] = done != 0 && p.idle() ? 1 : 0;
   } catch (...) {
     // Capture instead of unwinding through the worker pool. Every node still
     // runs its round — which errors occur must not depend on the shard
@@ -456,6 +476,8 @@ void Engine::run_phases() {
   std::uint64_t round_messages = 0;
   for (const ShardAccum& acc : accum_) {
     accumulate(stats_, acc.stats);
+    busy_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(busy_) +
+                                       acc.busy_delta);
     activity += acc.activity;
     round_messages += acc.stats.messages;
     if (config_.metrics) config_.metrics->merge(acc.metrics);
@@ -575,6 +597,9 @@ void Engine::apply_crashes() {
   for (NodeId v = 0; v < n; ++v) {
     if (crashed_[v] == 0 && faults_->crashed(v, round_)) {
       crashed_[v] = 1;
+      if (done_[v] == 0) --busy_;
+      done_[v] = 1;
+      idle_[v] = 1;
       ++stats_.nodes_crashed;
       if (record_trace_) {
         TraceEvent ev;
@@ -612,16 +637,20 @@ void Engine::step() {
 }
 
 bool Engine::quiescent() const {
-  if (pending_messages_ > 0 || delayed_pending_ > 0) return false;
-  const NodeId n = graph_->num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    if (crashed_[v] == 0 && !processes_[v]->done()) return false;
-  }
-  return true;
+  return pending_messages_ == 0 && delayed_pending_ == 0 && busy_ == 0;
 }
 
 RunStats Engine::run() {
-  while (!quiescent()) step();
+  // Processes may have been touched between runs: re-read their flags.
+  refresh_flags();
+  skip_idle_ = true;
+  try {
+    while (!quiescent()) step();
+  } catch (...) {
+    skip_idle_ = false;
+    throw;
+  }
+  skip_idle_ = false;
   return stats_;
 }
 

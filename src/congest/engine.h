@@ -12,7 +12,8 @@
 //     paper's congestion-freedom claims (Lemma 1) become checked runtime
 //     invariants;
 //   * terminates on global quiescence: every process reports done() and no
-//     messages are in flight;
+//     messages are in flight (read from a counter; run() skips processes
+//     that report idle() with an empty inbox);
 //   * reports RunStats (rounds, message count, total bits, worst per-edge
 //     load) — the paper's cost measures.
 //
@@ -124,13 +125,21 @@ class Process {
  public:
   virtual ~Process() = default;
 
-  // Called once per round for every node (even with an empty inbox).
+  // Called once per round for every node, even with an empty inbox — except
+  // that run() / run_bounded() skip a node whose idle() held after its last
+  // step while its inbox is empty (run_rounds() steps every node).
   virtual void on_round(RoundCtx& ctx) = 0;
 
   // Quiescence flag: true when this node has nothing scheduled — it will not
   // send anything unless a future message wakes it. The engine stops when
   // every process is done and no messages are in flight.
   virtual bool done() const = 0;
+
+  // Idle-node fast path: true when a step with an empty inbox would neither
+  // send nor change state the node later acts on, so the engine may skip it.
+  // Defaults to done(); a process that keeps working while done() (e.g. a
+  // degraded relay draining a queue) overrides it.
+  virtual bool idle() const { return done(); }
 
   // Failure-detector event: the delivery layer (congest/reliable.h) has
   // declared the neighbor at `neighbor_index` dead after prolonged silence.
@@ -399,6 +408,8 @@ class Engine {
     // order — deliver_round() and drain_node_events() rely on this.
     BumpArena<ResolvedDelivery> deliveries;
     BumpArena<TraceEvent> events;
+    // Change in the number of busy (not done, not crashed) nodes this round.
+    std::int64_t busy_delta = 0;
     // First failure in this shard's node range (nodes are processed in
     // ascending order, so this is the smallest failing node of the shard).
     bool failed = false;
@@ -412,6 +423,7 @@ class Engine {
       outbox.reset();
       deliveries.reset();
       events.reset();
+      busy_delta = 0;
       failed = false;
       failed_node = 0;
       error = nullptr;
@@ -450,6 +462,8 @@ class Engine {
   // order) to the trace log — the serial engine's global send order.
   void drain_node_events();
   void apply_crashes();
+  // Re-reads every process's done() / idle() into the flags below.
+  void refresh_flags();
   bool quiescent() const;
 
   const Graph* graph_;
@@ -460,6 +474,14 @@ class Engine {
   std::uint32_t threads_ = 1;  // resolved worker count (>= 1)
 
   std::vector<std::unique_ptr<Process>> processes_;
+  // Per node, as of its last step: done() and idle() (crashed nodes count as
+  // both). busy_ counts the nodes not done, so quiescent() reads a counter;
+  // skip_idle_ (set by run()) lets run_node() pass over idle nodes with an
+  // empty inbox. Each flag is written only by its node's shard.
+  std::vector<std::uint8_t> done_;
+  std::vector<std::uint8_t> idle_;
+  std::uint64_t busy_ = 0;
+  bool skip_idle_ = false;
 
   // Double-buffered flat inboxes: inbox_[cur_inbox_] is the round's frozen
   // frame, the other is scattered into by deliver_round().

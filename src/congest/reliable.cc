@@ -491,6 +491,14 @@ void ReliableAdapter::transmit(RoundCtx& ctx, bool active) {
 }
 
 void ReliableAdapter::on_round(RoundCtx& ctx) {
+  if (edges_ready_ && ctx.round() > last_step_ + 1) {
+    // Skipped rounds were idle, hence passive: detect_failures() would have
+    // kept every live clock at the round.
+    for (std::uint32_t e = 0; e < rx_.size(); ++e) {
+      if (down_[e] == 0) last_heard_[e] = ctx.round() - 1;
+    }
+  }
+  last_step_ = ctx.round();
   ensure_edges(ctx);
   process_inbox(ctx);
 
@@ -520,6 +528,17 @@ void ReliableAdapter::on_round(RoundCtx& ctx) {
   }
 
   transmit(ctx, active);
+}
+
+bool ReliableAdapter::idle() const {
+  if (!edges_ready_ || !done() || peer_ahead()) return false;
+  for (std::uint32_t e = 0; e < tx_.size(); ++e) {
+    if (down_[e] == 0 &&
+        tx_[e].marker_enqueued < std::min(rx_[e].peer_exec, executed_)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool ReliableAdapter::done() const {

@@ -175,6 +175,9 @@ class ReliableAdapter final : public Process {
 
   void on_round(RoundCtx& ctx) override;
   bool done() const override;
+  // Done, with the synchronizer at rest: no neighbor ahead and no marker
+  // the supply rule would release. The first step is never skipped.
+  bool idle() const override;
 
   // Harvest hooks: Engine::process_as<T>() resolves through to the inner
   // algorithm process.
@@ -230,6 +233,9 @@ class ReliableAdapter final : public Process {
 
   // Highest virtual round whose inner on_round has run (-1 = none yet).
   std::int64_t executed_ = -1;
+  // The engine skips an idle adapter; on_round() catches its failure-
+  // detector clocks up over the skipped (passive) rounds.
+  std::uint64_t last_step_ = 0;
   // Sends captured from the inner process during execute_virtual_round.
   std::vector<std::vector<Message>> outboxes_;
 };

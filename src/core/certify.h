@@ -71,6 +71,19 @@ std::vector<RowCoverage> classify_coverage(
 
 struct CertifyOptions {
   congest::EngineConfig engine{};
+
+  // Per-row node subsets. Empty: every survivor ships and judges every row.
+  // Otherwise one entry per source each: scope[k] lists the nodes that judge
+  // row sources[k] and shipped[k] the nodes that broadcast their entry of
+  // it. A judge reads a neighbor that does not ship from its view, the entry
+  // that neighbor shipped last, i.e. entry(u, s): every certificate ships
+  // every changed entry, so the views stay current. Rules (a)-(c) are local,
+  // so a row that was exact before a batch is exact after it if every node
+  // whose own entry, a neighbor's entry or whose adjacency changed judges it
+  // (the cell certificate of core/repair.h; DESIGN.md §13). Neither is
+  // owned; both must outlive the call.
+  std::span<const std::vector<NodeId>> scope;
+  std::span<const std::vector<NodeId>> shipped;
 };
 
 struct CertifyReport {
@@ -90,7 +103,7 @@ struct CertifyReport {
 
 // Runs the distributed verifier over the surviving subgraph (dead nodes are
 // crash-stopped at round 0, so their entries neither broadcast nor judge).
-// Two engine rounds per row. Throws std::invalid_argument on size mismatches
+// Two engine rounds per row. With a scope, a row nobody judges passes. Throws std::invalid_argument on size mismatches
 // or out-of-range sources.
 CertifyReport certify_rows(const Graph& g,
                            std::span<const std::uint8_t> survived,

@@ -46,6 +46,7 @@ enum MsgKind : std::uint8_t {
   kDvEntry = 12,    // distance-vector baseline: (dest, dist)
   kCertValue = 13,  // certification (core/certify): (source index, distance)
   kFailNotice = 14,  // degraded mode: "a neighbor crashed", flooded once
+  kCellInvalid = 15,  // cell repair (core/repair): (source) lost every parent
 };
 
 // Echo flag bits.

@@ -1,6 +1,10 @@
 #include "core/repair.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -240,6 +244,407 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
   if (!cert_sources.empty()) {
     report.certificate =
         certify_rows(g, result.survived, cert_sources, entry, copts);
+    fold_stats(report.stats, report.certificate.stats);
+  }
+  return report;
+}
+
+namespace {
+
+bool test_bit(std::span<const std::uint64_t> bits, std::size_t i) {
+  return ((bits[i >> 6] >> (i & 63)) & 1u) != 0;
+}
+
+// What every node of the cell protocol may read: its own and its neighbors'
+// pre-batch entries (the certificate exchange put them on every edge), the
+// batch's effect on its own adjacency, and which rows take part.
+struct CellView {
+  const Graph& g;
+  const DistanceMatrix& old;  // pre-batch entries; not written during runs
+  NodeId n = 0;
+  std::uint32_t words = 0;  // 64-bit words per n-bit row
+  std::vector<NodeId> rows;
+  std::vector<std::uint8_t> fresh;   // per source: joined, row starts empty
+  std::vector<std::uint8_t> joined;  // per node
+  std::vector<std::vector<NodeId>> lost;          // per node: nbrs gone
+  std::vector<std::vector<std::uint8_t>> gained;  // per node, per edge: new
+
+  // The pre-batch entry d(v, s); joined nodes and fresh rows hold nothing.
+  std::uint32_t value(NodeId v, NodeId s) const {
+    if (fresh[s] != 0 || joined[v] != 0) return v == s ? 0 : kInfDist;
+    return old.at(v, s);
+  }
+};
+
+// Phase (i): the invalidation wave. Every notice (source) goes to every
+// neighbor, so the edges of a node advance in lockstep and one queue per node
+// suffices: one notice per round, lowest (old distance, source) first.
+class InvalidateProcess final : public congest::Process {
+ public:
+  InvalidateProcess(NodeId id, const CellView& view, const ApspResult& table)
+      : id_(id), view_(view), table_(table) {
+    inval_.assign(view.words, 0);
+    nbr_inval_.assign(std::size_t{view.g.degree(id)} * view.words, 0);
+  }
+
+  void on_round(congest::RoundCtx& ctx) override {
+    if (!started_) {
+      started_ = true;
+      start();
+    }
+    for (const congest::Received& r : ctx.inbox()) {
+      if (r.msg.kind != kCellInvalid) continue;
+      const NodeId s = r.msg.f[0];
+      nbr_inval_[std::size_t{r.from_index} * view_.words + (s >> 6)] |=
+          std::uint64_t{1} << (s & 63);
+      // Only a lost parent can cost this entry its witness.
+      const std::uint32_t du = view_.value(ctx.neighbor(r.from_index), s);
+      if (du != kInfDist && mine(s) == du + 1) check(s);
+    }
+    if (!notices_.empty()) {
+      std::ranges::pop_heap(notices_, std::greater<>{});
+      ctx.send_all(congest::Message::make(kCellInvalid, notices_.back().second));
+      notices_.pop_back();
+    }
+  }
+
+  bool done() const override {
+    return notices_.empty() && (started_ || view_.lost[id_].empty());
+  }
+
+  // This node's entry for source s after the wave so far.
+  std::uint32_t mine(NodeId s) const {
+    return invalid(s) ? kInfDist : view_.value(id_, s);
+  }
+  bool invalid(NodeId s) const { return test_bit(inval_, s); }
+  // Neighbor i's entry as this node knows it.
+  std::uint32_t theirs(std::uint32_t i, NodeId s) const {
+    if (test_bit(invalidated_by(i), s)) return kInfDist;
+    return view_.value(view_.g.neighbors(id_)[i], s);
+  }
+  // The sources neighbor i invalidated, as an n-bit row.
+  std::span<const std::uint64_t> invalidated_by(std::uint32_t i) const {
+    return {nbr_inval_.data() + std::size_t{i} * view_.words, view_.words};
+  }
+  NodeId hop(NodeId s) const {
+    for (auto it = hops_.rbegin(); it != hops_.rend(); ++it) {
+      if (it->first == s) return it->second;
+    }
+    return table_.next_hop.at(id_, s);
+  }
+  // Whether any entry of this node changed: invalidated or re-pointed, or
+  // a neighbor invalidated something (this node may have to regrow it).
+  bool touched() const {
+    const auto any = [](std::uint64_t w) { return w != 0; };
+    return !hops_.empty() || std::ranges::any_of(inval_, any) ||
+           std::ranges::any_of(nbr_inval_, any);
+  }
+  std::uint64_t repoints() const { return hops_.size(); }
+
+ private:
+  // The wave's seeds: entries whose next hop or some parent was lost.
+  void start() {
+    const std::vector<NodeId>& lost = view_.lost[id_];
+    if (lost.empty()) return;
+    for (const NodeId s : view_.rows) {
+      const std::uint32_t d = mine(s);
+      if (d == kInfDist || d == 0) continue;
+      const NodeId h = table_.next_hop.at(id_, s);
+      if (std::ranges::any_of(lost, [&](NodeId x) {
+            return x == h || view_.value(x, s) + 1 == d;
+          })) {
+        check(s);
+      }
+    }
+  }
+
+  // The invalidation test for entry s: keep it while some neighbor still
+  // holds d - 1, re-pointing the next hop there if it is no longer one.
+  void check(NodeId s) {
+    const std::uint32_t d = mine(s);
+    if (d == kInfDist || d == 0) return;
+    const NodeId h = hop(s);
+    const auto nbrs = view_.g.neighbors(id_);
+    NodeId first = kNoNextHop;
+    for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+      if (theirs(i, s) + 1 != d) continue;
+      if (nbrs[i] == h) return;
+      if (first == kNoNextHop) first = nbrs[i];
+    }
+    if (first != kNoNextHop) {
+      hops_.emplace_back(s, first);
+      return;
+    }
+    inval_[s >> 6] |= std::uint64_t{1} << (s & 63);
+    notices_.emplace_back(d, s);
+    std::ranges::push_heap(notices_, std::greater<>{});
+  }
+
+  NodeId id_;
+  const CellView& view_;
+  const ApspResult& table_;
+  bool started_ = false;
+  std::vector<std::uint64_t> inval_;      // sources this node invalidated
+  std::vector<std::uint64_t> nbr_inval_;  // per edge: sources the nbr did
+  std::vector<std::pair<std::uint32_t, NodeId>> notices_;  // min-heap
+  std::vector<std::pair<NodeId, NodeId>> hops_;  // (source, new next hop)
+};
+
+// Phase (ii): regrowth, Algorithm 2's machine seeded with the entries phase
+// (i) left. A node with nothing owed is seeded only once a claim reaches it.
+class RegrowProcess final : public congest::Process {
+ public:
+  RegrowProcess(NodeId id, const CellView& view, const InvalidateProcess& wave)
+      : id_(id), view_(view), wave_(wave), ssp_(id, view.n, false) {
+    ssp_.configure(0, std::numeric_limits<std::uint64_t>::max() / 2);
+    has_work_ = wave.touched() ||
+                std::ranges::any_of(view.gained[id],
+                                    [](std::uint8_t x) { return x != 0; });
+  }
+
+  void on_round(congest::RoundCtx& ctx) override {
+    if (!started_) start();
+    for (const congest::Received& r : ctx.inbox()) ssp_.handle(ctx, r);
+    ssp_.advance(ctx);
+  }
+
+  bool done() const override { return started_ ? ssp_.quiet() : !has_work_; }
+
+  bool started() const { return started_; }
+  const SspMachine& ssp() const { return ssp_; }
+
+ private:
+  void start() {
+    started_ = true;
+    std::vector<std::uint32_t> seed(view_.n, kInfDist);
+    for (const NodeId s : view_.rows) seed[s] = wave_.mine(s);
+    const std::uint32_t deg = view_.g.degree(id_);
+    ssp_.seed(deg, seed);
+    for (std::uint32_t i = 0; i < deg; ++i) {
+      if (view_.gained[id_][i] != 0) {
+        // A new edge carries every entry that shortcuts the far side.
+        for (const NodeId s : view_.rows) {
+          if (seed[s] != kInfDist && wave_.theirs(i, s) > seed[s] + 1) {
+            ssp_.owe(s, i);
+          }
+        }
+        continue;
+      }
+      // An old edge carries the entries the far side invalidated.
+      const auto row = wave_.invalidated_by(i);
+      for (std::uint32_t w = 0; w < view_.words; ++w) {
+        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+          const auto s = static_cast<NodeId>(
+              w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
+          if (seed[s] != kInfDist) ssp_.owe(s, i);
+        }
+      }
+    }
+  }
+
+  NodeId id_;
+  const CellView& view_;
+  const InvalidateProcess& wave_;
+  SspMachine ssp_;
+  bool started_ = false;
+  bool has_work_ = false;
+};
+
+// 2 * ecc(leader) maximized over the components of the active subgraph: a
+// convergecast plus a broadcast over each component's BFS tree.
+std::uint64_t barrier_rounds(const Graph& g,
+                             std::span<const std::uint8_t> active) {
+  const NodeId n = g.num_nodes();
+  std::vector<std::uint32_t> depth(n, kInfDist);
+  std::vector<NodeId> queue;
+  std::uint64_t worst = 0;
+  for (NodeId r = 0; r < n; ++r) {
+    if (active[r] == 0 || depth[r] != kInfDist) continue;
+    depth[r] = 0;
+    queue.assign(1, r);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId v = queue[head];
+      for (const NodeId w : g.neighbors(v)) {
+        if (active[w] == 0 || depth[w] != kInfDist) continue;
+        depth[w] = depth[v] + 1;
+        queue.push_back(w);
+      }
+    }
+    worst = std::max<std::uint64_t>(worst, 2 * std::uint64_t{depth[queue.back()]});
+  }
+  return worst;
+}
+
+}  // namespace
+
+CellRepairReport repair_cells(const Graph& g, ApspResult& result,
+                              const CellRepairOptions& options) {
+  const NodeId n = g.num_nodes();
+  const std::span<const std::uint8_t> active = result.survived;
+  if (result.dist.n() != n || result.next_hop.rows() != n ||
+      result.next_hop.cols() != n || active.size() != n ||
+      options.active_before.size() != n) {
+    throw std::invalid_argument(
+        "repair_cells: tables or masks do not match the graph");
+  }
+
+  CellView view{.g = g, .old = result.dist, .n = n, .words = (n + 63) / 64,
+                .rows = {}, .fresh = {}, .joined = {}, .lost = {}, .gained = {}};
+  view.rows.assign(options.rows.begin(), options.rows.end());
+  std::ranges::sort(view.rows);
+  view.rows.erase(std::unique(view.rows.begin(), view.rows.end()),
+                  view.rows.end());
+  view.fresh.assign(n, 0);
+  view.joined.assign(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    view.joined[v] = active[v] != 0 && options.active_before[v] == 0;
+  }
+  for (const NodeId s : view.rows) {
+    if (s >= n || active[s] == 0) {
+      throw std::invalid_argument("repair_cells: row " + std::to_string(s) +
+                                  " is out of range or inactive");
+    }
+    view.fresh[s] = view.joined[s];
+  }
+
+  // Each node's adjacency change: the pre-batch neighbors it lost, and which
+  // of its post-batch edges are new.
+  std::vector<std::vector<NodeId>> before(n);
+  for (const Edge& e : options.edges_before) {
+    before[e.u].push_back(e.v);
+    before[e.v].push_back(e.u);
+  }
+  view.lost.resize(n);
+  view.gained.resize(n);
+  std::vector<NodeId> adj_changed, adj_gained;
+  for (NodeId v = 0; v < n; ++v) {
+    if (active[v] == 0) continue;
+    std::ranges::sort(before[v]);
+    const auto after = g.neighbors(v);
+    std::ranges::set_difference(before[v], after,
+                                std::back_inserter(view.lost[v]));
+    bool gained = false;
+    view.gained[v].resize(after.size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      view.gained[v][i] = !std::ranges::binary_search(before[v], after[i]);
+      gained = gained || view.gained[v][i] != 0;
+    }
+    if (gained || !view.lost[v].empty()) adj_changed.push_back(v);
+    if (gained) adj_gained.push_back(v);
+  }
+
+  // The two phases. Inactive nodes are isolated in g and never have work.
+  CellRepairReport report;
+  const congest::EngineConfig cfg = sanitized(options.engine);
+  congest::Engine wave_engine(g, cfg);
+  wave_engine.init([&](NodeId v) {
+    return std::make_unique<InvalidateProcess>(v, view, result);
+  });
+  const congest::RunStats wave_stats = wave_engine.run();
+  congest::Engine grow_engine(g, cfg);
+  grow_engine.init([&](NodeId v) {
+    return std::make_unique<RegrowProcess>(
+        v, view, wave_engine.process_as<InvalidateProcess>(v));
+  });
+  const congest::RunStats grow_stats = grow_engine.run();
+  fold_stats(report.stats, wave_stats);
+  fold_stats(report.stats, grow_stats);
+
+  // Harvest: write back every changed entry and next hop, and note per row
+  // the nodes whose entry moved or was invalidated.
+  // A node that did nothing can only hold a stale entry in a fresh row.
+  std::vector<NodeId> fresh_rows;
+  std::ranges::copy_if(view.rows, std::back_inserter(fresh_rows),
+                       [&](NodeId s) { return view.fresh[s] != 0; });
+  std::vector<std::vector<NodeId>> touched(n);
+  std::vector<std::uint8_t> row_changed(n, 0), row_affected(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (active[v] == 0) continue;
+    const auto& wave = wave_engine.process_as<InvalidateProcess>(v);
+    const auto& grow = grow_engine.process_as<RegrowProcess>(v);
+    report.hops_repointed += wave.repoints();
+    const auto nbrs = g.neighbors(v);
+    const bool worked = grow.started() || wave.touched();
+    for (const NodeId s : worked ? view.rows : fresh_rows) {
+      const std::uint32_t seeded = wave.mine(s);
+      std::uint32_t dist = seeded;
+      NodeId hop = seeded == kInfDist || seeded == 0 ? kNoNextHop : wave.hop(s);
+      if (grow.started() && grow.ssp().delta()[s] < seeded) {
+        dist = grow.ssp().delta()[s];
+        const std::uint32_t pi = grow.ssp().parent_index()[s];
+        hop = pi == kNoParent ? kNoNextHop : nbrs[pi];
+      }
+      const bool invalid = wave.invalid(s);
+      if (invalid) {
+        ++report.cells_invalidated;
+        report.depth = std::max(report.depth, view.value(v, s));
+      }
+      if (dist < seeded) report.depth = std::max(report.depth, dist);
+      if (invalid || dist < seeded) row_affected[s] = 1;
+      const bool moved = result.dist.at(v, s) != dist;
+      report.cells_changed += moved ? 1 : 0;
+      if (moved || invalid) touched[s].push_back(v);
+      if (moved || result.next_hop.at(v, s) != hop) {
+        row_changed[s] = 1;
+        result.dist.set(v, s, dist);
+        result.next_hop.set(v, s, hop);
+      }
+    }
+  }
+  report.affected_sources =
+      static_cast<std::uint32_t>(std::ranges::count(row_affected, 1));
+  report.barrier_rounds = barrier_rounds(g, active);
+  report.repair_rounds =
+      wave_stats.rounds + report.barrier_rounds + grow_stats.rounds;
+  report.round_bound =
+      kRepairRoundC * (report.affected_sources + report.depth) +
+      report.barrier_rounds + kRepairRoundSlack;
+  report.bound_ok = report.repair_rounds <= report.round_bound;
+
+  // The cell certificate: judges are the closed neighborhood of every
+  // touched entry plus every node whose adjacency changed. Touched entries
+  // are shipped, and so is every entry of a node with a new edge (no earlier
+  // certificate crossed it). A fresh row is shipped and judged everywhere.
+  std::vector<std::uint8_t> named(n, 0);
+  for (const NodeId s : options.certify) {
+    if (s < n) named[s] = 1;
+  }
+  std::vector<NodeId> everyone;
+  for (NodeId v = 0; v < n; ++v) {
+    if (active[v] != 0) everyone.push_back(v);
+  }
+  std::vector<std::vector<NodeId>> scope, shipped;
+  for (const NodeId s : view.rows) {
+    if (row_changed[s] != 0) report.changed_rows.push_back(s);
+    if (named[s] == 0 && row_affected[s] == 0 && touched[s].empty()) continue;
+    std::vector<NodeId> judges, ships;
+    if (view.fresh[s] != 0) {
+      judges = everyone;
+      ships = everyone;
+    } else {
+      std::ranges::set_union(touched[s], adj_gained, std::back_inserter(ships));
+      judges = adj_changed;
+      for (const NodeId v : touched[s]) {
+        judges.push_back(v);
+        judges.insert(judges.end(), g.neighbors(v).begin(),
+                      g.neighbors(v).end());
+      }
+      std::ranges::sort(judges);
+      judges.erase(std::unique(judges.begin(), judges.end()), judges.end());
+    }
+    if (judges.empty()) continue;
+    report.certified_rows.push_back(s);
+    scope.push_back(std::move(judges));
+    shipped.push_back(std::move(ships));
+  }
+  if (!report.certified_rows.empty()) {
+    CertifyOptions copts;
+    copts.engine = cfg;
+    copts.scope = scope;
+    copts.shipped = shipped;
+    report.certificate = certify_rows(
+        g, active, report.certified_rows,
+        [&result](NodeId v, NodeId s) { return result.dist.at(v, s); }, copts);
     fold_stats(report.stats, report.certificate.stats);
   }
   return report;

@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,5 +126,78 @@ struct RepairReport {
 // std::invalid_argument when result's tables do not match g.
 RepairReport repair_apsp(const Graph& g, ApspResult& result,
                          const RepairOptions& options = {});
+
+// Cell-level incremental repair (DESIGN.md §13): heals the rows of a table
+// that was exact on the pre-batch graph by touching only the cells a batch
+// changed, as two CONGEST phases of (source, dist) messages:
+//   (i) invalidation: a node whose entry d(v, s) lost every parent at d - 1
+//       (a post-batch neighbor whose entry is d - 1 and still valid) sets it
+//       to infinity and notifies its neighbors, who run the same test. A node
+//       that keeps a parent but lost its next hop re-points it there (no
+//       message). The wave starts at nodes whose adjacency lost an edge;
+//   (ii) regrowth: Algorithm 2's machine (SspMachine) seeded with the
+//       surviving table. Valid nodes owe their entry on every edge to an
+//       invalidated neighbor, the nearer endpoint of a new edge owes it
+//       across, and a joined source owes its own zero. An improved entry is
+//       adopted with the sender as next hop and forwarded on every edge.
+// A phase barrier (a convergecast and broadcast over a BFS tree, charged as
+// 2 * ecc(leader) rounds, not simulated) separates the two. Nodes read their
+// neighbors' pre-batch entries: the certificate exchange of rules (b)/(c)
+// put every entry on every edge, and each changed entry is re-shipped.
+//
+// Then the cell certificate: every row the caller names plus every row with
+// a changed or invalidated entry is re-checked by certify_rows on the closed
+// neighborhood of its changed entries plus every node whose adjacency
+// changed — sound for rows that were exact before the batch, since the
+// rules are local. Joined sources' rows are checked at every node.
+//
+// Round bound: repair_rounds <= kRepairRoundC * (|S_aff| + h) + barrier +
+// kRepairRoundSlack, where S_aff is the set of rows with an invalidated or
+// improved entry and h the largest distance such an entry held before or
+// after. Evaluated at runtime, like repair_apsp's.
+struct CellRepairOptions {
+  // As RepairOptions::engine: faults and instrumentation are stripped.
+  congest::EngineConfig engine{};
+  // The pre-batch graph (edges u < v, sorted; activity per node). The
+  // post-batch graph is the `g` argument and its activity result.survived.
+  std::span<const Edge> edges_before;
+  std::span<const std::uint8_t> active_before;
+  // Sources whose rows take part. Each must be exact on the pre-batch graph,
+  // except a joined source's, which starts from nothing.
+  std::span<const NodeId> rows;
+  // Rows certified whatever the protocol changes (e.g. the dirty-region
+  // analyzer's), a subset of `rows`.
+  std::span<const NodeId> certify;
+};
+
+struct CellRepairReport {
+  // Rows with a changed entry or next hop, and rows the certificate covered
+  // (both ascending).
+  std::vector<NodeId> changed_rows;
+  std::vector<NodeId> certified_rows;
+  std::uint64_t cells_changed = 0;      // entries whose distance changed
+  std::uint64_t cells_invalidated = 0;  // phase (i) invalidations
+  std::uint64_t hops_repointed = 0;     // next hops moved to a kept parent
+  std::uint32_t affected_sources = 0;   // |S_aff|
+  std::uint32_t depth = 0;              // h
+
+  // Invalidation rounds + barrier + regrowth rounds, and the asserted bound.
+  std::uint64_t barrier_rounds = 0;
+  std::uint64_t repair_rounds = 0;
+  std::uint64_t round_bound = kRepairRoundSlack;
+  bool bound_ok = true;
+
+  CertifyReport certificate;
+  congest::RunStats stats;  // both phases plus the certificate
+
+  bool all_certified() const noexcept { return certificate.all_certified(); }
+};
+
+// Repairs result.dist / result.next_hop in place for options.rows on the
+// post-batch graph g. Throws std::invalid_argument on size mismatches and
+// congest::RoundLimitError / CongestionError from the engine runs (the table
+// is then untouched).
+CellRepairReport repair_cells(const Graph& g, ApspResult& result,
+                              const CellRepairOptions& options);
 
 }  // namespace dapsp::core

@@ -311,10 +311,6 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
 }
 
 void DapspService::validate_config() const {
-  if (!(config_.escalate_fraction > 0.0 && config_.escalate_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "ServiceConfig: escalate_fraction must lie in (0, 1]");
-  }
   if (config_.max_repair_attempts == 0) {
     throw std::invalid_argument(
         "ServiceConfig: max_repair_attempts must be >= 1");
@@ -374,45 +370,105 @@ void DapspService::zero_row(NodeId x) {
   row_status_[x] = RowStatus::kStale;
 }
 
-void DapspService::patch_join_entries(const DirtyReport& dr) {
-  // For clean rows (not about to be recomputed) the joined node's entry is
-  // determined by its frontier: D_s(w) = 1 + min over attachments. Suspect
-  // rows get patched too — harmlessly, their repair overwrites everything.
-  const NodeId n = graph_.universe();
-  for (const NodeId w : dr.joined) {
-    const auto frontier = graph_.neighbors(w);
-    for (NodeId s = 0; s < n; ++s) {
-      if (!graph_.active(s) || s == w) continue;
-      std::uint32_t mn = kInfDist;
-      NodeId arg = kNoNextHop;
-      for (const NodeId x : frontier) {
-        const std::uint32_t dx = apsp_.dist.at(x, s);
-        if (dx < mn) {
-          mn = dx;
-          arg = x;
+void DapspService::repoint_cut_hops(const DirtyReport& dr,
+                                    std::span<const Edge> edges_before) {
+  std::vector<std::pair<NodeId, NodeId>> cut;  // (node, lost neighbor)
+  for (const Edge& e : dr.removed) {
+    cut.emplace_back(e.u, e.v);
+    cut.emplace_back(e.v, e.u);
+  }
+  for (const Edge& e : edges_before) {
+    if (!graph_.active(e.u) && graph_.active(e.v)) cut.emplace_back(e.v, e.u);
+    if (!graph_.active(e.v) && graph_.active(e.u)) cut.emplace_back(e.u, e.v);
+  }
+  std::vector<std::uint8_t> joined(graph_.universe(), 0);
+  for (const NodeId w : dr.joined) joined[w] = 1;
+  for (const auto& [v, x] : cut) {
+    for (NodeId s = 0; s < graph_.universe(); ++s) {
+      if (!graph_.active(s) || row_status_[s] == RowStatus::kStale ||
+          apsp_.next_hop.at(v, s) != x) {
+        continue;
+      }
+      const std::uint32_t d = apsp_.dist.at(v, s);
+      for (const NodeId u : graph_.neighbors(v)) {
+        if (joined[u] == 0 && apsp_.dist.at(u, s) + 1 == d) {
+          apsp_.next_hop.set(v, s, u);
+          served_next_hop_.set(v, s, u);
+          break;
         }
       }
-      apsp_.dist.set(w, s, mn == kInfDist ? kInfDist : mn + 1);
-      apsp_.next_hop.set(w, s, arg);
+    }
+  }
+}
+
+void DapspService::serve_rows(std::span<const NodeId> rows) {
+  // Node-major walk: the tables store each node's entries contiguously.
+  const NodeId n = graph_.universe();
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId s : rows) {
+      served_dist_.set(v, s, apsp_.dist.at(v, s));
+      served_next_hop_.set(v, s, apsp_.next_hop.at(v, s));
     }
   }
 }
 
 void DapspService::refresh_served(std::span<const NodeId> rows,
                                   RowStatus status) {
-  const NodeId n = graph_.universe();
-  for (const NodeId s : rows) {
-    for (NodeId v = 0; v < n; ++v) {
-      served_dist_.set(v, s, apsp_.dist.at(v, s));
-      served_next_hop_.set(v, s, apsp_.next_hop.at(v, s));
-    }
-    row_status_[s] = status;
-  }
+  serve_rows(rows);
+  for (const NodeId s : rows) row_status_[s] = status;
 }
 
-void DapspService::run_repair_ladder(
-    std::optional<std::vector<NodeId>> suspects, bool force_escalate,
-    EpochReport& ep) {
+bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
+                                     EpochReport& ep,
+                                     std::vector<NodeId>& unhealed) {
+  congest::EngineConfig engine = config_.engine;
+  if (config_.watchdog_rounds) engine.max_rounds = config_.watchdog_rounds;
+  CellRepairOptions copts;
+  copts.engine = engine;
+  copts.edges_before = cells.edges_before;
+  copts.active_before = cells.active_before;
+  copts.rows = cells.rows;
+  copts.certify = cells.certify;
+  const CellRepairReport cr = repair_cells(snap, apsp_, copts);
+  ++stats_.repairs_attempted;
+  congest::accumulate(ep.stats, cr.stats);
+  unhealed.insert(unhealed.end(), cr.changed_rows.begin(),
+                  cr.changed_rows.end());
+  bool ok = cr.all_certified();
+  RepairReport sr;
+  if (ok && !cells.stale.empty()) {
+    RepairOptions ropts;
+    ropts.engine = engine;
+    ropts.suspects = cells.stale;
+    ropts.certify_all = false;
+    sr = repair_apsp(snap, apsp_, ropts);
+    stats_.repairs_attempted += sr.repairs_attempted;
+    congest::accumulate(ep.stats, sr.stats);
+    ok = sr.all_certified();
+  }
+  if (!ok) return false;
+  ep.suspect_rows =
+      static_cast<std::uint32_t>(cells.certify.size() + cells.stale.size());
+  ep.cells_changed = cr.cells_changed;
+  ep.repair_rounds = cr.repair_rounds + sr.repair_rounds;
+  ep.round_bound = cr.round_bound + (cells.stale.empty() ? 0 : sr.round_bound);
+  ep.bound_ok = cr.bound_ok && sr.bound_ok;
+  stats_.rows_repaired += ep.suspect_rows;
+  // Changed rows are served under their current statuses; the rows the
+  // epoch implicated come back as kRepaired.
+  std::vector<NodeId> serve;
+  std::ranges::set_union(cr.changed_rows, cr.certified_rows,
+                         std::back_inserter(serve));
+  serve.insert(serve.end(), cells.stale.begin(), cells.stale.end());
+  serve_rows(serve);
+  for (const std::vector<NodeId>* rows : {&cells.certify, &cells.stale}) {
+    for (const NodeId s : *rows) row_status_[s] = RowStatus::kRepaired;
+  }
+  return true;
+}
+
+void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
+                                     EpochReport& ep) {
   const auto wall_start = std::chrono::steady_clock::now();
   const auto wall_blown = [&]() {
     if (config_.watchdog_wall_ms == 0) return false;
@@ -430,24 +486,27 @@ void DapspService::run_repair_ladder(
     if (graph_.active(v)) all_active.push_back(v);
   }
 
-  // The ladder's rungs: incremental (when the analyzer supplied suspects),
-  // certificate-driven detection, full recompute. force_escalate (oversized
-  // region / needs_full) jumps straight to the last rung.
-  struct Rung {
-    std::optional<std::vector<NodeId>> suspects;
-    bool certify_all = true;
-    bool escalation = false;
-  };
+  // The ladder's rungs: cell repair (step() only), certificate-driven
+  // detection, full recompute. force_escalate (needs_full) jumps straight to
+  // the last rung.
+  enum class Rung { kCells, kDetect, kFull };
   std::vector<Rung> rungs;
   if (!force_escalate) {
-    if (suspects) rungs.push_back({suspects, false, false});
-    rungs.push_back({std::nullopt, true, false});
+    if (cells != nullptr) rungs.push_back(Rung::kCells);
+    rungs.push_back(Rung::kDetect);
   }
-  rungs.push_back({all_active, true, true});
+  rungs.push_back(Rung::kFull);
   if (rungs.size() > config_.max_repair_attempts) {
     // Keep the first rungs but always end on the full recompute.
     rungs.erase(rungs.begin() + (config_.max_repair_attempts - 1),
                 rungs.end() - 1);
+  }
+  // What a failed epoch leaves stale: the implicated rows plus any row a
+  // failed attempt touched.
+  std::vector<NodeId> unhealed = all_active;
+  if (cells != nullptr && !force_escalate) {
+    unhealed = cells->certify;
+    unhealed.insert(unhealed.end(), cells->stale.begin(), cells->stale.end());
   }
 
   // Jittered-backoff envelope: the degraded streak sets where the
@@ -471,20 +530,25 @@ void DapspService::run_repair_ladder(
       // escalation (the one guaranteed-simple recovery path).
       if (wall_blown() && i + 1 < rungs.size()) continue;
     }
-    const Rung& rung = rungs[i];
+    const Rung rung = rungs[i];
     ++ep.attempts;
-    if (rung.escalation) {
+    if (rung == Rung::kFull) {
       ep.escalated = true;
       ++stats_.repairs_escalated;
     }
-    RepairOptions ropts;
-    ropts.engine = config_.engine;
-    if (config_.watchdog_rounds) {
-      ropts.engine.max_rounds = config_.watchdog_rounds;
-    }
-    ropts.suspects = rung.suspects;
-    ropts.certify_all = rung.certify_all;
     try {
+      if (rung == Rung::kCells) {
+        if (!repair_cells_rung(*cells, snap, ep, unhealed)) continue;
+        ep.certified = true;
+        degraded_streak_ = 0;
+        return;
+      }
+      RepairOptions ropts;
+      ropts.engine = config_.engine;
+      if (config_.watchdog_rounds) {
+        ropts.engine.max_rounds = config_.watchdog_rounds;
+      }
+      if (rung == Rung::kFull) ropts.suspects = all_active;
       const RepairReport rep = repair_apsp(snap, apsp_, ropts);
       stats_.repairs_attempted += rep.repairs_attempted;
       congest::accumulate(ep.stats, rep.stats);
@@ -496,12 +560,8 @@ void DapspService::run_repair_ladder(
       ep.bound_ok = rep.bound_ok;
       stats_.rows_repaired += rep.rows_repaired;
       degraded_streak_ = 0;
-      if (rung.certify_all) {
-        // Every active row certified against the current graph.
-        refresh_served(all_active, RowStatus::kExact);
-      } else {
-        refresh_served(rep.suspect_sources, RowStatus::kRepaired);
-      }
+      // Every active row certified against the current graph.
+      refresh_served(all_active, RowStatus::kExact);
       return;
     } catch (const congest::RoundLimitError&) {
       // Watchdog trip: the attempt is over budget, move up the ladder.
@@ -516,8 +576,7 @@ void DapspService::run_repair_ladder(
   ep.certified = false;
   ++degraded_streak_;
   ++stats_.epochs_failed;
-  const std::vector<NodeId>& stale = suspects ? *suspects : all_active;
-  for (const NodeId s : stale) {
+  for (const NodeId s : unhealed) {
     if (graph_.active(s)) row_status_[s] = RowStatus::kStale;
   }
 }
@@ -588,15 +647,26 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
   const DirtyReport dr = analyze_dirty_rows(apsp_.dist, active_before,
                                             edges_before, graph_);
   for (const NodeId x : dr.left) zero_row(x);
+  repoint_cut_hops(dr, edges_before);
 
-  // Suspects = the analyzed dirty set plus any rows still stale from failed
-  // earlier epochs (or a restore) — staleness carries over until healed.
-  std::vector<NodeId> suspects = dr.dirty;
+  // The first rung's split: rows certified before the batch (and joined
+  // sources' fresh rows) are repaired cell by cell; rows still stale from
+  // failed earlier epochs (or a restore) are recomputed by row S-SP.
+  // Staleness carries over until healed.
+  CellRung cells;
+  std::vector<std::uint8_t> is_dirty(graph_.universe(), 0);
+  for (const NodeId s : dr.dirty) is_dirty[s] = 1;
   for (NodeId s = 0; s < graph_.universe(); ++s) {
-    if (graph_.active(s) && row_status_[s] == RowStatus::kStale) {
-      suspects.push_back(s);
+    if (!graph_.active(s)) continue;
+    if (active_before[s] != 0 && row_status_[s] == RowStatus::kStale) {
+      cells.stale.push_back(s);
+    } else {
+      cells.rows.push_back(s);
+      if (is_dirty[s] != 0) cells.certify.push_back(s);
     }
   }
+  std::vector<NodeId> suspects = dr.dirty;
+  suspects.insert(suspects.end(), cells.stale.begin(), cells.stale.end());
   std::sort(suspects.begin(), suspects.end());
   suspects.erase(std::unique(suspects.begin(), suspects.end()),
                  suspects.end());
@@ -615,11 +685,11 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
     }
   };
   // A joined node's cell is wrong in *every* row (not just the dirty ones)
-  // until patch_join_entries lands and its result is served, so a join
+  // until the repair fills it in and its result is served, so a join
   // implicates even the clean rows — but only in that one cell. Downgrade
-  // them too, remembering their pre-join status so certification (which
-  // serves the exact-by-construction patched cells) can restore it; if the
-  // epoch fails, they stay stale and re-enter the suspect set next epoch.
+  // them too, remembering their pre-join status so certification can
+  // restore it; if the epoch fails, they stay stale and re-enter the suspect
+  // set next epoch.
   std::vector<std::pair<NodeId, RowStatus>> join_guard;
   if (dr.needs_full) {
     for (NodeId s = 0; s < graph_.universe(); ++s) {
@@ -639,14 +709,7 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
     config_.snapshot_sink->on_snapshot(*this, /*degraded=*/true);
   }
 
-  bool force = dr.needs_full;
-  if (!force && !suspects.empty()) {
-    const double frac = static_cast<double>(suspects.size()) /
-                        static_cast<double>(std::max<NodeId>(
-                            graph_.num_active(), 1));
-    if (frac > config_.escalate_fraction) force = true;
-  }
-
+  const bool force = dr.needs_full;
   if (suspects.empty() && !force) {
     ep.outcome = EpochOutcome::kClean;
     ep.certified = true;
@@ -657,23 +720,21 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
     // Every implicated row was already downgraded to kStale above, so the
     // epoch serves degraded from the last certified values and the suspects
     // re-enter next epoch's set. Join-guard rows stay stale too — their
-    // patched cells were never computed. Not a failed repair: the degraded
+    // joined cells were never computed. Not a failed repair: the degraded
     // streak and epochs_failed are untouched.
     ep.outcome = EpochOutcome::kSuppressed;
     ep.certified = false;
     ++stats_.repairs_suppressed;
   } else {
-    if (!force) patch_join_entries(dr);
-    run_repair_ladder(force ? std::nullopt
-                            : std::optional<std::vector<NodeId>>(suspects),
-                      force, ep);
+    cells.edges_before = edges_before;
+    cells.active_before = active_before;
+    run_repair_ladder(force ? nullptr : &cells, force, ep);
     if (config_.repair_gate != nullptr) {
       config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
     }
     if (ep.certified && !force && !dr.joined.empty()) {
-      // The direct-patched entries of clean rows (one cell per joined node
-      // per row) are exact by construction — serve them too, and lift the
-      // join-guard downgrade now that the rows are whole again.
+      // The joined nodes' entries of clean rows are served now too, and the
+      // join-guard downgrade lifts now that the rows are whole again.
       for (const NodeId w : dr.joined) {
         for (NodeId s = 0; s < graph_.universe(); ++s) {
           if (!graph_.active(s)) continue;
@@ -731,7 +792,7 @@ EpochReport DapspService::scrub() {
   // Deliberately not gated: a scrub is operator-initiated maintenance and
   // must always be able to heal. Its outcome still feeds the gate, so a
   // successful scrub closes an open breaker (and a failed one re-opens it).
-  run_repair_ladder(std::nullopt, false, ep);
+  run_repair_ladder(nullptr, false, ep);
   if (config_.repair_gate != nullptr) {
     config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
   }

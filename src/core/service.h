@@ -34,20 +34,24 @@
 //     For another row s, paths through w can only shortcut between frontier
 //     nodes, so the row changes iff some y in F has D_s(y) > min_F D_s + 2
 //     (or is infinite while the min is finite); otherwise the row is clean
-//     and the single new entry is patched directly:
-//     D_s(w) = 1 + min_{x in F} D_s(x), next_hop = the argmin. Two joined
+//     but for its single new entry D_s(w) = 1 + min_{x in F} D_s(x), which
+//     the cell repair fills in from w's attachments. Two joined
 //     nodes that are adjacent to each other break the "frontier distances
 //     are old exact values" premise — the analyzer reports needs_full and
 //     the service escalates to a full recompute.
 //
 // Supervision. Each epoch runs an escalation ladder under a watchdog that
 // bounds every attempt in engine rounds (RepairOptions engine.max_rounds)
-// and optionally wall-clock: (1) incremental repair of exactly the analyzed
-// suspects, certifying only those rows; (2) on failure, retry with
-// certificate-driven detection over all rows; (3) full recompute (suspects =
-// every active node). Oversized dirty regions (> escalate_fraction of the
-// active population) and needs_full skip straight to (3). Failed epochs
-// leave the suspects marked kStale and the service keeps running.
+// and optionally wall-clock: (1) incremental repair — the cell-level
+// protocol (repair_cells) for every row certified before the batch, joined
+// sources' rows included, plus row S-SP for rows already stale before it,
+// each certified (the cell rows on the neighborhoods the batch touched);
+// (2) on failure, retry with certificate-driven detection over all rows;
+// (3) full recompute (suspects = every active node). needs_full skips
+// straight to (3). Failed epochs leave the suspects marked kStale and the
+// service keeps running. Before any of it, a node that lost a link
+// re-points every next hop over it to a parent it keeps (repoint_cut_hops),
+// so even rows the analyzer finds clean serve path-consistent hops.
 //
 // Graceful degradation. Queries are answered from a *served snapshot* that
 // is refreshed per row only when that row certifies, with a per-row status:
@@ -189,7 +193,8 @@ struct EpochReport {
   std::uint32_t deltas_applied = 0;
   std::uint32_t crashes = 0;
   std::uint32_t corrupted_entries = 0;
-  std::uint32_t suspect_rows = 0;  // rows recomputed this epoch
+  std::uint32_t suspect_rows = 0;  // rows implicated this epoch
+  std::uint64_t cells_changed = 0;  // entries the cell rung changed
   std::uint32_t attempts = 0;      // repair attempts consumed
   bool escalated = false;
   bool certified = true;  // the epoch's repaired rows certified
@@ -280,11 +285,6 @@ struct ServiceConfig {
   // attach `engine.trace` to receive the service's own kDelta/kEpoch
   // events instead).
   congest::EngineConfig engine{};
-
-  // Escalate straight to a full recompute when the dirty set exceeds this
-  // fraction of the active population (incremental repair would not be
-  // cheaper). Must lie in (0, 1].
-  double escalate_fraction = 0.5;
 
   // Attempts per epoch before giving up (>= 1): incremental, detection
   // retry, full recompute — the ladder truncates to this many rungs.
@@ -413,12 +413,32 @@ class DapspService {
   void validate_config() const;
   // Zero source row x (dead) in working and served tables.
   void zero_row(NodeId x);
-  // Direct-patch entry (w, s) of clean rows for a joined node (see header).
-  void patch_join_entries(const DirtyReport& dr);
-  // The repair ladder shared by step() and scrub(). `suspects` nullopt =
-  // detection mode for the first rung. Fills the report's repair fields.
-  void run_repair_ladder(std::optional<std::vector<NodeId>> suspects,
-                         bool force_escalate, EpochReport& ep);
+  // What step()'s first rung repairs (see header).
+  struct CellRung {
+    std::vector<Edge> edges_before;
+    std::vector<std::uint8_t> active_before;
+    std::vector<NodeId> rows;     // certified before the batch, plus joined
+    std::vector<NodeId> certify;  // the analyzer's dirty rows among them
+    std::vector<NodeId> stale;    // stale before the batch: row S-SP
+  };
+  // The repair ladder shared by step() and scrub(). Without `cells` the
+  // first rung is certificate-driven detection. Fills the report's repair
+  // fields.
+  void run_repair_ladder(const CellRung* cells, bool force_escalate,
+                         EpochReport& ep);
+  // Rung (1); false when its certificate failed. `unhealed` gains every row
+  // it touched.
+  bool repair_cells_rung(const CellRung& cells, const Graph& snap,
+                         EpochReport& ep, std::vector<NodeId>& unhealed);
+  // A node that loses a link re-points at once every next hop that ran over
+  // it to a parent it keeps (local, no message), so rows the analyzer finds
+  // clean never serve a hop across a cut link, even mid-epoch. Hops with no
+  // parent left sit in dirty rows, which the cell rung heals.
+  void repoint_cut_hops(const DirtyReport& dr,
+                        std::span<const Edge> edges_before);
+  // Copies rows of the working tables into the served snapshot; refresh
+  // also sets their status.
+  void serve_rows(std::span<const NodeId> rows);
   void refresh_served(std::span<const NodeId> rows, RowStatus status);
   void emit_epoch_event(const EpochReport& ep);
   // kBreaker event + counter when the gate's observed state changed.

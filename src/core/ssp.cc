@@ -44,19 +44,19 @@ SspMachine::nearest_sources() const {
   return all;
 }
 
-void SspMachine::ensure_storage(congest::RoundCtx& ctx) {
+void SspMachine::ensure_storage(std::uint32_t degree) {
   if (storage_ready_) return;
   storage_ready_ = true;
   delta_.assign(n_, kInfDist);
   parent_.assign(n_, kNoParent);
-  degree_ = ctx.degree();
+  degree_ = degree;
   words_ = (n_ + 63) / 64;
   owed_.assign(std::size_t{degree_} * words_, 0);
   cursor_dist_.assign(degree_, kInfDist);
   cursor_word_.assign(degree_, 0);
-  last_sent_.assign(ctx.degree(), kInfDist);  // kInfDist = "sent nothing"
-  last_sent_dist_.assign(ctx.degree(), kInfDist);
-  heard_from_.assign(ctx.degree(), 0);
+  last_sent_.assign(degree, kInfDist);  // kInfDist = "sent nothing"
+  last_sent_dist_.assign(degree, kInfDist);
+  heard_from_.assign(degree, 0);
   if (in_s_) {
     delta_[id_] = 0;
     owe_except(id_, kNoParent);
@@ -64,9 +64,29 @@ void SspMachine::ensure_storage(congest::RoundCtx& ctx) {
   }
 }
 
+void SspMachine::seed(std::uint32_t degree,
+                      std::span<const std::uint32_t> dist) {
+  if (storage_ready_) {
+    throw std::logic_error("SspMachine::seed: loop already running");
+  }
+  ensure_storage(degree);
+  std::ranges::copy(dist.first(n_), delta_.begin());
+}
+
+void SspMachine::owe(std::uint32_t src, std::uint32_t edge) {
+  bucket_for(delta_[src])[src >> 6] |= bit_of(src);
+  owe_on(edge, src);
+}
+
+bool SspMachine::quiet() const {
+  const auto none = [](std::uint32_t x) { return x == kInfDist; };
+  return pending_.empty() && std::ranges::all_of(last_sent_, none) &&
+         std::ranges::all_of(cursor_dist_, none);
+}
+
 bool SspMachine::handle(congest::RoundCtx& ctx, const congest::Received& r) {
   if (r.msg.kind != kSspToken) return false;
-  ensure_storage(ctx);
+  ensure_storage(ctx.degree());
   const std::uint32_t src = r.msg.f[0];
   const std::uint32_t dist = r.msg.f[1];
   const std::uint32_t i = r.from_index;
@@ -171,7 +191,7 @@ void SspMachine::advance(congest::RoundCtx& ctx) {
   if (!configured_) return;
   const std::uint64_t t = ctx.round();
   if (t < start_round_ || t > start_round_ + loop_rounds_) return;
-  ensure_storage(ctx);
+  ensure_storage(ctx.degree());
 
   merge_pending();
 
@@ -233,17 +253,20 @@ void SspMachine::unbucket(std::uint32_t s) {
   }
 }
 
-void SspMachine::owe_except(std::uint32_t s, std::uint32_t skip) {
+void SspMachine::owe_on(std::uint32_t j, std::uint32_t s) {
   const std::uint32_t d = delta_[s];
   const std::uint32_t w = s >> 6;
-  bucket_for(d)[w] |= bit_of(s);
+  owed_row(j)[w] |= bit_of(s);
+  if (d < cursor_dist_[j] || (d == cursor_dist_[j] && w < cursor_word_[j])) {
+    cursor_dist_[j] = d;
+    cursor_word_[j] = w;
+  }
+}
+
+void SspMachine::owe_except(std::uint32_t s, std::uint32_t skip) {
+  bucket_for(delta_[s])[s >> 6] |= bit_of(s);
   for (std::uint32_t j = 0; j < degree_; ++j) {
-    if (j == skip) continue;
-    owed_row(j)[w] |= bit_of(s);
-    if (d < cursor_dist_[j] || (d == cursor_dist_[j] && w < cursor_word_[j])) {
-      cursor_dist_[j] = d;
-      cursor_word_[j] = w;
-    }
+    if (j != skip) owe_on(j, s);
   }
 }
 
@@ -332,6 +355,13 @@ class SspProcess final : public congest::Process {
 
     quiescent_ = tree_.finished(id_) && params_.idle() &&
                  ssp_.configured() && ssp_.finished(ctx.round());
+    loop_over_ = ssp_.finished(ctx.round() + 1);
+  }
+
+  // A degraded node is done but still relays the token loop: it idles only
+  // once nothing is owed or the loop is over.
+  bool idle() const override {
+    return done() && (!degraded_ || loop_over_ || ssp_.quiet());
   }
 
   bool done() const override {
@@ -382,6 +412,7 @@ class SspProcess final : public congest::Process {
   bool params_sent_ = false;
   std::uint32_t d0_ = 0;
   bool quiescent_ = false;
+  bool loop_over_ = false;
   bool notice_pending_ = false;
   bool degraded_ = false;
   std::vector<std::uint32_t> notice_exclude_;

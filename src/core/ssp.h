@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "congest/engine.h"
@@ -80,6 +81,19 @@ class SspMachine {
   // With a cap: the learned sources, ascending by (distance, id), and the
   // distance of the worst one (the "radius" of the partial BFS ball).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> nearest_sources() const;
+
+  // Seeding entry point for the cell-level repair (core/repair.h): the loop
+  // starts from a known table instead of the sources' zeros. seed() presets
+  // delta to `dist` (one entry per source, kInfDist = unknown) before the loop
+  // starts, owing nothing; owe() then queues the current claim of source
+  // `src` on edge `edge`. A seeded machine runs Algorithm 2's (dist, id)
+  // edge priority and min-merge unchanged: a claim that improves delta is
+  // adopted, with the sender as parent, and forwarded on every other edge.
+  void seed(std::uint32_t degree, std::span<const std::uint32_t> dist);
+  void owe(std::uint32_t src, std::uint32_t edge);
+  // No claim owed on any edge and none awaiting resolution: the machine
+  // sends nothing until a claim arrives. Meaningful after advance().
+  bool quiet() const;
 
   // Consumes kSspToken messages. Call for every inbox entry.
   bool handle(congest::RoundCtx& ctx, const congest::Received& r);
@@ -181,7 +195,7 @@ class SspMachine {
     std::uint32_t from_index;
   };
 
-  void ensure_storage(congest::RoundCtx& ctx);
+  void ensure_storage(std::uint32_t degree);
   void learn(std::uint32_t src, std::uint32_t dist, std::uint32_t from_index);
   void merge_pending();
   void resolve_success(std::uint32_t i);
@@ -199,6 +213,8 @@ class SspMachine {
   std::uint64_t* bucket_for(std::uint32_t dist);
   // Takes s out of the bucket of its current delta_[s] (if that is live).
   void unbucket(std::uint32_t s);
+  // Queues (delta_[s], s) on edge j; s must already sit in its bucket.
+  void owe_on(std::uint32_t j, std::uint32_t s);
   // Queues (delta_[s], s) on every edge but `skip` (which stays as it is).
   void owe_except(std::uint32_t s, std::uint32_t skip);
   // Recycles the buckets below every edge's cursor.

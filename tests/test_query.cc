@@ -82,7 +82,8 @@ std::vector<std::uint8_t> encode_static(const Graph& g,
 // Every p2p/k-nearest/eccentricity answer of `snap` checked against
 // `oracle` (the post-batch table for the snapshot's epoch) under the
 // validation invariant, and — when `svc` is given — against the service's
-// own answers. Returns the number of fresh (non-stale) answers checked.
+// own answers, next hops included (expect_hops: the snapshot carries a hop
+// table). Returns the number of fresh (non-stale) answers checked.
 std::size_t validate_snapshot(const QuerySnapshot& snap,
                               const DistanceMatrix& oracle,
                               const DapspService* svc,
@@ -108,14 +109,17 @@ std::size_t validate_snapshot(const QuerySnapshot& snap,
       EXPECT_EQ(a.dist, oracle.at(u, v))
           << "status " << to_string(a.status) << " overclaims for (" << u
           << ", " << v << ") at epoch " << snap.epoch();
-      if (u != v && a.dist != kInfDist) {
-        // RowStatus certifies *distances*; on distance-clean rows the
-        // stored hop can go stale under churn (a crash or removal reroutes
-        // an equal-length path without perturbing any certified distance).
-        // Hop path-consistency is asserted where it is guaranteed — see
-        // QueryBlob.FreshServiceHopsAdvanceThePath — here only presence.
-        if (expect_hops) {
-          EXPECT_NE(a.next_hop, kNoNextHop);
+      if (expect_hops && u != v && a.dist != kInfDist) {
+        // Path consistency: the hop is an active neighbor one step closer.
+        EXPECT_NE(a.next_hop, kNoNextHop) << "(" << u << ", " << v << ")";
+        if (a.next_hop == kNoNextHop) continue;
+        EXPECT_EQ(oracle.at(a.next_hop, v), a.dist - 1)
+            << "hop of (" << u << ", " << v << ") at epoch " << snap.epoch();
+        if (svc != nullptr) {
+          EXPECT_TRUE(svc->dynamic_graph().active(a.next_hop));
+          EXPECT_TRUE(svc->dynamic_graph().has_edge(u, a.next_hop))
+              << "hop of (" << u << ", " << v << ") at epoch "
+              << snap.epoch() << " is not a neighbor";
         }
       }
     }

@@ -361,5 +361,78 @@ TEST(Repair, FiftyChaosCampaignsAllRepairCertifiedWithinBound) {
   }
 }
 
+// A table exact on g: distances from the oracle, next hops to the first
+// neighbor one step closer.
+ApspResult exact_table(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  ApspResult r;
+  r.dist = seq::apsp(g);
+  r.next_hop = Table<NodeId>(n, n, kNoNextHop);
+  r.survived.assign(n, 1);
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId s = 0; s < n; ++s) {
+      for (const NodeId u : g.neighbors(v)) {
+        if (r.dist.at(u, s) + 1 == r.dist.at(v, s)) {
+          r.next_hop.set(v, s, u);
+          break;
+        }
+      }
+    }
+  }
+  return r;
+}
+
+// Removes edge {0, 1} from a 6x6 grid and cell-repairs every row, naming
+// every row for certification. Row 30 (the corner below node 0) does not
+// change: its judges are the two endpoints 0 and 1, and they read their own
+// and their neighbors' entries only.
+CellRepairReport repair_grid_cut(ApspResult& table, const Graph& after,
+                                 const Graph& before) {
+  const std::vector<std::uint8_t> active(after.num_nodes(), 1);
+  std::vector<NodeId> rows(after.num_nodes());
+  for (NodeId s = 0; s < after.num_nodes(); ++s) rows[s] = s;
+  CellRepairOptions opts;
+  opts.edges_before = before.edges();
+  opts.active_before = active;
+  opts.rows = rows;
+  opts.certify = rows;
+  return repair_cells(after, table, opts);
+}
+
+TEST(CellRepair, CertificateScopeIsTheTouchedNeighborhood) {
+  const Graph before = gen::grid(6, 6);
+  std::vector<Edge> kept;
+  for (const Edge& e : before.edges()) {
+    if (!(e.u == 0 && e.v == 1)) kept.push_back(e);
+  }
+  const Graph after(before.num_nodes(), kept);
+  const DistanceMatrix truth = seq::apsp(after);
+
+  // Uncorrupted: the cut heals exactly and certifies.
+  ApspResult clean = exact_table(before);
+  const CellRepairReport ok = repair_grid_cut(clean, after, before);
+  EXPECT_TRUE(ok.all_certified());
+  EXPECT_TRUE(ok.bound_ok);
+  EXPECT_GT(ok.cells_changed, 0u);
+  EXPECT_EQ(clean.dist, truth);
+
+  // Inside the checked neighborhood: node 6 neighbors judge 0 in row 30.
+  ApspResult inside = exact_table(before);
+  inside.dist.set(6, 30, inside.dist.at(6, 30) + 4);
+  EXPECT_FALSE(repair_grid_cut(inside, after, before).all_certified());
+
+  // Outside it (node 35, far from the cut): the cell certificate passes —
+  // the documented scope — and a detection pass over all rows, which is
+  // what scrub() runs, finds and heals the row.
+  ApspResult outside = exact_table(before);
+  outside.dist.set(35, 30, outside.dist.at(35, 30) + 4);
+  EXPECT_TRUE(repair_grid_cut(outside, after, before).all_certified());
+  EXPECT_NE(outside.dist, truth);
+  const RepairReport scrub = repair_apsp(after, outside);
+  EXPECT_EQ(scrub.suspect_sources, std::vector<NodeId>{30});
+  EXPECT_TRUE(scrub.all_certified());
+  EXPECT_EQ(outside.dist, truth);
+}
+
 }  // namespace
 }  // namespace dapsp::core

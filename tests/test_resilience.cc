@@ -469,7 +469,6 @@ BreakerScenario run_breaker_scenario(unsigned threads) {
                           /*probe_successes=*/2});
   ServiceConfig sc;
   sc.watchdog_rounds = 2;  // strangle: every ladder rung trips
-  sc.escalate_fraction = 1.0;
   sc.backoff_base_ms = 0;
   sc.repair_gate = &gate;
   sc.engine.threads = threads;
@@ -574,7 +573,6 @@ TEST(ServiceBreaker, ScrubHealsAndClosesAnOpenBreaker) {
                           /*probe_successes=*/1});
   ServiceConfig sc;
   sc.watchdog_rounds = 2;
-  sc.escalate_fraction = 1.0;
   sc.backoff_base_ms = 0;
   sc.repair_gate = &gate;
   std::istringstream in(
