@@ -13,7 +13,7 @@
 //     invariants;
 //   * terminates on global quiescence: every process reports done() and no
 //     messages are in flight (read from a counter; run() skips processes
-//     that report idle() with an empty inbox);
+//     that report done() and idle() with an empty inbox);
 //   * reports RunStats (rounds, message count, total bits, worst per-edge
 //     load) — the paper's cost measures.
 //
@@ -126,8 +126,9 @@ class Process {
   virtual ~Process() = default;
 
   // Called once per round for every node, even with an empty inbox — except
-  // that run() / run_bounded() skip a node whose idle() held after its last
-  // step while its inbox is empty (run_rounds() steps every node).
+  // that run() / run_bounded() skip a node whose done() and idle() held
+  // after its last step while its inbox is empty (run_rounds() steps every
+  // node).
   virtual void on_round(RoundCtx& ctx) = 0;
 
   // Quiescence flag: true when this node has nothing scheduled — it will not
@@ -135,11 +136,11 @@ class Process {
   // every process is done and no messages are in flight.
   virtual bool done() const = 0;
 
-  // Idle-node fast path: true when a step with an empty inbox would neither
-  // send nor change state the node later acts on, so the engine may skip it.
-  // Defaults to done(); a process that keeps working while done() (e.g. a
-  // degraded relay draining a queue) overrides it.
-  virtual bool idle() const { return done(); }
+  // Idle-node fast path, consulted only while done() holds: true when a
+  // step with an empty inbox would neither send nor change state the node
+  // later acts on, so the engine may skip it. A process that keeps working
+  // while done() (e.g. a degraded relay draining a queue) overrides it.
+  virtual bool idle() const { return true; }
 
   // Failure-detector event: the delivery layer (congest/reliable.h) has
   // declared the neighbor at `neighbor_index` dead after prolonged silence.

@@ -531,7 +531,7 @@ void ReliableAdapter::on_round(RoundCtx& ctx) {
 }
 
 bool ReliableAdapter::idle() const {
-  if (!edges_ready_ || !done() || peer_ahead()) return false;
+  if (!edges_ready_ || peer_ahead()) return false;
   for (std::uint32_t e = 0; e < tx_.size(); ++e) {
     if (down_[e] == 0 &&
         tx_[e].marker_enqueued < std::min(rx_[e].peer_exec, executed_)) {

@@ -175,8 +175,8 @@ class ReliableAdapter final : public Process {
 
   void on_round(RoundCtx& ctx) override;
   bool done() const override;
-  // Done, with the synchronizer at rest: no neighbor ahead and no marker
-  // the supply rule would release. The first step is never skipped.
+  // The synchronizer is at rest: no neighbor ahead and no marker the supply
+  // rule would release. The first step is never skipped.
   bool idle() const override;
 
   // Harvest hooks: Engine::process_as<T>() resolves through to the inner

@@ -339,20 +339,17 @@ class InvalidateProcess final : public congest::Process {
     return !hops_.empty() || std::ranges::any_of(inval_, any) ||
            std::ranges::any_of(nbr_inval_, any);
   }
-  std::uint64_t repoints() const { return hops_.size(); }
 
  private:
-  // The wave's seeds: entries whose next hop or some parent was lost.
+  // The wave's seeds: entries that lost a parent (a next hop is one).
   void start() {
     const std::vector<NodeId>& lost = view_.lost[id_];
     if (lost.empty()) return;
     for (const NodeId s : view_.rows) {
       const std::uint32_t d = mine(s);
       if (d == kInfDist || d == 0) continue;
-      const NodeId h = table_.next_hop.at(id_, s);
-      if (std::ranges::any_of(lost, [&](NodeId x) {
-            return x == h || view_.value(x, s) + 1 == d;
-          })) {
+      if (std::ranges::any_of(
+              lost, [&](NodeId x) { return view_.value(x, s) + 1 == d; })) {
         check(s);
       }
     }
@@ -562,7 +559,6 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
     if (active[v] == 0) continue;
     const auto& wave = wave_engine.process_as<InvalidateProcess>(v);
     const auto& grow = grow_engine.process_as<RegrowProcess>(v);
-    report.hops_repointed += wave.repoints();
     const auto nbrs = g.neighbors(v);
     const bool worked = grow.started() || wave.touched();
     for (const NodeId s : worked ? view.rows : fresh_rows) {
@@ -575,10 +571,7 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
         hop = pi == kNoParent ? kNoNextHop : nbrs[pi];
       }
       const bool invalid = wave.invalid(s);
-      if (invalid) {
-        ++report.cells_invalidated;
-        report.depth = std::max(report.depth, view.value(v, s));
-      }
+      if (invalid) report.depth = std::max(report.depth, view.value(v, s));
       if (dist < seeded) report.depth = std::max(report.depth, dist);
       if (invalid || dist < seeded) row_affected[s] = 1;
       const bool moved = result.dist.at(v, s) != dist;

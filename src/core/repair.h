@@ -175,11 +175,9 @@ struct CellRepairReport {
   // (both ascending).
   std::vector<NodeId> changed_rows;
   std::vector<NodeId> certified_rows;
-  std::uint64_t cells_changed = 0;      // entries whose distance changed
-  std::uint64_t cells_invalidated = 0;  // phase (i) invalidations
-  std::uint64_t hops_repointed = 0;     // next hops moved to a kept parent
-  std::uint32_t affected_sources = 0;   // |S_aff|
-  std::uint32_t depth = 0;              // h
+  std::uint64_t cells_changed = 0;     // entries whose distance changed
+  std::uint32_t affected_sources = 0;  // |S_aff|
+  std::uint32_t depth = 0;             // h
 
   // Invalidation rounds + barrier + regrowth rounds, and the asserted bound.
   std::uint64_t barrier_rounds = 0;

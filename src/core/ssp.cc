@@ -361,7 +361,7 @@ class SspProcess final : public congest::Process {
   // A degraded node is done but still relays the token loop: it idles only
   // once nothing is owed or the loop is over.
   bool idle() const override {
-    return done() && (!degraded_ || loop_over_ || ssp_.quiet());
+    return !degraded_ || loop_over_ || ssp_.quiet();
   }
 
   bool done() const override {
