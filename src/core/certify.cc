@@ -112,7 +112,8 @@ class CertifyProcess final : public congest::Process {
 
   std::size_t count() const { return view_ ? rows_.size() : sources_.size(); }
   RowPart part(std::size_t i) const {
-    return view_ ? rows_[i] : RowPart{static_cast<std::uint32_t>(i), true, true};
+    return view_ ? rows_[i]
+                 : RowPart{static_cast<std::uint32_t>(i), true, true};
   }
 
   void fail(std::uint32_t k) {
@@ -213,7 +214,9 @@ CertifyReport certify_rows(const Graph& g,
           "certify_rows: scope and shipped need one entry per source");
     }
     const auto part = [&](NodeId v, std::uint32_t k) -> RowPart& {
-      if (v >= n) throw std::invalid_argument("certify_rows: node out of range");
+      if (v >= n) {
+        throw std::invalid_argument("certify_rows: node out of range");
+      }
       if (parts[v].empty() || parts[v].back().k != k) {
         parts[v].push_back({k, false, false});
       }

@@ -303,7 +303,8 @@ class InvalidateProcess final : public congest::Process {
     }
     if (!notices_.empty()) {
       std::ranges::pop_heap(notices_, std::greater<>{});
-      ctx.send_all(congest::Message::make(kCellInvalid, notices_.back().second));
+      const NodeId s = notices_.back().second;
+      ctx.send_all(congest::Message::make(kCellInvalid, s));
       notices_.pop_back();
     }
   }
@@ -467,7 +468,8 @@ std::uint64_t barrier_rounds(const Graph& g,
         queue.push_back(w);
       }
     }
-    worst = std::max<std::uint64_t>(worst, 2 * std::uint64_t{depth[queue.back()]});
+    worst = std::max<std::uint64_t>(worst,
+                                    2 * std::uint64_t{depth[queue.back()]});
   }
   return worst;
 }
@@ -485,8 +487,15 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
         "repair_cells: tables or masks do not match the graph");
   }
 
-  CellView view{.g = g, .old = result.dist, .n = n, .words = (n + 63) / 64,
-                .rows = {}, .fresh = {}, .joined = {}, .lost = {}, .gained = {}};
+  CellView view{.g = g,
+                .old = result.dist,
+                .n = n,
+                .words = (n + 63) / 64,
+                .rows = {},
+                .fresh = {},
+                .joined = {},
+                .lost = {},
+                .gained = {}};
   view.rows.assign(options.rows.begin(), options.rows.end());
   std::ranges::sort(view.rows);
   view.rows.erase(std::unique(view.rows.begin(), view.rows.end()),
@@ -530,60 +539,65 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
     if (gained) adj_gained.push_back(v);
   }
 
-  // The two phases. Inactive nodes are isolated in g and never have work.
-  CellRepairReport report;
-  const congest::EngineConfig cfg = sanitized(options.engine);
-  congest::Engine wave_engine(g, cfg);
-  wave_engine.init([&](NodeId v) {
-    return std::make_unique<InvalidateProcess>(v, view, result);
-  });
-  const congest::RunStats wave_stats = wave_engine.run();
-  congest::Engine grow_engine(g, cfg);
-  grow_engine.init([&](NodeId v) {
-    return std::make_unique<RegrowProcess>(
-        v, view, wave_engine.process_as<InvalidateProcess>(v));
-  });
-  const congest::RunStats grow_stats = grow_engine.run();
-  fold_stats(report.stats, wave_stats);
-  fold_stats(report.stats, grow_stats);
-
-  // Harvest: write back every changed entry and next hop, and note per row
-  // the nodes whose entry moved or was invalidated.
   // A node that did nothing can only hold a stale entry in a fresh row.
   std::vector<NodeId> fresh_rows;
   std::ranges::copy_if(view.rows, std::back_inserter(fresh_rows),
                        [&](NodeId s) { return view.fresh[s] != 0; });
+
+  // The two phases, then the harvest: every changed entry and next hop is
+  // written back, and per row the nodes whose entry moved or was
+  // invalidated are noted. The engines (and every node's regrowth state)
+  // are gone before the certificate runs.
+  CellRepairReport report;
+  const congest::EngineConfig cfg = sanitized(options.engine);
+  congest::RunStats wave_stats, grow_stats;
   std::vector<std::vector<NodeId>> touched(n);
   std::vector<std::uint8_t> row_changed(n, 0), row_affected(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (active[v] == 0) continue;
-    const auto& wave = wave_engine.process_as<InvalidateProcess>(v);
-    const auto& grow = grow_engine.process_as<RegrowProcess>(v);
-    const auto nbrs = g.neighbors(v);
-    const bool worked = grow.started() || wave.touched();
-    for (const NodeId s : worked ? view.rows : fresh_rows) {
-      const std::uint32_t seeded = wave.mine(s);
-      std::uint32_t dist = seeded;
-      NodeId hop = seeded == kInfDist || seeded == 0 ? kNoNextHop : wave.hop(s);
-      if (grow.started() && grow.ssp().delta()[s] < seeded) {
-        dist = grow.ssp().delta()[s];
-        const std::uint32_t pi = grow.ssp().parent_index()[s];
-        hop = pi == kNoParent ? kNoNextHop : nbrs[pi];
-      }
-      const bool invalid = wave.invalid(s);
-      if (invalid) report.depth = std::max(report.depth, view.value(v, s));
-      if (dist < seeded) report.depth = std::max(report.depth, dist);
-      if (invalid || dist < seeded) row_affected[s] = 1;
-      const bool moved = result.dist.at(v, s) != dist;
-      report.cells_changed += moved ? 1 : 0;
-      if (moved || invalid) touched[s].push_back(v);
-      if (moved || result.next_hop.at(v, s) != hop) {
-        row_changed[s] = 1;
-        result.dist.set(v, s, dist);
-        result.next_hop.set(v, s, hop);
+  {
+    congest::Engine wave_engine(g, cfg);
+    wave_engine.init([&](NodeId v) {
+      return std::make_unique<InvalidateProcess>(v, view, result);
+    });
+    wave_stats = wave_engine.run();
+    congest::Engine grow_engine(g, cfg);
+    grow_engine.init([&](NodeId v) {
+      return std::make_unique<RegrowProcess>(
+          v, view, wave_engine.process_as<InvalidateProcess>(v));
+    });
+    grow_stats = grow_engine.run();
+    for (NodeId v = 0; v < n; ++v) {
+      if (active[v] == 0) continue;
+      const auto& wave = wave_engine.process_as<InvalidateProcess>(v);
+      const auto& grow = grow_engine.process_as<RegrowProcess>(v);
+      const auto nbrs = g.neighbors(v);
+      const bool worked = grow.started() || wave.touched();
+      for (const NodeId s : worked ? view.rows : fresh_rows) {
+        const std::uint32_t seeded = wave.mine(s);
+        std::uint32_t dist = seeded;
+        NodeId hop =
+            seeded == kInfDist || seeded == 0 ? kNoNextHop : wave.hop(s);
+        if (grow.started() && grow.ssp().delta()[s] < seeded) {
+          dist = grow.ssp().delta()[s];
+          const std::uint32_t pi = grow.ssp().parent_index()[s];
+          hop = pi == kNoParent ? kNoNextHop : nbrs[pi];
+        }
+        const bool invalid = wave.invalid(s);
+        if (invalid) report.depth = std::max(report.depth, view.value(v, s));
+        if (dist < seeded) report.depth = std::max(report.depth, dist);
+        if (invalid || dist < seeded) row_affected[s] = 1;
+        const bool moved = result.dist.at(v, s) != dist;
+        report.cells_changed += moved ? 1 : 0;
+        if (moved || invalid) touched[s].push_back(v);
+        if (moved || result.next_hop.at(v, s) != hop) {
+          row_changed[s] = 1;
+          result.dist.set(v, s, dist);
+          result.next_hop.set(v, s, hop);
+        }
       }
     }
   }
+  fold_stats(report.stats, wave_stats);
+  fold_stats(report.stats, grow_stats);
   report.affected_sources =
       static_cast<std::uint32_t>(std::ranges::count(row_affected, 1));
   report.barrier_rounds = barrier_rounds(g, active);
