@@ -644,17 +644,12 @@ RunStats Engine::run() {
   // Processes may have been touched between runs: re-read their flags.
   refresh_flags();
   skip_idle_ = true;
-  try {
-    while (!quiescent()) step();
-  } catch (...) {
-    skip_idle_ = false;
-    throw;
-  }
-  skip_idle_ = false;
+  while (!quiescent()) step();
   return stats_;
 }
 
 RunStats Engine::run_rounds(std::uint64_t rounds) {
+  skip_idle_ = false;
   for (std::uint64_t i = 0; i < rounds; ++i) step();
   return stats_;
 }

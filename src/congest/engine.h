@@ -477,8 +477,8 @@ class Engine {
   std::vector<std::unique_ptr<Process>> processes_;
   // Per node, as of its last step: done() and idle() (crashed nodes count as
   // both). busy_ counts the nodes not done, so quiescent() reads a counter;
-  // skip_idle_ (set by run()) lets run_node() pass over idle nodes with an
-  // empty inbox. Each flag is written only by its node's shard.
+  // skip_idle_ (set by run(), cleared by run_rounds()) lets run_node() pass
+  // over idle nodes with an empty inbox. Each flag is written only by its node's shard.
   std::vector<std::uint8_t> done_;
   std::vector<std::uint8_t> idle_;
   std::uint64_t busy_ = 0;

@@ -167,11 +167,11 @@ class CertifyProcess final : public congest::Process {
   const DistEntryFn& entry_;
   std::span<const std::uint8_t> survived_;
   bool view_;
-  std::vector<std::uint32_t> values_;  // one per entry of rows_
+  std::vector<std::uint32_t> values_;  // one per row taken part in
   std::vector<std::uint8_t> row_ok_;
   std::vector<std::uint32_t> nbr_;
   std::uint64_t checks_failed_ = 0;
-  std::size_t next_ = 0;  // first entry of rows_ not yet judged
+  std::size_t next_ = 0;  // first row taken part in not yet judged
 };
 
 }  // namespace
