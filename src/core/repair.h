@@ -1,4 +1,5 @@
-// Self-healing APSP: repair of degraded runs via S-SP (DESIGN.md §13).
+// Self-healing APSP: repair of degraded runs via S-SP, and cell-level repair
+// of tables a churn batch changed (repair_cells, below; DESIGN.md §13).
 //
 // PR 2 made degraded runs honest (RunStatus::kDegraded, per-row coverage,
 // certify_rows); this module closes the loop. The paper's Algorithm 2 is the
