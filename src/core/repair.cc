@@ -362,15 +362,10 @@ class InvalidateProcess final : public congest::Process {
     const std::uint32_t d = mine(s);
     if (d == kInfDist || d == 0) return;
     const NodeId h = hop(s);
-    const auto nbrs = view_.g.neighbors(id_);
-    NodeId first = kNoNextHop;
-    for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
-      if (theirs(i, s) + 1 != d) continue;
-      if (nbrs[i] == h) return;
-      if (first == kNoNextHop) first = nbrs[i];
-    }
-    if (first != kNoNextHop) {
-      hops_.emplace_back(s, first);
+    const NodeId p = repoint_hop(view_.g.neighbors(id_), d, h,
+                                 [&](std::uint32_t i) { return theirs(i, s); });
+    if (p != kNoNextHop) {
+      if (p != h) hops_.emplace_back(s, p);
       return;
     }
     inval_[s >> 6] |= std::uint64_t{1} << (s & 63);
@@ -546,8 +541,10 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
 
   // The two phases, then the harvest: every changed entry and next hop is
   // written back, and per row the nodes whose entry moved or was
-  // invalidated are noted. The engines (and every node's regrowth state)
-  // are gone before the certificate runs.
+  // invalidated are noted. A joined node is harvested in every row, so an
+  // entry from before it left cannot survive (one that joins edgeless does
+  // no work at all). The engines (and every node's regrowth state) are gone
+  // before the certificate runs.
   CellRepairReport report;
   const congest::EngineConfig cfg = sanitized(options.engine);
   congest::RunStats wave_stats, grow_stats;
@@ -570,7 +567,8 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
       const auto& wave = wave_engine.process_as<InvalidateProcess>(v);
       const auto& grow = grow_engine.process_as<RegrowProcess>(v);
       const auto nbrs = g.neighbors(v);
-      const bool worked = grow.started() || wave.touched();
+      const bool worked =
+          grow.started() || wave.touched() || view.joined[v] != 0;
       for (const NodeId s : worked ? view.rows : fresh_rows) {
         const std::uint32_t seeded = wave.mine(s);
         std::uint32_t dist = seeded;
@@ -588,8 +586,10 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
         const bool moved = result.dist.at(v, s) != dist;
         report.cells_changed += moved ? 1 : 0;
         if (moved || invalid) touched[s].push_back(v);
-        if (moved || result.next_hop.at(v, s) != hop) {
+        if (moved || result.next_hop.at(v, s) != hop ||
+            view.joined[v] != 0) {
           row_changed[s] = 1;
+          report.changed_cells.emplace_back(v, s);
           result.dist.set(v, s, dist);
           result.next_hop.set(v, s, hop);
         }
@@ -649,10 +649,18 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
     copts.engine = cfg;
     copts.scope = scope;
     copts.shipped = shipped;
-    report.certificate = certify_rows(
-        g, active, report.certified_rows,
-        [&result](NodeId v, NodeId s) { return result.dist.at(v, s); }, copts);
-    fold_stats(report.stats, report.certificate.stats);
+    const std::size_t rows = report.certified_rows.size();
+    try {
+      report.certificate = certify_rows(
+          g, active, report.certified_rows,
+          [&result](NodeId v, NodeId s) { return result.dist.at(v, s); },
+          copts);
+      fold_stats(report.stats, report.certificate.stats);
+    } catch (const congest::RoundLimitError&) {
+      report.certificate.certified.assign(rows, 0);
+    } catch (const congest::CongestionError&) {
+      report.certificate.certified.assign(rows, 0);
+    }
   }
   return report;
 }

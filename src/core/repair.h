@@ -43,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/engine.h"
@@ -176,6 +177,10 @@ struct CellRepairReport {
   // (both ascending).
   std::vector<NodeId> changed_rows;
   std::vector<NodeId> certified_rows;
+  // Every (node, source) cell the protocol wrote, node-major: a changed entry
+  // or next hop, and every cell of a joined node. Cells it left alone keep
+  // whatever the table held, which the certificate need not have judged.
+  std::vector<std::pair<NodeId, NodeId>> changed_cells;
   std::uint64_t cells_changed = 0;     // entries whose distance changed
   std::uint32_t affected_sources = 0;  // |S_aff|
   std::uint32_t depth = 0;             // h
@@ -194,9 +199,27 @@ struct CellRepairReport {
 
 // Repairs result.dist / result.next_hop in place for options.rows on the
 // post-batch graph g. Throws std::invalid_argument on size mismatches and
-// congest::RoundLimitError / CongestionError from the engine runs (the table
-// is then untouched).
+// congest::RoundLimitError / CongestionError from the two phases (the table
+// is then untouched). A certificate that hits either reports every row it
+// covered as uncertified; the protocol's writes stay in the table.
 CellRepairReport repair_cells(const Graph& g, ApspResult& result,
                               const CellRepairOptions& options);
+
+// The re-point rule of the invalidation wave, also used by the service to
+// re-point hops over a cut link at once: an entry at distance d keeps its
+// next hop while that neighbor still holds d - 1, and otherwise moves to the
+// first neighbor that does. kNoNextHop when none does (the entry lost every
+// parent). `entry(i)` is neighbor i's entry as this node knows it.
+template <class EntryFn>
+NodeId repoint_hop(std::span<const NodeId> nbrs, std::uint32_t d, NodeId hop,
+                   EntryFn&& entry) {
+  NodeId first = kNoNextHop;
+  for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+    if (entry(i) + 1 != d) continue;
+    if (nbrs[i] == hop) return hop;
+    if (first == kNoNextHop) first = nbrs[i];
+  }
+  return first;
+}
 
 }  // namespace dapsp::core

@@ -389,13 +389,15 @@ void DapspService::repoint_cut_hops(const DirtyReport& dr,
           apsp_.next_hop.at(v, s) != x) {
         continue;
       }
-      const std::uint32_t d = apsp_.dist.at(v, s);
-      for (const NodeId u : graph_.neighbors(v)) {
-        if (joined[u] == 0 && apsp_.dist.at(u, s) + 1 == d) {
-          apsp_.next_hop.set(v, s, u);
-          served_next_hop_.set(v, s, u);
-          break;
-        }
+      // A joined neighbor holds no entry yet, as in the wave.
+      const auto nbrs = graph_.neighbors(v);
+      const NodeId p =
+          repoint_hop(nbrs, apsp_.dist.at(v, s), x, [&](std::uint32_t i) {
+            return joined[nbrs[i]] != 0 ? kInfDist : apsp_.dist.at(nbrs[i], s);
+          });
+      if (p != kNoNextHop) {
+        apsp_.next_hop.set(v, s, p);
+        served_next_hop_.set(v, s, p);
       }
     }
   }
@@ -454,13 +456,16 @@ bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
   ep.round_bound = cr.round_bound + (cells.stale.empty() ? 0 : sr.round_bound);
   ep.bound_ok = cr.bound_ok && sr.bound_ok;
   stats_.rows_repaired += ep.suspect_rows;
-  // Changed rows are served under their current statuses; the rows the
-  // epoch implicated come back as kRepaired.
-  std::vector<NodeId> serve;
-  std::ranges::set_union(cr.changed_rows, cr.certified_rows,
-                         std::back_inserter(serve));
-  serve.insert(serve.end(), cells.stale.begin(), cells.stale.end());
-  serve_rows(serve);
+  // Only the cells the protocol wrote are served: the certificate judged
+  // their neighborhoods, not whole rows, so a working entry it left alone
+  // (bit-rot included) keeps its served value until a scrub. Rows that row
+  // S-SP recomputed are served whole. The rows the epoch implicated come
+  // back as kRepaired; other changed rows keep their statuses.
+  for (const auto& [v, s] : cr.changed_cells) {
+    served_dist_.set(v, s, apsp_.dist.at(v, s));
+    served_next_hop_.set(v, s, apsp_.next_hop.at(v, s));
+  }
+  serve_rows(cells.stale);
   for (const std::vector<NodeId>* rows : {&cells.certify, &cells.stale}) {
     for (const NodeId s : *rows) row_status_[s] = RowStatus::kRepaired;
   }
@@ -732,16 +737,9 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
     if (config_.repair_gate != nullptr) {
       config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
     }
-    if (ep.certified && !force && !dr.joined.empty()) {
-      // The joined nodes' entries of clean rows are served now too, and the
+    if (ep.certified && !force) {
+      // Every rung serves the joined nodes' entries of every row, so the
       // join-guard downgrade lifts now that the rows are whole again.
-      for (const NodeId w : dr.joined) {
-        for (NodeId s = 0; s < graph_.universe(); ++s) {
-          if (!graph_.active(s)) continue;
-          served_dist_.set(w, s, apsp_.dist.at(w, s));
-          served_next_hop_.set(w, s, apsp_.next_hop.at(w, s));
-        }
-      }
       for (const auto& [s, prev] : join_guard) {
         if (graph_.active(s) && row_status_[s] == RowStatus::kStale) {
           row_status_[s] = prev;

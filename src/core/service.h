@@ -54,7 +54,8 @@
 // so even rows the analyzer finds clean serve path-consistent hops.
 //
 // Graceful degradation. Queries are answered from a *served snapshot* that
-// is refreshed per row only when that row certifies, with a per-row status:
+// takes only certified values — whole rows after a row recompute, the cells
+// the protocol wrote after a cell repair — with a per-row status:
 // kExact (certified, untouched since the last full pass), kRepaired
 // (certified after an incremental heal), kStale (certification pending or
 // failed — the snapshot still answers, with the staleness disclosed).
@@ -431,13 +432,14 @@ class DapspService {
   bool repair_cells_rung(const CellRung& cells, const Graph& snap,
                          EpochReport& ep, std::vector<NodeId>& unhealed);
   // A node that loses a link re-points at once every next hop that ran over
-  // it to a parent it keeps (local, no message), so rows the analyzer finds
-  // clean never serve a hop across a cut link, even mid-epoch. Hops with no
-  // parent left sit in dirty rows, which the cell rung heals.
+  // it to a parent it keeps (local, no message; the wave's rule,
+  // repoint_hop), so rows the analyzer finds clean never serve a hop across
+  // a cut link, even mid-epoch. Hops with no parent left sit in dirty rows,
+  // which the cell rung heals.
   void repoint_cut_hops(const DirtyReport& dr,
                         std::span<const Edge> edges_before);
-  // Copies rows of the working tables into the served snapshot; refresh
-  // also sets their status.
+  // Copies whole rows of the working tables into the served snapshot, for
+  // rows certified whole; refresh also sets their status.
   void serve_rows(std::span<const NodeId> rows);
   void refresh_served(std::span<const NodeId> rows, RowStatus status);
   void emit_epoch_event(const EpochReport& ep);

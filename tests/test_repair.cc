@@ -387,11 +387,13 @@ ApspResult exact_table(const Graph& g) {
 // change: its judges are the two endpoints 0 and 1, and they read their own
 // and their neighbors' entries only.
 CellRepairReport repair_grid_cut(ApspResult& table, const Graph& after,
-                                 const Graph& before) {
+                                 const Graph& before,
+                                 std::uint64_t max_rounds = 0) {
   const std::vector<std::uint8_t> active(after.num_nodes(), 1);
   std::vector<NodeId> rows(after.num_nodes());
   for (NodeId s = 0; s < after.num_nodes(); ++s) rows[s] = s;
   CellRepairOptions opts;
+  opts.engine.max_rounds = max_rounds;
   opts.edges_before = before.edges();
   opts.active_before = active;
   opts.rows = rows;
@@ -432,6 +434,36 @@ TEST(CellRepair, CertificateScopeIsTheTouchedNeighborhood) {
   EXPECT_EQ(scrub.suspect_sources, std::vector<NodeId>{30});
   EXPECT_TRUE(scrub.all_certified());
   EXPECT_EQ(outside.dist, truth);
+}
+
+TEST(CellRepair, CertificateOutOfRoundsLeavesTheRowsUncertified) {
+  const Graph before = gen::grid(6, 6);
+  std::vector<Edge> kept;
+  for (const Edge& e : before.edges()) {
+    if (!(e.u == 0 && e.v == 1)) kept.push_back(e);
+  }
+  const Graph after(before.num_nodes(), kept);
+  ApspResult full = exact_table(before);
+  const CellRepairReport ok = repair_grid_cut(full, after, before);
+  ASSERT_TRUE(ok.all_certified());
+  const std::uint64_t phases = ok.repair_rounds - ok.barrier_rounds;
+  ASSERT_GT(ok.certificate.stats.rounds, phases);
+
+  // A budget both phases fit in but the certificate does not: the repair
+  // returns (the phases' writes are in the table) and certifies nothing.
+  ApspResult tight = exact_table(before);
+  const CellRepairReport cut = repair_grid_cut(tight, after, before, phases);
+  EXPECT_FALSE(cut.all_certified());
+  EXPECT_EQ(cut.certificate.rows_certified, 0u);
+  EXPECT_EQ(cut.certificate.certified.size(), cut.certified_rows.size());
+  EXPECT_EQ(cut.changed_rows, ok.changed_rows);
+  EXPECT_EQ(tight.dist, full.dist);
+
+  // A budget the phases overrun throws before anything is written.
+  ApspResult untouched = exact_table(before);
+  EXPECT_THROW(repair_grid_cut(untouched, after, before, 1),
+               congest::RoundLimitError);
+  EXPECT_EQ(untouched.dist, exact_table(before).dist);
 }
 
 }  // namespace

@@ -483,6 +483,69 @@ TEST(Service, BitRotIsInvisibleUntilTheScrubCatchesIt) {
   expect_oracle_exact(svc);
 }
 
+TEST(Service, BitRotOutsideTheCheckedNeighborhoodIsNeverServed) {
+  // Triangle {0, 1, 2} with a tail 2-3-...-11. Removing {0, 1} dirties row 0
+  // and the cell rung touches only node 1's entry, so the cell certificate
+  // judges nodes 0-2. Rot one working entry (v, 0) with v >= 4 first: the
+  // repair must not serve it under a certified status.
+  std::vector<Edge> edges{{0, 1}, {0, 2}, {1, 2}};
+  for (NodeId v = 2; v < 11; ++v) edges.push_back({v, v + 1});
+  const Graph g(12, edges);
+  for (std::uint64_t seed = 1; seed < 500; ++seed) {
+    DapspService svc(g, {});
+    ChurnBatch rot;
+    rot.corrupt_flips = 1;
+    rot.corrupt_seed = seed;
+    svc.step(rot);
+    const DistanceMatrix before = oracle_table(svc.dynamic_graph());
+    NodeId rotted = kNoNextHop;
+    for (NodeId v = 4; v < 12; ++v) {
+      if (svc.tables().dist.at(v, 0) != before.at(v, 0)) rotted = v;
+    }
+    if (rotted == kNoNextHop || svc.tables().dist == before) continue;
+
+    ChurnBatch cut;
+    cut.deltas.push_back({DeltaKind::kEdgeRemove, 0, 1});
+    const EpochReport ep = svc.step(cut);
+    ASSERT_TRUE(ep.certified) << ep.debug_string();
+    ASSERT_EQ(ep.attempts, 1u) << ep.debug_string();
+    const DistanceMatrix truth = oracle_table(svc.dynamic_graph());
+    EXPECT_NE(svc.tables().dist.at(rotted, 0), truth.at(rotted, 0));
+    const ServiceQuery q = svc.query(rotted, 0);
+    EXPECT_EQ(q.status, RowStatus::kRepaired);
+    EXPECT_EQ(q.dist, truth.at(rotted, 0)) << "rotted node " << rotted;
+    EXPECT_EQ(svc.query(1, 0).dist, 2u);
+    // The working copy rots until the scrub heals it.
+    EXPECT_TRUE(svc.scrub().certified);
+    expect_oracle_exact(svc);
+    return;
+  }
+  FAIL() << "no seed rotted a far entry of row 0";
+}
+
+TEST(Service, EdgelessJoinClearsTheEntriesItLeftBehind) {
+  // A join through the public API comes back edgeless: the node must serve
+  // infinity to every other node, not the entries it held before it left.
+  DapspService svc(gen::path(6), {});
+  ChurnBatch leave;
+  leave.deltas.push_back({DeltaKind::kNodeLeave, 5, 5});
+  ASSERT_TRUE(svc.step(leave).certified);
+  ChurnBatch join;
+  join.deltas.push_back({DeltaKind::kNodeJoin, 5, 5});
+  const EpochReport ep = svc.step(join);
+  ASSERT_TRUE(ep.certified) << ep.debug_string();
+  for (NodeId s = 0; s < 5; ++s) {
+    const ServiceQuery q = svc.query(5, s);
+    EXPECT_NE(q.status, RowStatus::kStale) << "row " << s;
+    EXPECT_EQ(q.dist, kInfDist) << "row " << s;
+    EXPECT_EQ(q.next_hop, kNoNextHop) << "row " << s;
+    EXPECT_EQ(svc.query(s, 5).dist, kInfDist) << "row 5 at " << s;
+  }
+  EXPECT_EQ(svc.query(5, 5).dist, 0u);
+  expect_oracle_exact(svc);
+  expect_hops_consistent(svc);
+}
+
 TEST(Service, ScrubEveryAutomatesTheCadence) {
   ServiceConfig cfg;
   cfg.scrub_every = 2;
