@@ -281,7 +281,9 @@ bool bench_scaling(const std::string& family, const std::vector<Graph>& gs,
   const double alpha = bench::fit_exponent(xs, ys);
   const bool sublinear = alpha < 0.75;
   ok = ok && sublinear;
+  // The family's last row carries the fit, and its ok includes the gate.
   json_rows().back().exponent = alpha;
+  json_rows().back().ok = json_rows().back().ok && sublinear;
   bench::note("rounds-per-update ~ n^" + std::to_string(alpha) +
               " (sublinear target < 0.75, full recompute would be ~1): " +
               (sublinear ? "OK" : "FAIL"));
