@@ -1,6 +1,7 @@
 // Wall-clock throughput of the query serving tier (core/query.h): point
-// lookups against a DQRY snapshot, batched queries, label-oracle estimates
-// with and without the hot-source cache, and snapshot swap/acquire costs.
+// lookups against a DQRY snapshot, its encode and verify, batched queries,
+// label-oracle estimates with and without the hot-source cache, and
+// snapshot swap/acquire costs.
 // Not a paper experiment — the serving tier is an engineering subsystem and
 // this gauge is what keeps its "answers are an array read" claim honest.
 //
@@ -184,15 +185,29 @@ int main(int argc, char** argv) {
   const std::vector<std::uint8_t> active(n, 1);
   const std::vector<RowStatus> status(n, RowStatus::kExact);
 
+  // One publish of the full snapshot, split into encode (transpose the
+  // node-major tables, checksum) and verify (from_blob's checksum pass and
+  // parse); per_sec is snapshots per second.
   const double enc0 = now_sec();
   std::vector<std::uint8_t> blob = encode_query_snapshot_tables(
       dist, nullptr, active, status, /*epoch=*/1, /*sequence=*/1, false);
-  std::printf("encoded %zu MiB in %.3fs\n", blob.size() >> 20,
-              now_sec() - enc0);
+  const double enc1 = now_sec();
+  auto verified = std::make_unique<const QuerySnapshot>(
+      QuerySnapshot::from_blob(std::move(blob)));
+  const double enc2 = now_sec();
+  std::printf("encoded %zu MiB\n", verified->bytes().size() >> 20);
+  for (const auto& [name, dt] :
+       {std::pair{"encode", enc1 - enc0}, std::pair{"verify", enc2 - enc1}}) {
+    Row row;
+    row.workload = name;
+    row.n = n;
+    row.seconds = dt;
+    row.per_sec = 1.0 / dt;
+    record(row);
+  }
 
   SnapshotStore store;
-  store.publish(std::make_unique<const QuerySnapshot>(
-      QuerySnapshot::from_blob(std::move(blob))));
+  store.publish(std::move(verified));
   SnapshotReader main_reader(store);
   SnapshotRef ref = main_reader.acquire();
   const QuerySnapshot& snap = *ref;

@@ -211,6 +211,24 @@ query_smoke() {
     --universe 32 --seed 7 --labels 2
   "${dir}/examples/query_server" --snapshot "${tmp}/s.dqry" --info
   "${dir}/examples/query_server" --snapshot "${tmp}/s.dqry" --query 1 30
+  # The mmap path verifies too: one flipped bit in the distance table (blob
+  # offset 48 on) must refuse the file as checksum damage.
+  python3 - "${tmp}/s.dqry" "${tmp}/bad.dqry" <<'EOF'
+import sys
+b = bytearray(open(sys.argv[1], "rb").read())
+b[48 + 4 * 33] ^= 0x01
+open(sys.argv[2], "wb").write(b)
+EOF
+  if "${dir}/examples/query_server" --snapshot "${tmp}/bad.dqry" --info \
+      2>"${tmp}/bad.err"; then
+    echo "FAIL: query_server served a damaged snapshot" >&2
+    return 1
+  fi
+  if ! grep -q "checksum-mismatch" "${tmp}/bad.err"; then
+    echo "FAIL: damaged snapshot not named checksum-mismatch:" >&2
+    cat "${tmp}/bad.err" >&2
+    return 1
+  fi
 }
 
 if [[ "${1:-}" == "--query-smoke" ]]; then

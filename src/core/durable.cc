@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -65,8 +63,7 @@ struct Slot {
 
 Slot read_slot(const std::string& path) {
   Slot slot;
-  std::ifstream in(path, std::ios::binary);
-  if (in) slot.blob.assign(std::istreambuf_iterator<char>(in), {});
+  if (auto bytes = read_file(path)) slot.blob = std::move(*bytes);
   slot.error = classify_checkpoint_blob(slot.blob, &slot.epoch);
   return slot;
 }

@@ -236,15 +236,16 @@ std::uint32_t dom_count_of(const DistanceLabeling* labels, std::uint32_t n) {
   return dom_count;
 }
 
-// The one DQRY body writer. `hop(v, s)` is v's next hop toward s, read from
-// whichever node-major table the caller holds.
-template <class HopFn>
-void write_query_blob(std::span<std::uint8_t> blob, const DistanceMatrix& dist,
-                      const HopFn& hop, std::span<const std::uint8_t> active,
+// The one DQRY body writer. `tables(w)` writes the dist then the next_hop
+// table, n*n cells each, in DQRY row order (row s = every node's entry
+// toward s).
+template <class Tables>
+void write_query_blob(std::span<std::uint8_t> blob, std::uint32_t n,
+                      const Tables& tables,
+                      std::span<const std::uint8_t> active,
                       std::span<const RowStatus> status, std::uint64_t epoch,
                       std::uint64_t sequence, bool degraded,
                       const DistanceLabeling* labels) {
-  const auto n = static_cast<std::uint32_t>(dist.n());
   if (n == 0) {
     throw std::invalid_argument("encode_query_snapshot: empty universe");
   }
@@ -261,16 +262,7 @@ void write_query_blob(std::span<std::uint8_t> blob, const DistanceMatrix& dist,
         (labels != nullptr ? kQueryFlagLabels : 0u));
   w.u32(labels != nullptr ? labels->k() : 0u);
   w.u32(dom_count);
-  // The one transposition: the tables are node-major, DQRY row s holds the
-  // served values toward source s, indexed by node v.
-  const auto table = [&](const auto& cell) {
-    for (std::uint32_t s = 0; s < n; ++s) {
-      std::uint8_t* row = w.take(4 * std::size_t{n}).data();
-      for (std::uint32_t v = 0; v < n; ++v) store_u32(row + 4 * v, cell(v, s));
-    }
-  };
-  table([&](NodeId v, NodeId s) { return dist.at(v, s); });
-  table(hop);
+  tables(w);
   if (labels != nullptr) {
     w.u32s(labels->dominators());
     for (std::uint32_t v = 0; v < n; ++v) w.u32s(labels->label(v));
@@ -282,9 +274,7 @@ void write_query_blob(std::span<std::uint8_t> blob, const DistanceMatrix& dist,
   seal_blob(blob, w);
 }
 
-std::vector<std::uint8_t> blob_for(const DistanceMatrix& dist,
-                                   const DistanceLabeling* labels) {
-  const auto n = static_cast<std::uint32_t>(dist.n());
+std::vector<std::uint8_t> blob_for(NodeId n, const DistanceLabeling* labels) {
   return std::vector<std::uint8_t>(
       query_blob_size(n, dom_count_of(labels, n)));
 }
@@ -297,40 +287,52 @@ std::uint64_t query_blob_size(NodeId n, std::uint32_t dom_count) {
                      4 * n64 * dom_count + 2 * n64);
 }
 
-void encode_query_snapshot_into(
-    std::span<std::uint8_t> blob, const DistanceMatrix& dist,
-    const Table<NodeId>& next_hop, std::span<const std::uint8_t> active,
-    std::span<const RowStatus> status, std::uint64_t epoch,
-    std::uint64_t sequence, bool degraded, const DistanceLabeling* labels) {
-  write_query_blob(
-      blob, dist, [&](NodeId v, NodeId s) { return next_hop.at(v, s); },
-      active, status, epoch, sequence, degraded, labels);
-}
-
 std::vector<std::uint8_t> encode_query_snapshot_tables(
     const DistanceMatrix& dist,
     const std::vector<std::vector<NodeId>>* next_hop,
     std::span<const std::uint8_t> active, std::span<const RowStatus> status,
     std::uint64_t epoch, std::uint64_t sequence, bool degraded,
     const DistanceLabeling* labels) {
-  std::vector<std::uint8_t> out = blob_for(dist, labels);
+  const NodeId n = dist.n();
+  std::vector<std::uint8_t> out = blob_for(n, labels);
+  // Transposes the node-major tables into DQRY row order.
+  const auto table = [n](ByteWriter& w, const auto& cell) {
+    for (NodeId s = 0; s < n; ++s) {
+      std::uint8_t* row = w.take(4 * std::size_t{n}).data();
+      for (NodeId v = 0; v < n; ++v) store_u32(row + 4 * v, cell(v, s));
+    }
+  };
   write_query_blob(
-      out, dist,
-      [&](NodeId v, NodeId s) {
-        return next_hop != nullptr ? (*next_hop)[v][s] : kNoNextHop;
+      out, n,
+      [&](ByteWriter& w) {
+        table(w, [&](NodeId v, NodeId s) { return dist.at(v, s); });
+        table(w, [&](NodeId v, NodeId s) {
+          return next_hop != nullptr ? (*next_hop)[v][s] : kNoNextHop;
+        });
       },
       active, status, epoch, sequence, degraded, labels);
   return out;
 }
 
+void encode_query_snapshot(std::span<std::uint8_t> out,
+                           const DapspService& svc, std::uint64_t sequence,
+                           bool degraded, const DistanceLabeling* labels) {
+  write_query_blob(
+      out, svc.dynamic_graph().universe(),
+      [&](ByteWriter& w) {
+        w.u32s(svc.served_dist().cells());
+        w.u32s(svc.served_next_hop().cells());
+      },
+      svc.dynamic_graph().active_mask(), svc.row_statuses(), svc.epoch(),
+      sequence, degraded, labels);
+}
+
 std::vector<std::uint8_t> encode_query_snapshot(
     const DapspService& svc, std::uint64_t sequence, bool degraded,
     const DistanceLabeling* labels) {
-  std::vector<std::uint8_t> out = blob_for(svc.served_dist(), labels);
-  encode_query_snapshot_into(out, svc.served_dist(), svc.served_next_hop(),
-                             svc.dynamic_graph().active_mask(),
-                             svc.row_statuses(), svc.epoch(), sequence,
-                             degraded, labels);
+  std::vector<std::uint8_t> out =
+      blob_for(svc.dynamic_graph().universe(), labels);
+  encode_query_snapshot(out, svc, sequence, degraded, labels);
   return out;
 }
 

@@ -19,8 +19,10 @@
 //     every query kind scans one contiguous row and inherits exactly that
 //     row's status — the same per-row freshness contract DapspService::query
 //     exposes. flags bit 0 = label section present, bit 1 = degraded
-//     (published mid-epoch, after dirty analysis and before repair). A DSVC
-//     checkpoint ends with the DQRY blob of its served state.
+//     (published mid-epoch, after dirty analysis and before repair). The
+//     service stores its served tables in this row order (ServedView), so
+//     publishing copies whole rows. A DSVC checkpoint ends with the DQRY
+//     blob of its served state.
 //
 //   * SnapshotStore — an epoch-tagged atomic snapshot pointer with
 //     hazard-free retire-after-grace reclamation. publish() swaps the
@@ -66,7 +68,7 @@
 
 namespace dapsp::core {
 
-inline constexpr BlobTag kQueryTag{'D', 'Q', 'R', 'Y', '0', '0', '0', '2'};
+inline constexpr BlobTag kQueryTag{'D', 'Q', 'R', 'Y', '0', '0', '0', '3'};
 inline constexpr std::uint32_t kQueryFlagLabels = 1u << 0;
 inline constexpr std::uint32_t kQueryFlagDegraded = 1u << 1;
 
@@ -179,6 +181,10 @@ class QuerySnapshot {
   std::span<const std::uint32_t> dist_row(NodeId s) const {
     return {dist_ + std::size_t{s} * n_, n_};
   }
+  // Row s of the next hops: every node's hop toward s.
+  std::span<const NodeId> next_hop_row(NodeId s) const {
+    return {hop_ + std::size_t{s} * n_, n_};
+  }
   // Served distance from `from` to `to` — the (from, to) entry of row `to`,
   // matching DapspService::query's value and status source.
   std::uint32_t dist(NodeId from, NodeId to) const {
@@ -256,28 +262,26 @@ class QuerySnapshot {
 // Serializes the service's served snapshot (and optionally a label section)
 // into a DQRY blob. `sequence` is the publisher's swap ordinal; `degraded`
 // marks a mid-epoch publish. The label section, when given, must cover the
-// same universe (labels->label(v) for every v < n).
+// same universe (labels->label(v) for every v < n). The served tables are
+// already in DQRY row order, so their rows are copied whole.
 std::vector<std::uint8_t> encode_query_snapshot(
     const DapspService& svc, std::uint64_t sequence, bool degraded,
     const DistanceLabeling* labels = nullptr);
 
-// The same from raw node-major tables, written in place into `out` of
-// exactly query_blob_size(n, |dominators|) bytes — how a checkpoint embeds
-// its served section without a second copy. dist.at(v, s) = served distance
-// v -> s and next_hop.at(v, s) = v's hop toward s (what the encoder
-// transposes into row-major-by-source form).
+// The same, written in place into `out` of exactly
+// query_blob_size(n, |dominators|) bytes — how a checkpoint embeds its
+// served section without a second copy.
 std::uint64_t query_blob_size(NodeId n, std::uint32_t dom_count = 0);
-void encode_query_snapshot_into(
-    std::span<std::uint8_t> out, const DistanceMatrix& dist,
-    const Table<NodeId>& next_hop, std::span<const std::uint8_t> active,
-    std::span<const RowStatus> status, std::uint64_t epoch,
-    std::uint64_t sequence, bool degraded,
-    const DistanceLabeling* labels = nullptr);
+void encode_query_snapshot(std::span<std::uint8_t> out,
+                           const DapspService& svc, std::uint64_t sequence,
+                           bool degraded,
+                           const DistanceLabeling* labels = nullptr);
 
-// Into a new blob, with next hops given as nested rows, (*next_hop)[v][s]
-// (null = all kNoNextHop): the seq::apsp-backed path of benches and tests,
-// kept in this form because perfbench's serve workload builds nested rows.
-// Same bytes as the flat path over equal tables; the rows are read in
+// Into a new blob from node-major tables: dist.at(v, s) = served distance
+// v -> s and next hops as nested rows, (*next_hop)[v][s] = v's hop toward s
+// (null = all kNoNextHop), transposed into DQRY row order. The
+// seq::apsp-backed path of benches and tests, kept in this form because
+// perfbench's serve workload builds nested rows; the rows are read in
 // place, never copied into a Table.
 std::vector<std::uint8_t> encode_query_snapshot_tables(
     const DistanceMatrix& dist,

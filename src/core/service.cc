@@ -25,7 +25,7 @@ using congest::TraceEventKind;
 // telling apart in traces).
 constexpr std::uint32_t kDeltaCrashBit = 0x100u;
 
-constexpr BlobTag kCheckpointTag{'D', 'S', 'V', 'C', '0', '0', '0', '2'};
+constexpr BlobTag kCheckpointTag{'D', 'S', 'V', 'C', '0', '0', '0', '3'};
 
 // The sections of a DSVC body (layout in DESIGN.md §14), as views into the
 // blob. The working tables are row-major by node: dist[v*n + s] = d(v, s).
@@ -364,9 +364,9 @@ void DapspService::zero_row(NodeId x) {
   for (NodeId v = 0; v < n; ++v) {
     apsp_.dist.set(v, x, kInfDist);
     apsp_.next_hop.set(v, x, kNoNextHop);
-    served_dist_.set(v, x, kInfDist);
-    served_next_hop_.set(v, x, kNoNextHop);
   }
+  std::ranges::fill(served_dist_.row(x), kInfDist);
+  std::ranges::fill(served_next_hop_.row(x), kNoNextHop);
   row_status_[x] = RowStatus::kStale;
 }
 
@@ -397,20 +397,20 @@ void DapspService::repoint_cut_hops(const DirtyReport& dr,
           });
       if (p != kNoNextHop) {
         apsp_.next_hop.set(v, s, p);
-        served_next_hop_.set(v, s, p);
+        served_next_hop_.set(s, v, p);
       }
     }
   }
 }
 
+void DapspService::serve_cell(NodeId v, NodeId s) {
+  served_dist_.set(s, v, apsp_.dist.at(v, s));
+  served_next_hop_.set(s, v, apsp_.next_hop.at(v, s));
+}
+
 void DapspService::serve_rows(std::span<const NodeId> rows) {
-  // Node-major walk: the tables store each node's entries contiguously.
-  const NodeId n = graph_.universe();
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId s : rows) {
-      served_dist_.set(v, s, apsp_.dist.at(v, s));
-      served_next_hop_.set(v, s, apsp_.next_hop.at(v, s));
-    }
+  for (const NodeId s : rows) {
+    for (NodeId v = 0; v < graph_.universe(); ++v) serve_cell(v, s);
   }
 }
 
@@ -461,10 +461,7 @@ bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
   // (bit-rot included) keeps its served value until a scrub. Rows that row
   // S-SP recomputed are served whole. The rows the epoch implicated come
   // back as kRepaired; other changed rows keep their statuses.
-  for (const auto& [v, s] : cr.changed_cells) {
-    served_dist_.set(v, s, apsp_.dist.at(v, s));
-    served_next_hop_.set(v, s, apsp_.next_hop.at(v, s));
-  }
+  for (const auto& [v, s] : cr.changed_cells) serve_cell(v, s);
   serve_rows(cells.stale);
   for (const std::vector<NodeId>* rows : {&cells.certify, &cells.stale}) {
     for (const NodeId s : *rows) row_status_[s] = RowStatus::kRepaired;
@@ -821,8 +818,8 @@ ServiceQuery DapspService::query(NodeId from, NodeId to) const {
   ServiceQuery q;
   if (!graph_.active(from) || !graph_.active(to)) return q;
   q.active = true;
-  q.dist = served_dist_.at(from, to);
-  q.next_hop = served_next_hop_.at(from, to);
+  q.dist = served_dist_.at(to, from);
+  q.next_hop = served_next_hop_.at(to, from);
   q.status = row_status_[to];
   return q;
 }
@@ -849,9 +846,7 @@ std::vector<std::uint8_t> DapspService::checkpoint_blob(
   w.u32s(apsp_.next_hop.data());
   // A pure function of the served state: sequence 0, no labels, not
   // degraded — so checkpoints stay byte-identical across runs.
-  encode_query_snapshot_into(w.take(served_len), served_dist_,
-                             served_next_hop_, graph_.active_mask(),
-                             row_status_, epoch_, 0, false);
+  encode_query_snapshot(w.take(served_len), *this, 0, false);
   seal_blob(b, w);
 
   stats_.checkpoints += 1;
@@ -914,11 +909,10 @@ std::optional<DapspService> DapspService::try_restore_blob(
       for (NodeId s = 0; s < n; ++s) svc.row_status_[s] = served.status(s);
       ByteReader(c.dist, "DSVC dist").u32s(svc.apsp_.dist.data());
       ByteReader(c.hop, "DSVC next_hop").u32s(svc.apsp_.next_hop.data());
-      for (NodeId v = 0; v < n; ++v) {
-        for (NodeId s = 0; s < n; ++s) {
-          svc.served_dist_.set(v, s, served.dist(v, s));
-          svc.served_next_hop_.set(v, s, served.next_hop(v, s));
-        }
+      for (NodeId s = 0; s < n; ++s) {
+        std::ranges::copy(served.dist_row(s), svc.served_dist_.row(s).begin());
+        std::ranges::copy(served.next_hop_row(s),
+                          svc.served_next_hop_.row(s).begin());
       }
       if (user_words_out != nullptr) {
         ByteReader user(c.user, "DSVC user words");

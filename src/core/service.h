@@ -81,6 +81,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -320,6 +321,23 @@ struct ServiceConfig {
   RepairGate* repair_gate = nullptr;
 };
 
+// A served table, stored source-major: row s holds every node's entry
+// toward source s, exactly DQRY row s (core/query.h), so a publish or a
+// checkpoint copies whole rows. at(v, s) reads it node-major, like the
+// working tables: v's entry toward s.
+class ServedView {
+ public:
+  explicit ServedView(const Table<std::uint32_t>& by_source) noexcept
+      : t_(&by_source) {}
+
+  std::uint32_t at(NodeId v, NodeId s) const { return t_->at(s, v); }
+  // Every cell, row s after row s (the DQRY table order).
+  std::span<const std::uint32_t> cells() const noexcept { return t_->data(); }
+
+ private:
+  const Table<std::uint32_t>* t_;
+};
+
 // One distance query, answered from the served snapshot.
 struct ServiceQuery {
   bool active = false;  // both endpoints currently active
@@ -368,9 +386,9 @@ class DapspService {
   // Read-only views of the served snapshot, for the query tier's snapshot
   // encoder (core/query.h). served_dist().at(v, s) is the served distance
   // from v to s with the freshness of row s (= row_status(s)).
-  const DistanceMatrix& served_dist() const noexcept { return served_dist_; }
-  const Table<NodeId>& served_next_hop() const noexcept {
-    return served_next_hop_;
+  ServedView served_dist() const noexcept { return ServedView(served_dist_); }
+  ServedView served_next_hop() const noexcept {
+    return ServedView(served_next_hop_);
   }
   // True when no active row is stale — every served row is certified
   // against the current graph (modulo not-yet-scrubbed bit-rot).
@@ -438,6 +456,8 @@ class DapspService {
   // which the cell rung heals.
   void repoint_cut_hops(const DirtyReport& dr,
                         std::span<const Edge> edges_before);
+  // Copies the working cell (v, s) into the served snapshot.
+  void serve_cell(NodeId v, NodeId s);
   // Copies whole rows of the working tables into the served snapshot, for
   // rows certified whole; refresh also sets their status.
   void serve_rows(std::span<const NodeId> rows);
@@ -449,6 +469,7 @@ class DapspService {
   ServiceConfig config_;
   DynamicGraph graph_;
   ApspResult apsp_;  // working tables over the fixed universe
+  // Source-major (see ServedView): served_dist_.at(s, v) is v's entry.
   DistanceMatrix served_dist_;
   Table<NodeId> served_next_hop_;
   std::vector<RowStatus> row_status_;

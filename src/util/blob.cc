@@ -1,5 +1,6 @@
 #include "util/blob.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,6 +34,55 @@ const char* to_string(CheckpointError e) noexcept {
       return "bad-payload";
   }
   return "?";
+}
+
+namespace {
+
+// xxHash64's primes and round (see the header comment of blob.h).
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ULL;
+
+// A bijection of `acc` for fixed `w` and of `w` for fixed `acc` (P1 and P2
+// are odd).
+constexpr std::uint64_t mix_round(std::uint64_t acc, std::uint64_t w) noexcept {
+  return std::rotl(acc + w * kP2, 31) * kP1;
+}
+
+}  // namespace
+
+std::uint64_t frame_checksum(std::span<const std::uint8_t> bytes) noexcept {
+  const std::uint8_t* p = bytes.data();
+  const std::size_t words = bytes.size() / 8;
+  // Word i feeds lane i % 4; the four chains run independently. The lanes
+  // start at xxHash64's seed-0 values.
+  std::uint64_t a = kP1 + kP2, b = kP2, c = 0, d = 0 - kP1;
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4, p += 32) {
+    a = mix_round(a, load_u64(p));
+    b = mix_round(b, load_u64(p + 8));
+    c = mix_round(c, load_u64(p + 16));
+    d = mix_round(d, load_u64(p + 24));
+  }
+  const std::size_t rest = words - i;  // 0-3 words left, for a, b, c
+  if (rest > 0) a = mix_round(a, load_u64(p));
+  if (rest > 1) b = mix_round(b, load_u64(p + 8));
+  if (rest > 2) c = mix_round(c, load_u64(p + 16));
+  p += 8 * rest;
+  std::uint64_t tail = 0;
+  for (std::size_t k = 0; k < bytes.size() % 8; ++k) {
+    tail |= std::uint64_t{p[k]} << (8 * k);
+  }
+  const std::uint64_t len = bytes.size();
+  std::uint64_t h = kP5;
+  for (const std::uint64_t w : {a, b, c, d, tail, len}) h = mix_round(h, w);
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
 }
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
@@ -92,7 +142,7 @@ CheckpointError open_blob(std::span<const std::uint8_t> blob,
   if (declared > actual) return CheckpointError::kTruncated;
   const std::size_t sum_at = blob.size() - 8;
   if (declared < actual ||
-      fnv1a64(blob.first(sum_at)) != load_u64(blob.data() + sum_at)) {
+      frame_checksum(blob.first(sum_at)) != load_u64(blob.data() + sum_at)) {
     return CheckpointError::kChecksumMismatch;
   }
   body = blob.subspan(kBlobHeaderBytes, static_cast<std::size_t>(actual));
@@ -110,7 +160,21 @@ ByteWriter begin_blob(std::span<std::uint8_t> blob, const BlobTag& tag) {
 void seal_blob(std::span<std::uint8_t> blob, const ByteWriter& body) {
   if (body.left() != 0) throw std::logic_error("seal_blob: body not filled");
   const std::size_t sum_at = blob.size() - 8;
-  store_u64(blob.data() + sum_at, fnv1a64(blob.first(sum_at)));
+  store_u64(blob.data() + sum_at, frame_checksum(blob.first(sum_at)));
+}
+
+std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return std::nullopt;
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("read_file: cannot size " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  if (in.bad()) throw std::runtime_error("read_file: cannot read " + path);
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  return bytes;
 }
 
 MappedBlob& MappedBlob::operator=(MappedBlob&& other) noexcept {
@@ -167,12 +231,11 @@ MappedBlob MappedBlob::map_file(const std::string& path) {
   }
 #endif
   // Fallback: plain read into owned memory.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::vector<std::uint8_t>> bytes = read_file(path);
+  if (!bytes) {
     throw std::runtime_error("MappedBlob: cannot open " + path);
   }
-  b.owned_.assign((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
+  b.owned_ = std::move(*bytes);
   b.data_ = b.owned_.data();
   b.size_ = b.owned_.size();
   b.mapped_ = false;

@@ -2,16 +2,30 @@
 // durable artifact, its codec and failure taxonomy, read-only memory mapping
 // and atomic writes. The frame, all little-endian:
 //
-//   magic[4] | version[4] | u64 body_len | body | u64 fnv1a64(all before)
+//   magic[4] | version[4] | u64 body_len | body | u64 frame_checksum(prefix)
+//
+// where the prefix is every byte before the checksum.
 //
 // DSVC checkpoints (core/service.h) and DQRY query snapshots (core/query.h)
-// are framed blobs; the body starts at offset 16, so 4-byte fields at 4-byte
-// body offsets stay aligned. DJRN journals (util/journal.h) share the 8-byte
-// tag and the checksum but are an append-only record stream.
+// are framed blobs, both at version 0003; the body starts at offset 16, so
+// 4-byte fields at 4-byte body offsets stay aligned. DJRN journals
+// (util/journal.h, version 2) share the 8-byte tag and the checksum but are
+// an append-only record stream.
+//
+// frame_checksum reads the bytes as little-endian u64 words into four
+// independent lanes with the xxHash64 round acc = rotl(acc + w*P2, 31)*P1,
+// folds the lanes, a zero-padded byte tail and the length into one value
+// with the same round, and ends with xxHash64's avalanche. Every step is a
+// bijection of the state it updates, so damage confined to one 8-byte word
+// (any single-bit flip included) always changes the checksum. It is not
+// xxHash64: the lane fold differs, to keep that guarantee.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -34,10 +48,14 @@ enum class CheckpointError : std::uint8_t {
 
 const char* to_string(CheckpointError e) noexcept;
 
+// The checksum of every frame and journal record (see the header comment).
+std::uint64_t frame_checksum(std::span<const std::uint8_t> bytes) noexcept;
+
 inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
 
 // FNV-1a 64 over `bytes`, continuing from `h`; fnv1a64_u64 steps over the 8
-// little-endian bytes of one word (the accumulator for word-stream digests).
+// little-endian bytes of one word. These are the determinism and resilience
+// digests' accumulators, not a frame checksum.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
                       std::uint64_t h = kFnv1a64Basis) noexcept;
 std::uint64_t fnv1a64_u64(std::uint64_t h, std::uint64_t word) noexcept;
@@ -72,7 +90,11 @@ class ByteWriter {
   // A u32 array, e.g. every cell of a table.
   void u32s(std::span<const std::uint32_t> vs) {
     std::uint8_t* p = take(4 * vs.size()).data();
-    for (std::size_t i = 0; i < vs.size(); ++i) store_u32(p + 4 * i, vs[i]);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!vs.empty()) std::memcpy(p, vs.data(), 4 * vs.size());
+    } else {
+      for (std::size_t i = 0; i < vs.size(); ++i) store_u32(p + 4 * i, vs[i]);
+    }
   }
 
  private:
@@ -95,7 +117,11 @@ class ByteReader {
   std::uint64_t u64() { return load_u64(take(8).data()); }
   void u32s(std::span<std::uint32_t> out) {
     const std::uint8_t* p = take(out.size(), 4).data();
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = load_u32(p + 4 * i);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty()) std::memcpy(out.data(), p, 4 * out.size());
+    } else {
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] = load_u32(p + 4 * i);
+    }
   }
 
  private:
@@ -105,7 +131,7 @@ class ByteReader {
 
 // ---- The frame -------------------------------------------------------------
 
-// magic[4] | version[4], e.g. {'D', 'Q', 'R', 'Y', '0', '0', '0', '2'}.
+// magic[4] | version[4], e.g. {'D', 'Q', 'R', 'Y', '0', '0', '0', '3'}.
 using BlobTag = std::array<std::uint8_t, 8>;
 inline constexpr std::size_t kBlobHeaderBytes = 16;
 
@@ -130,6 +156,10 @@ ByteWriter begin_blob(std::span<std::uint8_t> blob, const BlobTag& tag);
 void seal_blob(std::span<std::uint8_t> blob, const ByteWriter& body);
 
 // ---- Files -----------------------------------------------------------------
+
+// Every byte of the file at `path`, in one sized read; nullopt when it
+// cannot be opened (absent). Throws std::runtime_error on a read error.
+std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
 
 // A read-only view of a file's bytes, mmap'd when the platform allows it
 // (zero-copy: the query tier serves point lookups straight off the page

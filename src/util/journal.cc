@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 namespace dapsp {
 
@@ -84,12 +85,12 @@ const char* to_string(JournalError e) noexcept {
 
 JournalScan scan_journal(const std::string& path) {
   JournalScan scan;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::vector<std::uint8_t>> file = read_file(path);
+  if (!file) {
     scan.error = JournalError::kMissing;
     return scan;
   }
-  std::vector<std::uint8_t> b{std::istreambuf_iterator<char>(in), {}};
+  const std::vector<std::uint8_t>& b = *file;
   scan.file_bytes = b.size();
   switch (check_blob_tag(b, kJournalTag)) {
     case CheckpointError::kNone:
@@ -117,7 +118,7 @@ JournalScan scan_journal(const std::string& path) {
       const std::uint64_t want = r.u64();
       if (len > kJournalMaxPayload) break;
       const std::span<const std::uint8_t> payload = r.take(len);
-      if (fnv1a64(payload) != want) break;
+      if (frame_checksum(payload) != want) break;
       scan.records.emplace_back(payload.begin(), payload.end());
       scan.valid_bytes += 4 + 8 + std::uint64_t{len};
     }
@@ -180,7 +181,7 @@ std::uint64_t JournalWriter::append(std::span<const std::uint8_t> payload) {
   }
   std::uint8_t head[4 + 8];
   store_u32(head, static_cast<std::uint32_t>(payload.size()));
-  store_u64(head + 4, fnv1a64(payload));
+  store_u64(head + 4, frame_checksum(payload));
   sink_.write(head);
   sink_.write(payload);
   sink_.flush();

@@ -5,10 +5,11 @@
 // must never lose an acknowledged update. This module supplies the storage
 // substrate for that contract:
 //
-//   * File format — the 8-byte blob tag of util/blob.h ("DJRN" + u32 1),
-//     then self-delimiting records `u32 payload_len | u64 fnv1a64(payload)
-//     | payload`. The per-record checksum catches bit damage; the length
-//     prefix makes the valid prefix recognizable after a crash mid-append.
+//   * File format — the 8-byte blob tag of util/blob.h ("DJRN" + u32 2),
+//     then self-delimiting records `u32 payload_len | u64
+//     frame_checksum(payload) | payload`. The per-record checksum catches
+//     bit damage; the length prefix makes the valid prefix recognizable
+//     after a crash mid-append.
 //
 //   * Torn-tail semantics — a crash can leave any byte prefix of the file.
 //     scan_journal() reads the longest valid record prefix and classifies
@@ -87,8 +88,9 @@ class FileSink {
   CrashPoint* crash_;
 };
 
-// The journal header is the shared blob tag alone: "DJRN" + u32 1.
-inline constexpr BlobTag kJournalTag{'D', 'J', 'R', 'N', 1, 0, 0, 0};
+// The journal header is the shared blob tag alone: "DJRN" + u32 2 (version
+// 1 checksummed records with FNV-1a).
+inline constexpr BlobTag kJournalTag{'D', 'J', 'R', 'N', 2, 0, 0, 0};
 inline constexpr std::size_t kJournalHeaderBytes = kJournalTag.size();
 // Sanity cap on one record's payload; larger length prefixes are treated as
 // tail damage rather than attempted as allocations.

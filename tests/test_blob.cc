@@ -5,9 +5,13 @@
 //   * every prefix, every header byte flipped, one appended byte, one flipped
 //     bit per section, and one extra body byte under a repaired length and
 //     checksum — each must get the code the shared table assigns;
+//   * every single-bit flip of a small DSVC blob, DQRY blob and DJRN record
+//     is caught, and a blob of the previous version (0002, FNV-1a
+//     checksummed) is a version mismatch, not checksum damage;
 //   * round trips: restore + re-checkpoint is byte-identical, and the
 //     checkpoint's last section is exactly the served DQRY snapshot;
-//   * the DJRN byte format (tag + `u32 len | u64 fnv | payload` records).
+//   * the DJRN byte format (tag + `u32 len | u64 checksum | payload`
+//     records).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,7 +67,8 @@ CheckpointError classify_dqry(std::span<const std::uint8_t> b) {
 // Rewrites the trailing checksum so it covers the (edited) bytes before it.
 void repair_checksum(Bytes& b) {
   store_u64(b.data() + b.size() - 8,
-            fnv1a64(std::span<const std::uint8_t>(b).first(b.size() - 8)));
+            frame_checksum(
+                std::span<const std::uint8_t>(b).first(b.size() - 8)));
 }
 
 // A service past a few churn epochs, so the checkpoint carries inactive
@@ -195,6 +200,41 @@ TEST(BlobFrame, OneFlippedBitPerSectionIsChecksumDamage) {
   }
 }
 
+// The checksum's guarantee: damage inside one 8-byte word is always caught.
+// A flip in the tag gets the tag's code, one in the length field truncates
+// or breaks the frame, and every other flip is checksum damage.
+TEST(BlobFrame, EverySingleBitFlipIsCaught) {
+  for (const FramedInput& in : {dsvc_input(), dqry_input(false)}) {
+    for (std::size_t i = 0; i < in.blob.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes b = in.blob;
+        b[i] ^= static_cast<std::uint8_t>(1u << bit);
+        const CheckpointError got = in.classify(b);
+        if (i < 8) {
+          EXPECT_NE(got, CheckpointError::kNone) << in.name << " byte " << i;
+        } else if (i >= kBlobHeaderBytes) {
+          EXPECT_EQ(got, CheckpointError::kChecksumMismatch)
+              << in.name << " byte " << i << " bit " << bit;
+        } else {
+          EXPECT_TRUE(got == CheckpointError::kTruncated ||
+                      got == CheckpointError::kChecksumMismatch)
+              << in.name << " length byte " << i << " bit " << bit;
+        }
+      }
+    }
+  }
+}
+
+TEST(BlobFrame, PreviousVersionIsAVersionMismatch) {
+  for (const FramedInput& in : {dsvc_input(), dqry_input(false)}) {
+    Bytes b = in.blob;
+    b[7] = '2';
+    store_u64(b.data() + b.size() - 8,
+              fnv1a64(std::span<const std::uint8_t>(b).first(b.size() - 8)));
+    EXPECT_EQ(in.classify(b), CheckpointError::kVersionMismatch) << in.name;
+  }
+}
+
 TEST(BlobFrame, ExtraBodyByteUnderRepairedFrameIsBadPayload) {
   for (const FramedInput& in : framed_inputs()) {
     Bytes b = in.blob;
@@ -278,9 +318,9 @@ TEST(JournalFormat, HeaderAndRecordsKeepTheirBytes) {
     JournalWriter w(path, FileSink::Mode::kTruncate);
     w.append(payload);
   }
-  Bytes want = {'D', 'J', 'R', 'N', 1, 0, 0, 0, 4, 0, 0, 0};
+  Bytes want = {'D', 'J', 'R', 'N', 2, 0, 0, 0, 4, 0, 0, 0};
   want.resize(want.size() + 8);
-  store_u64(want.data() + want.size() - 8, fnv1a64(payload));
+  store_u64(want.data() + want.size() - 8, frame_checksum(payload));
   want.insert(want.end(), payload.begin(), payload.end());
   EXPECT_EQ(read_all(path), want);
 }
@@ -339,6 +379,27 @@ TEST(JournalFormat, FlippedRecordBitIsATornTail) {
     EXPECT_EQ(scan.error, JournalError::kTornTail) << "byte " << at;
     EXPECT_EQ(scan.valid_bytes, kJournalHeaderBytes) << "byte " << at;
     EXPECT_TRUE(scan.records.empty()) << "byte " << at;
+  }
+}
+
+TEST(JournalFormat, EverySingleBitFlipIsCaught) {
+  const std::string path = journal_path("flips.djrn");
+  {
+    JournalWriter w(path, FileSink::Mode::kTruncate);
+    w.append(Bytes{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5});
+  }
+  const Bytes clean = read_all(path);
+  ASSERT_EQ(scan_journal(path).error, JournalError::kNone);
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes b = clean;
+      b[i] ^= static_cast<std::uint8_t>(1u << bit);
+      write_all(path, b);
+      const JournalScan scan = scan_journal(path);
+      EXPECT_NE(scan.error, JournalError::kNone)
+          << "byte " << i << " bit " << bit;
+      EXPECT_TRUE(scan.records.empty()) << "byte " << i << " bit " << bit;
+    }
   }
 }
 

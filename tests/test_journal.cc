@@ -152,7 +152,8 @@ TEST(Journal, ForeignFilesAreRefused) {
   EXPECT_THROW(repair_journal(bad_magic), std::runtime_error);
 
   const std::string bad_version = temp_path("future.wal");
-  write_all(bad_version, rec({'D', 'J', 'R', 'N', 2, 0, 0, 0}));
+  // Version 1, the FNV-1a-checksummed format before this one.
+  write_all(bad_version, rec({'D', 'J', 'R', 'N', 1, 0, 0, 0}));
   EXPECT_EQ(scan_journal(bad_version).error, JournalError::kVersionMismatch);
   EXPECT_THROW(repair_journal(bad_version), std::runtime_error);
   // Both files still intact.

@@ -286,7 +286,7 @@ TEST(QueryBlob, ClassifyTaxonomy) {
   }
   {
     std::vector<std::uint8_t> b = blob;
-    b[7] = '1';  // the previous format version
+    b[7] = '2';  // the previous format version
     EXPECT_EQ(classify_query_blob(b), CheckpointError::kVersionMismatch);
   }
   {
@@ -300,7 +300,7 @@ TEST(QueryBlob, ClassifyTaxonomy) {
     std::vector<std::uint8_t> b = blob;
     b[b.size() - 9] = 7;  // last status byte (just before the checksum)
     const std::uint64_t sum =
-        fnv1a64(std::span<const std::uint8_t>(b).first(b.size() - 8));
+        frame_checksum(std::span<const std::uint8_t>(b).first(b.size() - 8));
     for (int i = 0; i < 8; ++i) {
       b[b.size() - 8 + static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(sum >> (8 * i));
@@ -329,6 +329,30 @@ TEST(QueryBlob, FileRoundTripThroughMmap) {
                std::runtime_error);
 }
 
+// The served tables read node-major through served_dist() /
+// served_next_hop() and encoded from nested rows give the same bytes as
+// the service's own encoder, which copies whole source-major rows; with and
+// without a label section.
+void expect_flat_encoding_matches_nested_rows(const DapspService& svc,
+                                              const DistanceLabeling& lab) {
+  const NodeId n = svc.dynamic_graph().universe();
+  DistanceMatrix dist(n);
+  std::vector<std::vector<NodeId>> rows(n, std::vector<NodeId>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId s = 0; s < n; ++s) {
+      dist.set(v, s, svc.served_dist().at(v, s));
+      rows[v][s] = svc.served_next_hop().at(v, s);
+    }
+  }
+  const DistanceLabeling* const label_sections[] = {nullptr, &lab};
+  for (const DistanceLabeling* labels : label_sections) {
+    EXPECT_EQ(encode_query_snapshot_tables(
+                  dist, &rows, svc.dynamic_graph().active_mask(),
+                  svc.row_statuses(), svc.epoch(), 0, false, labels),
+              encode_query_snapshot(svc, 0, false, labels));
+  }
+}
+
 // On a freshly built (churn-free) service every served row is exact, and
 // there the hop tables are guaranteed path-consistent: each finite off-
 // diagonal answer's next hop steps one closer to the target.
@@ -349,21 +373,38 @@ TEST(QueryBlob, FreshServiceHopsAdvanceThePath) {
       ASSERT_EQ(oracle.at(a.next_hop, v), a.dist - 1);
     }
   }
-  // The served next hops as nested rows encode to the same bytes as the
-  // flat path, with and without a label section.
-  std::vector<std::vector<NodeId>> rows;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto row = svc.served_next_hop()[v];
-    rows.emplace_back(row.begin(), row.end());
+  expect_flat_encoding_matches_nested_rows(svc, build_distance_labels(g, 1));
+}
+
+// Churn writes served cells one at a time (the cell repair, re-pointed
+// hops, a leaver's zeroed row) and restore copies the served section back
+// row by row; the source-major tables must still encode like the nested
+// rows of the same cells.
+TEST(QueryBlob, ChurnedAndRestoredServiceHopsEncodeLikeNestedRows) {
+  const Graph g = gen::random_connected(16, 12, 21);
+  DapspService svc(g);
+  DeltaPlanConfig pc;
+  pc.seed = 31;
+  DeltaPlan plan(pc);
+  bool joined = false, left = false;
+  for (int e = 0; e < 12; ++e) {
+    const ChurnBatch batch = plan.next(svc.dynamic_graph());
+    for (const GraphDelta& d : batch.deltas) {
+      joined |= d.kind == DeltaKind::kNodeJoin;
+      left |= d.kind == DeltaKind::kNodeLeave;
+    }
+    svc.step(batch);
   }
+  ASSERT_TRUE(joined);
+  ASSERT_TRUE(left);
   const DistanceLabeling lab = build_distance_labels(g, 1);
-  const DistanceLabeling* const label_sections[] = {nullptr, &lab};
-  for (const DistanceLabeling* labels : label_sections) {
-    EXPECT_EQ(encode_query_snapshot_tables(
-                  svc.served_dist(), &rows, svc.dynamic_graph().active_mask(),
-                  svc.row_statuses(), svc.epoch(), 0, false, labels),
-              encode_query_snapshot(svc, 0, false, labels));
-  }
+  expect_flat_encoding_matches_nested_rows(svc, lab);
+
+  const DapspService twin =
+      DapspService::restore_blob(svc.checkpoint_blob(), {}, nullptr);
+  expect_flat_encoding_matches_nested_rows(twin, lab);
+  EXPECT_EQ(encode_query_snapshot(twin, 0, false),
+            encode_query_snapshot(svc, 0, false));
 }
 
 // ----------------------------------------------- differential churn validation
@@ -476,7 +517,8 @@ TEST(QueryDifferential, SinkIsObservationOnly) {
     a.step(pa.next(a.dynamic_graph()));
     b.step(pb.next(b.dynamic_graph()));
   }
-  EXPECT_TRUE(a.served_dist() == b.served_dist());
+  EXPECT_TRUE(std::ranges::equal(a.served_dist().cells(),
+                                 b.served_dist().cells()));
   EXPECT_TRUE(std::equal(a.row_statuses().begin(), a.row_statuses().end(),
                          b.row_statuses().begin()));
 }
