@@ -1,7 +1,6 @@
 // Wall-clock throughput of the query serving tier (core/query.h): point
-// lookups against a DQRY snapshot, its encode and verify, batched queries,
-// label-oracle estimates with and without the hot-source cache, and
-// snapshot swap/acquire costs.
+// lookups against a DQRY snapshot, batched queries, label-oracle estimates
+// with and without the hot-source cache, and snapshot swap/acquire costs.
 // Not a paper experiment — the serving tier is an engineering subsystem and
 // this gauge is what keeps its "answers are an array read" claim honest.
 //
@@ -185,26 +184,16 @@ int main(int argc, char** argv) {
   const std::vector<std::uint8_t> active(n, 1);
   const std::vector<RowStatus> status(n, RowStatus::kExact);
 
-  // One publish of the full snapshot, split into encode (transpose the
-  // node-major tables, checksum) and verify (from_blob's checksum pass and
-  // parse); per_sec is snapshots per second.
+  // The setup publish, printed only: encode_query_snapshot_tables
+  // transposes node-major tables, unlike a service's source-major publish.
   const double enc0 = now_sec();
   std::vector<std::uint8_t> blob = encode_query_snapshot_tables(
       dist, nullptr, active, status, /*epoch=*/1, /*sequence=*/1, false);
   const double enc1 = now_sec();
   auto verified = std::make_unique<const QuerySnapshot>(
       QuerySnapshot::from_blob(std::move(blob)));
-  const double enc2 = now_sec();
-  std::printf("encoded %zu MiB\n", verified->bytes().size() >> 20);
-  for (const auto& [name, dt] :
-       {std::pair{"encode", enc1 - enc0}, std::pair{"verify", enc2 - enc1}}) {
-    Row row;
-    row.workload = name;
-    row.n = n;
-    row.seconds = dt;
-    row.per_sec = 1.0 / dt;
-    record(row);
-  }
+  std::printf("encoded %zu MiB in %.3fs, verified in %.3fs\n",
+              verified->bytes().size() >> 20, enc1 - enc0, now_sec() - enc1);
 
   SnapshotStore store;
   store.publish(std::move(verified));

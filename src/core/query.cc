@@ -1,7 +1,6 @@
 #include "core/query.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,13 +9,6 @@
 
 namespace dapsp::core {
 namespace {
-
-// The read path hands out reinterpret_cast'd u32 table views straight into
-// the (4-byte-aligned) blob, which is only the on-disk format on
-// little-endian hosts. Every target this repo builds for is LE; refuse to
-// compile elsewhere rather than serve byte-swapped distances.
-static_assert(std::endian::native == std::endian::little,
-              "DQRY snapshots assume a little-endian host");
 
 constexpr std::uint32_t kMaxQueryNodes = 1u << 20;
 constexpr std::uint64_t kQueryFieldBytes = 32;  // body bytes before dist[]

@@ -33,6 +33,13 @@
 
 namespace dapsp {
 
+// The frame is little-endian, and u32 arrays (table rows) are copied to and
+// from it with memcpy; the DQRY read path also hands out u32 views straight
+// into the blob. Every target this repo builds for is LE; refuse to compile
+// elsewhere rather than write or serve byte-swapped tables.
+static_assert(std::endian::native == std::endian::little,
+              "blob frames assume a little-endian host");
+
 // Why a blob was rejected — one answer per failure, for every blob kind.
 // kTruncated is what a process kill mid-write leaves; kVersionMismatch is a
 // blob from another format version and must not be repaired away.
@@ -90,11 +97,7 @@ class ByteWriter {
   // A u32 array, e.g. every cell of a table.
   void u32s(std::span<const std::uint32_t> vs) {
     std::uint8_t* p = take(4 * vs.size()).data();
-    if constexpr (std::endian::native == std::endian::little) {
-      if (!vs.empty()) std::memcpy(p, vs.data(), 4 * vs.size());
-    } else {
-      for (std::size_t i = 0; i < vs.size(); ++i) store_u32(p + 4 * i, vs[i]);
-    }
+    if (!vs.empty()) std::memcpy(p, vs.data(), 4 * vs.size());
   }
 
  private:
@@ -117,11 +120,7 @@ class ByteReader {
   std::uint64_t u64() { return load_u64(take(8).data()); }
   void u32s(std::span<std::uint32_t> out) {
     const std::uint8_t* p = take(out.size(), 4).data();
-    if constexpr (std::endian::native == std::endian::little) {
-      if (!out.empty()) std::memcpy(out.data(), p, 4 * out.size());
-    } else {
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = load_u32(p + 4 * i);
-    }
+    if (!out.empty()) std::memcpy(out.data(), p, 4 * out.size());
   }
 
  private:
