@@ -52,6 +52,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "seq/apsp.h"
+#include "util/blob.h"
 #include "util/journal.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -646,12 +647,9 @@ int main(int argc, char** argv) {
       if (a.checkpoint_every && (u + 1) % a.checkpoint_every == 0) {
         const std::uint64_t words[3] = {plan.rng_state(),
                                         plan.batches_generated(), u + 1};
-        std::ofstream out(a.checkpoint_file, std::ios::binary);
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", a.checkpoint_file.c_str());
-          return 1;
-        }
-        svc->checkpoint(out, words);
+        // Temp file + rename: a kill mid-write leaves the previous
+        // checkpoint whole.
+        write_blob_atomic(a.checkpoint_file, svc->checkpoint_blob(words));
       }
       if (a.kill_at && u + 1 == a.kill_at) {
         std::fprintf(stderr, "killed at update %llu (by request)\n",

@@ -27,7 +27,7 @@
 #                  tree into .bench_build/perfbench, build dapsp_perfbench
 #                  and perfbench_tests, and run the benchmark's ctest.
 #   --scale        run only the churn differential at universe 1024 and 2048
-#                  (every cell and next hop against seq::apsp; ~20 s on a
+#                  (every cell and next hop against seq::apsp; ~10 s on a
 #                  4-vCPU host, ~200 MB).
 set -euo pipefail
 

@@ -125,7 +125,10 @@ CheckpointStore::Loaded CheckpointStore::load() const {
       out.fallback = best >= 0;
     }
   }
-  if (best >= 0) out.blob = std::move(s[best].blob);
+  if (best >= 0) {
+    out.blob = std::move(s[best].blob);
+    if (s[1 - best].valid()) out.older = std::move(s[1 - best].blob);
+  }
   return out;
 }
 
@@ -248,32 +251,22 @@ DurableDapspService DurableDapspService::recover(const DurableConfig& cfg,
     rr.journal_tail_truncated = true;
   }
 
-  // Newest restorable generation wins; damaged slots are recorded and
-  // passed over (the generation fallback).
-  CheckpointStore store(cfg.dir + "/ckpt", cfg.crash);
-  const Slot slots[2] = {read_slot(store.slot_path(0)),
-                         read_slot(store.slot_path(1))};
-  std::vector<const Slot*> candidates;
-  for (const Slot& slot : slots) {
-    if (slot.valid()) {
-      candidates.push_back(&slot);
-    } else if (is_damage(slot.error)) {
-      rr.rejected_error = slot.error;
-      rr.generation_fallback = true;
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Slot* a, const Slot* b) { return a->epoch > b->epoch; });
+  // Newest restorable generation wins (the store's ranking); damaged slots
+  // are recorded and passed over (the generation fallback).
+  const CheckpointStore::Loaded loaded =
+      CheckpointStore(cfg.dir + "/ckpt", cfg.crash).load();
+  rr.rejected_error = loaded.rejected_error;
+  rr.generation_fallback = is_damage(loaded.rejected_error);
 
   std::optional<DapspService> svc;
   std::vector<std::uint64_t> words;
-  for (std::size_t i = 0; i < candidates.size() && !svc; ++i) {
+  for (const std::vector<std::uint8_t>* blob : {&loaded.blob, &loaded.older}) {
+    if (svc || blob->empty()) continue;
     CheckpointError err = CheckpointError::kNone;
-    svc = DapspService::try_restore_blob(candidates[i]->blob, cfg.service,
-                                         &words, &err);
+    svc = DapspService::try_restore_blob(*blob, cfg.service, &words, &err);
     if (svc) {
-      rr.checkpoint_epoch = candidates[i]->epoch;
-      if (i > 0) rr.generation_fallback = true;
+      rr.checkpoint_epoch = svc->epoch();
+      if (blob == &loaded.older) rr.generation_fallback = true;
     } else {
       rr.rejected_error = err;
       rr.generation_fallback = true;

@@ -60,6 +60,9 @@ class CheckpointStore {
 
   struct Loaded {
     std::vector<std::uint8_t> blob;  // empty when no slot is valid
+    // The other generation when both are valid, for a caller whose restore
+    // rejects `blob` (empty otherwise).
+    std::vector<std::uint8_t> older;
     bool fallback = false;  // a damaged slot was passed over for a valid one
     // Classification of the slot that was passed over (kMissing when both
     // slots were empty or the chosen one was the only candidate).
@@ -67,8 +70,10 @@ class CheckpointStore {
     CheckpointError slot_errors[2] = {CheckpointError::kMissing,
                                       CheckpointError::kMissing};
   };
-  // Classifies both slots and returns the valid one with the larger stored
-  // epoch. Never throws on damage — damage is the result.
+  // Classifies both slots and ranks the valid ones, larger stored epoch
+  // first (slot 0 on a tie) — the one generation-choice rule, which
+  // DurableDapspService::recover restores from. Never throws on damage —
+  // damage is the result.
   Loaded load() const;
 
   std::string slot_path(int slot) const;  // slot in {0, 1}

@@ -266,8 +266,9 @@ struct CellView {
   std::vector<NodeId> rows;
   std::vector<std::uint8_t> fresh;   // per source: joined, row starts empty
   std::vector<std::uint8_t> joined;  // per node
-  std::vector<std::vector<NodeId>> lost;          // per node: nbrs gone
-  std::vector<std::vector<std::uint8_t>> gained;  // per node, per edge: new
+  // Per node, ascending: the batch's lost and gained neighbors.
+  std::vector<std::vector<NodeId>> lost;
+  std::vector<std::vector<NodeId>> gained;
 
   // The pre-batch entry d(v, s); joined nodes and fresh rows hold nothing.
   std::uint32_t value(NodeId v, NodeId s) const {
@@ -390,9 +391,7 @@ class RegrowProcess final : public congest::Process {
   RegrowProcess(NodeId id, const CellView& view, const InvalidateProcess& wave)
       : id_(id), view_(view), wave_(wave), ssp_(id, view.n, false) {
     ssp_.configure(0, std::numeric_limits<std::uint64_t>::max() / 2);
-    has_work_ = wave.touched() ||
-                std::ranges::any_of(view.gained[id],
-                                    [](std::uint8_t x) { return x != 0; });
+    has_work_ = wave.touched() || !view.gained[id].empty();
   }
 
   void on_round(congest::RoundCtx& ctx) override {
@@ -411,10 +410,10 @@ class RegrowProcess final : public congest::Process {
     started_ = true;
     std::vector<std::uint32_t> seed(view_.n, kInfDist);
     for (const NodeId s : view_.rows) seed[s] = wave_.mine(s);
-    const std::uint32_t deg = view_.g.degree(id_);
-    ssp_.seed(deg, seed);
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      if (view_.gained[id_][i] != 0) {
+    const auto nbrs = view_.g.neighbors(id_);
+    ssp_.seed(view_.g.degree(id_), seed);
+    for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+      if (std::ranges::binary_search(view_.gained[id_], nbrs[i])) {
         // A new edge carries every entry that shortcuts the far side.
         for (const NodeId s : view_.rows) {
           if (seed[s] != kInfDist && wave_.theirs(i, s) > seed[s] + 1) {
@@ -476,11 +475,14 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
   const NodeId n = g.num_nodes();
   const std::span<const std::uint8_t> active = result.survived;
   if (result.dist.n() != n || result.next_hop.rows() != n ||
-      result.next_hop.cols() != n || active.size() != n ||
-      options.active_before.size() != n) {
+      result.next_hop.cols() != n || active.size() != n) {
     throw std::invalid_argument(
         "repair_cells: tables or masks do not match the graph");
   }
+  if (options.batch == nullptr) {
+    throw std::invalid_argument("repair_cells: no batch diff");
+  }
+  const BatchDiff& batch = *options.batch;
 
   CellView view{.g = g,
                 .old = result.dist,
@@ -497,9 +499,7 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
                   view.rows.end());
   view.fresh.assign(n, 0);
   view.joined.assign(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    view.joined[v] = active[v] != 0 && options.active_before[v] == 0;
-  }
+  for (const NodeId w : batch.joined) view.joined[w] = 1;
   for (const NodeId s : view.rows) {
     if (s >= n || active[s] == 0) {
       throw std::invalid_argument("repair_cells: row " + std::to_string(s) +
@@ -508,30 +508,17 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
     view.fresh[s] = view.joined[s];
   }
 
-  // Each node's adjacency change: the pre-batch neighbors it lost, and which
-  // of its post-batch edges are new.
-  std::vector<std::vector<NodeId>> before(n);
-  for (const Edge& e : options.edges_before) {
-    before[e.u].push_back(e.v);
-    before[e.v].push_back(e.u);
-  }
+  // Each node's adjacency change, and the nodes whose adjacency changed.
   view.lost.resize(n);
   view.gained.resize(n);
+  for (const auto& [v, x] : batch.lost) view.lost[v].push_back(x);
+  for (const auto& [v, x] : batch.gained) view.gained[v].push_back(x);
   std::vector<NodeId> adj_changed, adj_gained;
   for (NodeId v = 0; v < n; ++v) {
-    if (active[v] == 0) continue;
-    std::ranges::sort(before[v]);
-    const auto after = g.neighbors(v);
-    std::ranges::set_difference(before[v], after,
-                                std::back_inserter(view.lost[v]));
-    bool gained = false;
-    view.gained[v].resize(after.size());
-    for (std::size_t i = 0; i < after.size(); ++i) {
-      view.gained[v][i] = !std::ranges::binary_search(before[v], after[i]);
-      gained = gained || view.gained[v][i] != 0;
+    if (!view.gained[v].empty()) adj_gained.push_back(v);
+    if (!view.gained[v].empty() || !view.lost[v].empty()) {
+      adj_changed.push_back(v);
     }
-    if (gained || !view.lost[v].empty()) adj_changed.push_back(v);
-    if (gained) adj_gained.push_back(v);
   }
 
   // A node that did nothing can only hold a stale entry in a fresh row.

@@ -49,6 +49,7 @@
 #include "congest/engine.h"
 #include "core/certify.h"
 #include "core/pebble_apsp.h"
+#include "graph/delta.h"
 #include "graph/graph.h"
 #include "util/metrics.h"
 
@@ -131,7 +132,9 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
 
 // Cell-level incremental repair (DESIGN.md §13): heals the rows of a table
 // that was exact on the pre-batch graph by touching only the cells a batch
-// changed, as two CONGEST phases of (source, dist) messages:
+// changed (its BatchDiff, graph/delta.h: which nodes joined, and each node's
+// `lost` and `gained` neighbors), as two CONGEST phases of (source, dist)
+// messages:
 //   (i) invalidation: a node whose entry d(v, s) lost every parent at d - 1
 //       (a post-batch neighbor whose entry is d - 1 and still valid) sets it
 //       to infinity and notifies its neighbors, who run the same test. A node
@@ -160,10 +163,10 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
 struct CellRepairOptions {
   // As RepairOptions::engine: faults and instrumentation are stripped.
   congest::EngineConfig engine{};
-  // The pre-batch graph (edges u < v, sorted; activity per node). The
-  // post-batch graph is the `g` argument and its activity result.survived.
-  std::span<const Edge> edges_before;
-  std::span<const std::uint8_t> active_before;
+  // What the batch changed: diff_batch of the pre-batch graph against the
+  // post-batch one, which is the `g` argument with activity result.survived.
+  // Required; not owned.
+  const BatchDiff* batch = nullptr;
   // Sources whose rows take part. Each must be exact on the pre-batch graph,
   // except a joined source's, which starts from nothing.
   std::span<const NodeId> rows;
@@ -198,10 +201,11 @@ struct CellRepairReport {
 };
 
 // Repairs result.dist / result.next_hop in place for options.rows on the
-// post-batch graph g. Throws std::invalid_argument on size mismatches and
-// congest::RoundLimitError / CongestionError from the two phases (the table
-// is then untouched). A certificate that hits either reports every row it
-// covered as uncertified; the protocol's writes stay in the table.
+// post-batch graph g. Throws std::invalid_argument on size mismatches or a
+// missing options.batch, and congest::RoundLimitError / CongestionError from
+// the two phases (the table is then untouched). A certificate that hits
+// either reports every row it covered as uncertified; the protocol's writes
+// stay in the table.
 CellRepairReport repair_cells(const Graph& g, ApspResult& result,
                               const CellRepairOptions& options);
 

@@ -151,16 +151,9 @@ const ClassCounters& AdmissionController::counters(
 std::uint64_t retry_delay_us(const RetryPolicy& policy,
                              std::uint64_t request_id, std::uint32_t attempt,
                              std::uint64_t prev_us) noexcept {
-  if (policy.base_us == 0) return 0;
-  const std::uint64_t lo = std::min(policy.base_us, policy.cap_us);
-  const std::uint64_t anchor =
-      std::min(std::max(policy.base_us, prev_us), policy.cap_us);
-  // 3 * anchor without overflow: saturate at the cap.
-  const std::uint64_t hi =
-      anchor > policy.cap_us / 3 ? policy.cap_us
-                                 : std::max(lo, anchor * 3);
-  return jitter_between(lo, hi, policy.seed ^ 0x72657472794a4954ULL,
-                        request_id, attempt);
+  return decorrelated_jitter(policy.base_us, prev_us, policy.cap_us,
+                             policy.seed ^ 0x72657472794a4954ULL, request_id,
+                             attempt);
 }
 
 // ---- CircuitBreaker --------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <istream>
 #include <iterator>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -62,6 +61,20 @@ std::uint32_t abs_diff(std::uint32_t a, std::uint32_t b) {
   return a > b ? a - b : b - a;
 }
 
+// The re-point rule (repoint_hop) for v's entry d toward s, over the
+// post-batch adjacency and the pre-batch table: the parent v keeps, or
+// kNoNextHop. A joined neighbor holds no entry yet, as in the wave.
+NodeId kept_parent(const DynamicGraph& after, const DistanceMatrix& dist,
+                   const BatchDiff& diff, NodeId v, NodeId s, std::uint32_t d,
+                   NodeId hop) {
+  const auto nbrs = after.neighbors(v);
+  return repoint_hop(nbrs, d, hop, [&](std::uint32_t i) {
+    return std::ranges::binary_search(diff.joined, nbrs[i])
+               ? kInfDist
+               : dist.at(nbrs[i], s);
+  });
+}
+
 }  // namespace
 
 CheckpointError classify_checkpoint_blob(std::span<const std::uint8_t> blob,
@@ -100,18 +113,23 @@ std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
   return lo + keyed_rng(seed, a, b).below(hi - lo + 1);
 }
 
+std::uint64_t decorrelated_jitter(std::uint64_t base, std::uint64_t prev,
+                                  std::uint64_t cap, std::uint64_t seed,
+                                  std::uint64_t a, std::uint64_t b) noexcept {
+  if (base == 0) return 0;
+  const std::uint64_t lo = std::min(base, cap);
+  const std::uint64_t anchor = std::min(std::max(base, prev), cap);
+  // 3 * anchor, saturating at the cap without computing a product past it.
+  const std::uint64_t hi = anchor > cap / 3 ? cap : anchor * 3;
+  return jitter_between(lo, hi, seed, a, b);
+}
+
 std::uint64_t decorrelated_backoff_ms(std::uint64_t base_ms,
                                       std::uint64_t prev_ms,
                                       std::uint64_t seed, std::uint64_t epoch,
                                       std::uint64_t attempt) noexcept {
-  if (base_ms == 0) return 0;
-  const std::uint64_t lo = std::min(base_ms, kMaxBackoffMs);
-  // max(base, prev) * 3, saturating at the cap: prev and base are both
-  // <= kMaxBackoffMs (60'000) after clamping, so the product cannot wrap.
-  const std::uint64_t anchor = std::min(std::max(base_ms, prev_ms),
-                                        kMaxBackoffMs);
-  const std::uint64_t hi = std::min(anchor * 3, kMaxBackoffMs);
-  return jitter_between(lo, hi, seed, epoch, attempt);
+  return decorrelated_jitter(base_ms, prev_ms, kMaxBackoffMs, seed, epoch,
+                             attempt);
 }
 
 const char* to_string(RowStatus s) noexcept {
@@ -143,88 +161,38 @@ const char* to_string(EpochOutcome o) noexcept {
 }
 
 DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
-                               std::span<const std::uint8_t> active_before,
-                               std::span<const Edge> edges_before,
+                               const BatchDiff& diff,
                                const DynamicGraph& after) {
   const NodeId n = after.universe();
-  if (dist.n() != n || active_before.size() != n) {
+  if (dist.n() != n) {
     throw std::invalid_argument(
-        "analyze_dirty_rows: table/mask sizes do not match the universe");
+        "analyze_dirty_rows: table size does not match the universe");
   }
 
   DirtyReport dr;
-  std::vector<std::uint8_t> is_joined(n, 0), is_left(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const bool before = active_before[v] != 0;
-    const bool now = after.active(v);
-    if (now && !before) {
-      is_joined[v] = 1;
-      dr.joined.push_back(v);
-    } else if (before && !now) {
-      is_left[v] = 1;
-      dr.left.push_back(v);
-    }
-  }
-
-  // Canonical edge diffs (both lists sorted u-major, v-minor, u < v).
-  const std::vector<Edge> edges_after = after.sorted_edges();
-  const auto edge_lt = [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  const auto joined = [&](NodeId v) {
+    return std::ranges::binary_search(diff.joined, v);
   };
-  std::vector<Edge> ins_raw, rem_raw;
-  std::set_difference(edges_after.begin(), edges_after.end(),
-                      edges_before.begin(), edges_before.end(),
-                      std::back_inserter(ins_raw), edge_lt);
-  std::set_difference(edges_before.begin(), edges_before.end(),
-                      edges_after.begin(), edges_after.end(),
-                      std::back_inserter(rem_raw), edge_lt);
-  for (const Edge& e : ins_raw) {
-    // Edges at a joined endpoint are its attachment frontier — covered by
-    // the join rule, not the insert rule (the joined side has no meaningful
-    // old distance to compare).
-    if (is_joined[e.u] || is_joined[e.v]) continue;
-    dr.inserted.push_back(e);
-  }
-  for (const Edge& e : rem_raw) {
-    // Edges at a left endpoint are covered by the leave boundary rule.
-    if (is_left[e.u] || is_left[e.v]) continue;
-    dr.removed.push_back(e);
-  }
 
   // Adjacent joins break the patch premise (a frontier node's distances must
   // be *old* certified values): hand the whole epoch to a full recompute.
-  for (const NodeId w : dr.joined) {
+  for (const NodeId w : diff.joined) {
     for (const NodeId x : after.neighbors(w)) {
-      if (is_joined[x]) {
+      if (joined(x)) {
         dr.needs_full = true;
         return dr;
       }
     }
   }
 
-  // Pre-batch adjacency of the left nodes (their boundary edges).
-  std::vector<std::vector<NodeId>> left_boundary(dr.left.size());
-  if (!dr.left.empty()) {
-    for (const Edge& e : edges_before) {
-      for (std::size_t i = 0; i < dr.left.size(); ++i) {
-        const NodeId x = dr.left[i];
-        if (e.u == x && !is_left[e.v] && after.active(e.v)) {
-          left_boundary[i].push_back(e.v);
-        } else if (e.v == x && !is_left[e.u] && after.active(e.u)) {
-          left_boundary[i].push_back(e.u);
-        }
-      }
-    }
-  }
-
   for (NodeId s = 0; s < n; ++s) {
     if (!after.active(s)) continue;
-    if (is_joined[s]) {
+    if (joined(s)) {
       dr.dirty.push_back(s);  // fresh row, always recomputed
       continue;
     }
     bool d = false;
-    for (const Edge& e : dr.inserted) {
+    for (const Edge& e : diff.inserted) {
       const std::uint32_t a = dist.at(e.u, s), b = dist.at(e.v, s);
       if (a == kInfDist && b == kInfDist) continue;
       if (a == kInfDist || b == kInfDist || abs_diff(a, b) >= 2) {
@@ -233,21 +201,18 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
       }
     }
     // Shared by the removal and leave rules: did downstream node `hi` (old
-    // distance pd + 1) keep an alternative parent at distance pd in the
-    // post-batch graph? If so its distance — and everything beyond it — is
-    // unchanged (the old shortest-path suffix from hi survives; distances
-    // strictly increase along it, so it cannot reuse the lost connection).
-    // Checking against the *after* adjacency keeps multi-delta batches
-    // sound: a parent lost to another delta in the same batch doesn't count.
-    const auto has_alt_parent = [&](NodeId hi, std::uint32_t pd) {
-      for (const NodeId y : after.neighbors(hi)) {
-        // A joined node has no trustworthy old-table entry yet.
-        if (!is_joined[y] && dist.at(y, s) == pd) return true;
-      }
-      return false;
+    // distance pd + 1) keep a parent at distance pd in the post-batch graph?
+    // If so its distance — and everything beyond it — is unchanged (the old
+    // shortest-path suffix from hi survives; distances strictly increase
+    // along it, so it cannot reuse the lost connection). Checking against
+    // the *after* adjacency keeps multi-delta batches sound: a parent lost
+    // to another delta in the same batch doesn't count.
+    const auto keeps_parent = [&](NodeId hi, std::uint32_t pd) {
+      return kept_parent(after, dist, diff, hi, s, pd + 1, kNoNextHop) !=
+             kNoNextHop;
     };
     if (!d) {
-      for (const Edge& e : dr.removed) {
+      for (const Edge& e : diff.removed) {
         const std::uint32_t a = dist.at(e.u, s), b = dist.at(e.v, s);
         if (a == kInfDist && b == kInfDist) continue;
         // A certified table is 1-Lipschitz across existing edges, so one
@@ -260,30 +225,29 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
         // (diff 1) AND the downstream endpoint lost its last parent.
         if (abs_diff(a, b) != 1) continue;
         const NodeId hi = a > b ? e.u : e.v;
-        if (!has_alt_parent(hi, std::min(a, b))) {
+        if (!keeps_parent(hi, std::min(a, b))) {
           d = true;
           break;
         }
       }
     }
     if (!d) {
-      for (std::size_t i = 0; i < dr.left.size() && !d; ++i) {
-        const NodeId x = dr.left[i];
+      // The left nodes' boundary: y survives, its neighbor x left.
+      for (const auto& [y, x] : diff.lost) {
+        if (after.active(x)) continue;
         const std::uint32_t a = dist.at(x, s);
         if (a == kInfDist) continue;  // x was unreachable: no s-path used it
-        for (const NodeId y : left_boundary[i]) {
-          const std::uint32_t b = dist.at(y, s);
-          // y's shortest path may have run through x — unless y kept
-          // another parent at x's old distance.
-          if (b != kInfDist && b == a + 1 && !has_alt_parent(y, a)) {
-            d = true;
-            break;
-          }
+        const std::uint32_t b = dist.at(y, s);
+        // y's shortest path may have run through x — unless y kept another
+        // parent at x's old distance.
+        if (b != kInfDist && b == a + 1 && !keeps_parent(y, a)) {
+          d = true;
+          break;
         }
       }
     }
     if (!d) {
-      for (const NodeId w : dr.joined) {
+      for (const NodeId w : diff.joined) {
         std::uint32_t mn = kInfDist;
         bool any_inf = false;
         std::uint32_t mx = 0;
@@ -308,13 +272,6 @@ DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
     if (d) dr.dirty.push_back(s);
   }
   return dr;
-}
-
-void DapspService::validate_config() const {
-  if (config_.max_repair_attempts == 0) {
-    throw std::invalid_argument(
-        "ServiceConfig: max_repair_attempts must be >= 1");
-  }
 }
 
 DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
@@ -348,7 +305,6 @@ DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
 DapspService::DapspService(RestoreTag, const ServiceConfig& config,
                            DynamicGraph graph)
     : config_(config), graph_(std::move(graph)) {
-  validate_config();
   const NodeId n = graph_.universe();
   apsp_.dist = DistanceMatrix(n);
   apsp_.next_hop = Table<NodeId>(n, n, kNoNextHop);
@@ -370,31 +326,15 @@ void DapspService::zero_row(NodeId x) {
   row_status_[x] = RowStatus::kStale;
 }
 
-void DapspService::repoint_cut_hops(const DirtyReport& dr,
-                                    std::span<const Edge> edges_before) {
-  std::vector<std::pair<NodeId, NodeId>> cut;  // (node, lost neighbor)
-  for (const Edge& e : dr.removed) {
-    cut.emplace_back(e.u, e.v);
-    cut.emplace_back(e.v, e.u);
-  }
-  for (const Edge& e : edges_before) {
-    if (!graph_.active(e.u) && graph_.active(e.v)) cut.emplace_back(e.v, e.u);
-    if (!graph_.active(e.v) && graph_.active(e.u)) cut.emplace_back(e.u, e.v);
-  }
-  std::vector<std::uint8_t> joined(graph_.universe(), 0);
-  for (const NodeId w : dr.joined) joined[w] = 1;
-  for (const auto& [v, x] : cut) {
+void DapspService::repoint_cut_hops(const BatchDiff& diff) {
+  for (const auto& [v, x] : diff.lost) {
     for (NodeId s = 0; s < graph_.universe(); ++s) {
       if (!graph_.active(s) || row_status_[s] == RowStatus::kStale ||
           apsp_.next_hop.at(v, s) != x) {
         continue;
       }
-      // A joined neighbor holds no entry yet, as in the wave.
-      const auto nbrs = graph_.neighbors(v);
       const NodeId p =
-          repoint_hop(nbrs, apsp_.dist.at(v, s), x, [&](std::uint32_t i) {
-            return joined[nbrs[i]] != 0 ? kInfDist : apsp_.dist.at(nbrs[i], s);
-          });
+          kept_parent(graph_, apsp_.dist, diff, v, s, apsp_.dist.at(v, s), x);
       if (p != kNoNextHop) {
         apsp_.next_hop.set(v, s, p);
         served_next_hop_.set(s, v, p);
@@ -427,8 +367,7 @@ bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
   if (config_.watchdog_rounds) engine.max_rounds = config_.watchdog_rounds;
   CellRepairOptions copts;
   copts.engine = engine;
-  copts.edges_before = cells.edges_before;
-  copts.active_before = cells.active_before;
+  copts.batch = cells.batch;
   copts.rows = cells.rows;
   copts.certify = cells.certify;
   const CellRepairReport cr = repair_cells(snap, apsp_, copts);
@@ -498,11 +437,6 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
     rungs.push_back(Rung::kDetect);
   }
   rungs.push_back(Rung::kFull);
-  if (rungs.size() > config_.max_repair_attempts) {
-    // Keep the first rungs but always end on the full recompute.
-    rungs.erase(rungs.begin() + (config_.max_repair_attempts - 1),
-                rungs.end() - 1);
-  }
   // What a failed epoch leaves stale: the implicated rows plus any row a
   // failed attempt touched.
   std::vector<NodeId> unhealed = all_active;
@@ -646,16 +580,17 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
   }
 
   // Analyze against the pre-epoch table, then retire dead rows.
-  const DirtyReport dr = analyze_dirty_rows(apsp_.dist, active_before,
-                                            edges_before, graph_);
-  for (const NodeId x : dr.left) zero_row(x);
-  repoint_cut_hops(dr, edges_before);
+  const BatchDiff diff = diff_batch(edges_before, active_before, graph_);
+  const DirtyReport dr = analyze_dirty_rows(apsp_.dist, diff, graph_);
+  for (const NodeId x : diff.left) zero_row(x);
+  repoint_cut_hops(diff);
 
   // The first rung's split: rows certified before the batch (and joined
   // sources' fresh rows) are repaired cell by cell; rows still stale from
   // failed earlier epochs (or a restore) are recomputed by row S-SP.
   // Staleness carries over until healed.
   CellRung cells;
+  cells.batch = &diff;
   std::vector<std::uint8_t> is_dirty(graph_.universe(), 0);
   for (const NodeId s : dr.dirty) is_dirty[s] = 1;
   for (NodeId s = 0; s < graph_.universe(); ++s) {
@@ -699,7 +634,7 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
     }
   } else {
     for (const NodeId s : suspects) downgrade(s);
-    if (!dr.joined.empty()) {
+    if (!diff.joined.empty()) {
       for (NodeId s = 0; s < graph_.universe(); ++s) {
         if (!graph_.active(s) || row_status_[s] == RowStatus::kStale) continue;
         join_guard.emplace_back(s, row_status_[s]);
@@ -728,8 +663,6 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
     ep.certified = false;
     ++stats_.repairs_suppressed;
   } else {
-    cells.edges_before = edges_before;
-    cells.active_before = active_before;
     run_repair_ladder(force ? nullptr : &cells, force, ep);
     if (config_.repair_gate != nullptr) {
       config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
@@ -852,16 +785,6 @@ std::vector<std::uint8_t> DapspService::checkpoint_blob(
   stats_.checkpoints += 1;
   stats_.checkpoint_bytes += b.size();
   return b;
-}
-
-void DapspService::checkpoint(std::ostream& out,
-                              std::span<const std::uint64_t> user_words) {
-  const std::vector<std::uint8_t> b = checkpoint_blob(user_words);
-  out.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-  if (!out) {
-    throw std::runtime_error("DapspService::checkpoint: write failed");
-  }
 }
 
 DapspService DapspService::restore(std::istream& in,

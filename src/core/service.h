@@ -9,10 +9,12 @@
 // repair machinery (core/repair.h) at O(|affected| + D) rounds instead of
 // re-running the O(n)-round Algorithm 1.
 //
-// Dirty-region analysis (analyze_dirty_rows). The certificate rules of
-// core/certify.h are sound AND complete — a row certifies iff it equals the
-// true distances on the current graph — so deltas can be screened against the
-// *previous, certified* table:
+// Dirty-region analysis (analyze_dirty_rows). step() derives the batch's
+// changes once (graph/delta.h diff_batch); the analyzer, the cut-hop
+// re-pointer and the cell repair all read that one BatchDiff. The certificate
+// rules of core/certify.h are sound AND complete — a row certifies iff it
+// equals the true distances on the current graph — so deltas can be screened
+// against the *previous, certified* table:
 //   * inserted edge {u, v} (both endpoints pre-existing): row s changes iff
 //     |D_s(u) - D_s(v)| >= 2 (the new edge shortcuts something); a diff <= 1
 //     leaves the certificate — hence the distances — intact;
@@ -26,10 +28,10 @@
 //     whose every old parent connection was lost this batch, and that
 //     node's check fires;
 //   * left/crashed node x: row s changes iff some surviving neighbor y of x
-//     had D_s(y) = D_s(x) + 1 and y has no alternative parent at D_s(x) in
-//     the post-batch graph (same argument; this also catches disconnections
-//     — the first node beyond a cut always has that boundary pattern). Row
-//     x itself is dead and gets zeroed;
+//     (a `lost` pair (y, x) of the diff) had D_s(y) = D_s(x) + 1 and y has
+//     no alternative parent at D_s(x) in the post-batch graph (same argument;
+//     this also catches disconnections — the first node beyond a cut always
+//     has that boundary pattern). Row x itself is dead and gets zeroed;
 //   * joined node w with attachment frontier F: row w is always recomputed.
 //     For another row s, paths through w can only shortcut between frontier
 //     nodes, so the row changes iff some y in F has D_s(y) > min_F D_s + 2
@@ -40,18 +42,23 @@
 //     are old exact values" premise — the analyzer reports needs_full and
 //     the service escalates to a full recompute.
 //
-// Supervision. Each epoch runs an escalation ladder under a watchdog that
-// bounds every attempt in engine rounds (RepairOptions engine.max_rounds)
-// and optionally wall-clock: (1) incremental repair — the cell-level
-// protocol (repair_cells) for every row certified before the batch, joined
-// sources' rows included, plus row S-SP for rows already stale before it,
-// each certified (the cell rows on the neighborhoods the batch touched);
+// "Alternative parent" is the re-point rule of the invalidation wave
+// (core/repair.h repoint_hop), read over the post-batch adjacency.
+//
+// Supervision. Each epoch runs a three-rung escalation ladder under a
+// watchdog that bounds every attempt in engine rounds (RepairOptions
+// engine.max_rounds) and optionally wall-clock: (1) incremental repair —
+// the cell-level protocol (repair_cells) for every row certified before the
+// batch, joined sources' rows included, plus row S-SP for rows already stale
+// before it, each certified (the cell rows on the neighborhoods the batch
+// touched);
 // (2) on failure, retry with certificate-driven detection over all rows;
 // (3) full recompute (suspects = every active node). needs_full skips
 // straight to (3). Failed epochs leave the suspects marked kStale and the
-// service keeps running. Before any of it, a node that lost a link
-// re-points every next hop over it to a parent it keeps (repoint_cut_hops),
-// so even rows the analyzer finds clean serve path-consistent hops.
+// service keeps running. Before any of it, a node that lost a link (each
+// `lost` pair of the diff) re-points every next hop over it to a parent it
+// keeps (repoint_cut_hops), so even rows the analyzer finds clean serve
+// path-consistent hops.
 //
 // Graceful degradation. Queries are answered from a *served snapshot* that
 // takes only certified values — whole rows after a row recompute, the cells
@@ -120,22 +127,30 @@ inline constexpr std::uint64_t kMaxBackoffMs = 60'000;
 std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
                                std::uint64_t exp) noexcept;
 
-// One decorrelated-jitter draw: uniform in [lo, hi] inclusive, deterministic
-// from the (seed, a, b) key — the same keyed-stream construction as the
-// fault injector's per-(node, round) RNG streams (congest/faults.cc), so
-// adjacent keys share no affine structure. lo > hi answers lo.
+// One jitter draw: uniform in [lo, hi] inclusive, deterministic from the
+// (seed, a, b) key — the same keyed-stream construction as the fault
+// injector's per-(node, round) RNG streams (congest/faults.cc), so adjacent
+// keys share no affine structure. lo > hi answers lo.
 std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
                              std::uint64_t seed, std::uint64_t a,
                              std::uint64_t b) noexcept;
 
-// Decorrelated-jitter retry backoff (the AWS "decorrelated jitter" shape):
-// a draw uniform in [base_ms, min(kMaxBackoffMs, max(base_ms, prev_ms) * 3)],
-// keyed by (seed, epoch, attempt). Unlike the bare exponential, co-churning
-// shards with identical degraded streaks spread out instead of slamming the
-// repair ladder in lockstep; unlike free-running RNG backoff, the same
-// (seed, epoch, attempt) always sleeps the same amount — reruns reproduce.
-// base_ms == 0 stays 0 (don't sleep). Feed the previous epoch/attempt's
-// delay back in as prev_ms to grow the envelope across a failure streak.
+// Decorrelated-jitter backoff (the AWS "decorrelated jitter" shape), the one
+// formula behind decorrelated_backoff_ms and the query tier's retry_delay_us
+// (core/resilience.h): a draw uniform in
+// [min(base, cap), min(3 * min(max(base, prev), cap), cap)], keyed by
+// (seed, a, b); 3 * prev saturates at the cap instead of overflowing.
+// Unlike the bare exponential, co-churning shards with identical degraded
+// streaks spread out instead of retrying in lockstep; unlike free-running
+// RNG backoff, the same key always sleeps the same amount. base == 0 stays 0
+// (don't sleep). Feed the previous delay back in as prev to grow the
+// envelope across a failure streak.
+std::uint64_t decorrelated_jitter(std::uint64_t base, std::uint64_t prev,
+                                  std::uint64_t cap, std::uint64_t seed,
+                                  std::uint64_t a, std::uint64_t b) noexcept;
+
+// The service's retry backoff: decorrelated_jitter capped at kMaxBackoffMs,
+// keyed by (seed, epoch, attempt).
 std::uint64_t decorrelated_backoff_ms(std::uint64_t base_ms,
                                       std::uint64_t prev_ms,
                                       std::uint64_t seed, std::uint64_t epoch,
@@ -158,21 +173,14 @@ struct DirtyReport {
   // The analyzer could not bound the affected region (adjacent joins):
   // treat every row as suspect.
   bool needs_full = false;
-
-  // The canonical batch diff the rules were evaluated over.
-  std::vector<NodeId> joined;     // newly active
-  std::vector<NodeId> left;       // newly inactive (leaves and crashes)
-  std::vector<Edge> inserted;     // added edges between pre-existing actives
-  std::vector<Edge> removed;      // removed edges between still-active nodes
 };
 
 // Screens a batch against the previous (certified) distance table. `dist` is
-// the pre-batch working table indexed (node, source); `active_before` /
-// `edges_before` describe the pre-batch graph; `after` is the post-batch
-// state. Pure analysis — mutates nothing.
+// the pre-batch working table indexed (node, source); `diff` is the batch's
+// diff_batch against `after`, the post-batch state. Pure analysis — mutates
+// nothing.
 DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
-                               std::span<const std::uint8_t> active_before,
-                               std::span<const Edge> edges_before,
+                               const BatchDiff& diff,
                                const DynamicGraph& after);
 
 // How an epoch's repair resolved (also the kEpoch trace event's aux value).
@@ -288,10 +296,6 @@ struct ServiceConfig {
   // events instead).
   congest::EngineConfig engine{};
 
-  // Attempts per epoch before giving up (>= 1): incremental, detection
-  // retry, full recompute — the ladder truncates to this many rungs.
-  std::uint32_t max_repair_attempts = 3;
-
   // Watchdog: per-attempt engine round budget (0 = the engine default of
   // 64n + 1024) and wall-clock budget for the whole epoch (0 = unbounded).
   // A round-limit trip fails the attempt; blowing the wall budget jumps
@@ -350,7 +354,7 @@ class DapspService {
  public:
   // Builds the initial certified tables for `initial` (all nodes active) via
   // a full S-SP recompute — works on disconnected graphs too. Throws on an
-  // empty graph or invalid config.
+  // empty graph.
   DapspService(const Graph& initial, const ServiceConfig& config = {});
 
   // One service epoch: apply the batch, analyze, heal, serve. See header.
@@ -400,9 +404,8 @@ class DapspService {
 
   // Serializes the full service state (see header; excludes stats) plus the
   // caller's words (e.g. DeltaPlan rng state + batch counter). Counts the
-  // blob size into stats().checkpoint_bytes.
-  void checkpoint(std::ostream& out,
-                  std::span<const std::uint64_t> user_words = {});
+  // blob size into stats().checkpoint_bytes. To keep it in a file, write it
+  // with write_blob_atomic (util/blob.h).
   std::vector<std::uint8_t> checkpoint_blob(
       std::span<const std::uint64_t> user_words = {});
 
@@ -424,38 +427,35 @@ class DapspService {
       std::vector<std::uint64_t>* user_words_out, CheckpointError* error_out);
 
  private:
-  // Validates the config and sizes every table for `graph`, all rows stale:
-  // the shared start of the initial build and of restore().
+  // Sizes every table for `graph`, all rows stale: the shared start of the
+  // initial build and of restore().
   struct RestoreTag {};
   DapspService(RestoreTag, const ServiceConfig& config, DynamicGraph graph);
 
-  void validate_config() const;
   // Zero source row x (dead) in working and served tables.
   void zero_row(NodeId x);
   // What step()'s first rung repairs (see header).
   struct CellRung {
-    std::vector<Edge> edges_before;
-    std::vector<std::uint8_t> active_before;
+    const BatchDiff* batch = nullptr;  // the epoch's diff
     std::vector<NodeId> rows;     // certified before the batch, plus joined
     std::vector<NodeId> certify;  // the analyzer's dirty rows among them
     std::vector<NodeId> stale;    // stale before the batch: row S-SP
   };
-  // The repair ladder shared by step() and scrub(). Without `cells` the
-  // first rung is certificate-driven detection. Fills the report's repair
-  // fields.
+  // The repair ladder shared by step() and scrub(): cells, detection, full
+  // recompute. Without `cells` the first rung is certificate-driven
+  // detection. Fills the report's repair fields.
   void run_repair_ladder(const CellRung* cells, bool force_escalate,
                          EpochReport& ep);
   // Rung (1); false when its certificate failed. `unhealed` gains every row
   // it touched.
   bool repair_cells_rung(const CellRung& cells, const Graph& snap,
                          EpochReport& ep, std::vector<NodeId>& unhealed);
-  // A node that loses a link re-points at once every next hop that ran over
-  // it to a parent it keeps (local, no message; the wave's rule,
-  // repoint_hop), so rows the analyzer finds clean never serve a hop across
-  // a cut link, even mid-epoch. Hops with no parent left sit in dirty rows,
-  // which the cell rung heals.
-  void repoint_cut_hops(const DirtyReport& dr,
-                        std::span<const Edge> edges_before);
+  // A node that loses a link (a `lost` pair of the diff) re-points at once
+  // every next hop that ran over it to a parent it keeps (local, no message;
+  // the wave's rule, repoint_hop), so rows the analyzer finds clean never
+  // serve a hop across a cut link, even mid-epoch. Hops with no parent left
+  // sit in dirty rows, which the cell rung heals.
+  void repoint_cut_hops(const BatchDiff& diff);
   // Copies the working cell (v, s) into the served snapshot.
   void serve_cell(NodeId v, NodeId s);
   // Copies whole rows of the working tables into the served snapshot, for

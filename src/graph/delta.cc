@@ -1,6 +1,7 @@
 #include "graph/delta.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -230,6 +231,49 @@ bool DynamicGraph::node_is_cut(NodeId v) const {
   }
   if (active_count_ <= 2) return false;
   return reach_count(v, kNone, kNone) < active_count_ - 1;
+}
+
+BatchDiff diff_batch(std::span<const Edge> edges_before,
+                     std::span<const std::uint8_t> active_before,
+                     const DynamicGraph& after) {
+  const NodeId n = after.universe();
+  if (active_before.size() != n) {
+    throw std::invalid_argument(
+        "diff_batch: activity mask does not match the universe");
+  }
+  BatchDiff d;
+  for (NodeId v = 0; v < n; ++v) {
+    if (after.active(v) && active_before[v] == 0) d.joined.push_back(v);
+    if (!after.active(v) && active_before[v] != 0) d.left.push_back(v);
+  }
+
+  // Both edge lists are sorted u-major, v-minor, u < v.
+  const std::vector<Edge> edges_after = after.sorted_edges();
+  const auto edge_lt = [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  std::vector<Edge> added, gone;
+  std::ranges::set_difference(edges_after, edges_before,
+                              std::back_inserter(added), edge_lt);
+  std::ranges::set_difference(edges_before, edges_after,
+                              std::back_inserter(gone), edge_lt);
+  for (const Edge& e : added) {
+    // Every endpoint of a post-batch edge is active.
+    d.gained.emplace_back(e.u, e.v);
+    d.gained.emplace_back(e.v, e.u);
+    if (active_before[e.u] != 0 && active_before[e.v] != 0) {
+      d.inserted.push_back(e);
+    }
+  }
+  for (const Edge& e : gone) {
+    // Every endpoint of a pre-batch edge was active.
+    if (after.active(e.u)) d.lost.emplace_back(e.u, e.v);
+    if (after.active(e.v)) d.lost.emplace_back(e.v, e.u);
+    if (after.active(e.u) && after.active(e.v)) d.removed.push_back(e);
+  }
+  std::ranges::sort(d.lost);
+  std::ranges::sort(d.gained);
+  return d;
 }
 
 namespace {

@@ -17,6 +17,13 @@
 //     snapshot() for the engine, and the connectivity probes (bridge / cut
 //     vertex) the plan generator uses to keep benign streams connected.
 //
+//   * BatchDiff — what one applied batch changed (joined/left nodes,
+//     inserted/removed edges, each node's lost and gained neighbors),
+//     derived once by diff_batch from the pre-batch edges and activity and
+//     the post-batch graph. It is the only place a batch's changes are
+//     derived; the service's analyzer and re-pointer and the cell repair
+//     all read it.
+//
 //   * DeltaPlan — a seeded generator of ChurnBatch mutation schedules:
 //     deltas drawn by weighted kind, optionally constrained to preserve
 //     active-subgraph connectivity and a minimum active population, plus
@@ -32,6 +39,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -140,6 +148,32 @@ struct ChurnBatch {
 
   friend bool operator==(const ChurnBatch&, const ChurnBatch&) = default;
 };
+
+// What one applied batch changed, derived once per epoch from the pre-batch
+// edges and activity and the post-batch graph (diff_batch). It is every fact
+// the service's dirty-region analyzer, its cut-hop re-pointer and the cell
+// repair (core/service.h, core/repair.h) read about the batch.
+struct BatchDiff {
+  std::vector<NodeId> joined;  // newly active, ascending
+  std::vector<NodeId> left;    // newly inactive (leaves and crashes)
+  // Edges whose endpoints are active both before and after the batch, added
+  // or removed by it (u < v, sorted). A joined node's attachments and a left
+  // node's old edges are not among them; they show in `lost` and `gained`.
+  std::vector<Edge> inserted;
+  std::vector<Edge> removed;
+  // Per node v active after the batch, (v, x) sorted: x was a pre-batch
+  // neighbor of v and is not one now (lost), or is a post-batch neighbor of
+  // v and was not one before (gained).
+  std::vector<std::pair<NodeId, NodeId>> lost;
+  std::vector<std::pair<NodeId, NodeId>> gained;
+};
+
+// `edges_before` is the pre-batch DynamicGraph::sorted_edges(),
+// `active_before` its active_mask(). Throws std::invalid_argument when the
+// mask does not cover after's universe.
+BatchDiff diff_batch(std::span<const Edge> edges_before,
+                     std::span<const std::uint8_t> active_before,
+                     const DynamicGraph& after);
 
 // Wire format for one ChurnBatch — the payload of a write-ahead journal
 // record (util/journal.h) and the replay entry point of durable recovery

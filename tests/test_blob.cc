@@ -11,7 +11,9 @@
 //   * round trips: restore + re-checkpoint is byte-identical, and the
 //     checkpoint's last section is exactly the served DQRY snapshot;
 //   * the DJRN byte format (tag + `u32 len | u64 checksum | payload`
-//     records).
+//     records);
+//   * write_blob_atomic: a failed staging write throws and leaves the
+//     previous file's bytes intact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -401,6 +403,20 @@ TEST(JournalFormat, EverySingleBitFlipIsCaught) {
       EXPECT_TRUE(scan.records.empty()) << "byte " << i << " bit " << bit;
     }
   }
+}
+
+// -------------------------------------------------------- write_blob_atomic
+
+TEST(AtomicWrite, FailedStagingWriteThrowsAndKeepsThePreviousFile) {
+  const std::string path = journal_path("atomic.ckpt");
+  fs::remove_all(path + ".tmp");
+  write_blob_atomic(path, Bytes{1, 2, 3});
+  ASSERT_EQ(read_all(path), (Bytes{1, 2, 3}));
+  // A directory where the staging file goes: the staging write cannot open.
+  fs::create_directory(path + ".tmp");
+  EXPECT_THROW(write_blob_atomic(path, Bytes{4, 5, 6, 7}), std::runtime_error);
+  EXPECT_EQ(read_all(path), (Bytes{1, 2, 3}));
+  fs::remove(path + ".tmp");
 }
 
 }  // namespace

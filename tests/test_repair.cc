@@ -14,6 +14,7 @@
 #include "core/certify.h"
 #include "core/pebble_apsp.h"
 #include "core/repair.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 #include "seq/apsp.h"
 #include "seq/bfs.h"
@@ -390,12 +391,13 @@ CellRepairReport repair_grid_cut(ApspResult& table, const Graph& after,
                                  const Graph& before,
                                  std::uint64_t max_rounds = 0) {
   const std::vector<std::uint8_t> active(after.num_nodes(), 1);
+  const BatchDiff diff =
+      diff_batch(before.edges(), active, DynamicGraph(after));
   std::vector<NodeId> rows(after.num_nodes());
   for (NodeId s = 0; s < after.num_nodes(); ++s) rows[s] = s;
   CellRepairOptions opts;
   opts.engine.max_rounds = max_rounds;
-  opts.edges_before = before.edges();
-  opts.active_before = active;
+  opts.batch = &diff;
   opts.rows = rows;
   opts.certify = rows;
   return repair_cells(after, table, opts);
