@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -321,11 +320,9 @@ bool bench_checkpoint(const Graph& g, const std::string& label) {
   }
   const std::uint64_t words[2] = {plan.rng_state(), plan.batches_generated()};
   const std::vector<std::uint8_t> mid = svc.checkpoint_blob(words);
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(mid.data()), mid.size()));
   std::vector<std::uint64_t> restored_words;
   core::DapspService svc2 =
-      core::DapspService::restore(in, cfg, &restored_words);
+      core::DapspService::restore_blob(mid, cfg, &restored_words);
   DeltaPlan plan2(pc);
   plan2.resume(restored_words[0], restored_words[1]);
   for (std::uint64_t u = kUpdates / 2; u < kUpdates; ++u) {

@@ -529,8 +529,8 @@ int main(int argc, char** argv) {
   }
   if ((a.breaker || a.strangle) && a.durable_dir) {
     // Breaker state is deliberately not checkpointed (a recovered process
-    // starts with a closed breaker, like the degraded streak), so gating
-    // durable runs would make the kill-matrix non-reproducible.
+    // starts with a closed breaker), so gating durable runs would make the
+    // kill-matrix non-reproducible.
     std::fprintf(stderr, "--breaker/--strangle require non-durable mode\n");
     return 2;
   }
@@ -575,13 +575,14 @@ int main(int argc, char** argv) {
   std::uint64_t done = 0;
   try {
     if (a.restore_file) {
-      std::ifstream in(*a.restore_file, std::ios::binary);
-      if (!in) {
+      const std::optional<std::vector<std::uint8_t>> blob =
+          read_file(*a.restore_file);
+      if (!blob) {
         std::fprintf(stderr, "cannot open %s\n", a.restore_file->c_str());
         return 1;
       }
       std::vector<std::uint64_t> words;
-      svc.emplace(core::DapspService::restore(in, cfg, &words));
+      svc.emplace(core::DapspService::restore_blob(*blob, cfg, &words));
       if (words.size() != 3) {
         std::fprintf(stderr, "checkpoint is missing the plan state\n");
         return 1;

@@ -22,7 +22,8 @@
 #                  saturation, explicit sheds, zero overclaims), a seeded
 #                  query_server overload replay with the shed-trace validated
 #                  against the health counters, and a dapsp_service breaker
-#                  open/half-open/close round trip.
+#                  open/half-open/close round trip at 1 and 4 engine threads
+#                  (cmp-identical checkpoint and trace).
 #   --bench-build  run only the benchmark build: configure perfbench/ out of
 #                  tree into .bench_build/perfbench, build dapsp_perfbench
 #                  and perfbench_tests, and run the benchmark's ctest.
@@ -241,7 +242,8 @@ fi
 # replay whose kShed trace is cross-checked against the exported health
 # counters, and a dapsp_service run whose repair breaker provably opens
 # during a strangle window, suppresses repairs, and closes again — exit 0
-# requires the final tables fully certified despite the outage.
+# requires the final tables fully certified despite the outage, and the run
+# must end in the same checkpoint and trace bytes at 1 and 4 engine threads.
 overload_smoke() {
   local dir="$1" tmp
   echo "== overload smoke (${dir}) =="
@@ -264,15 +266,31 @@ overload_smoke() {
   else
     echo "python3 not found; skipping shed trace validation"
   fi
+  # The strangled round trip at 1 and 4 engine threads: the breaker closes
+  # after the window, and the final checkpoint and the service trace are
+  # byte-identical across thread counts.
+  local t f
+  for t in 1 4; do
+    "${dir}/examples/dapsp_service" --universe 20 --updates 30 --seed 7 \
+      --breaker 2@3 --strangle 5:9 --quiet --threads "${t}" \
+      --ckpt-dump "${tmp}/svc_t${t}.ckpt" \
+      --trace-out "${tmp}/svc_t${t}.jsonl" > "${tmp}/svc_t${t}.out"
+    if ! grep -q 'breaker: state=closed' "${tmp}/svc_t${t}.out"; then
+      echo "overload smoke: breaker did not close after the strangle window"
+      cat "${tmp}/svc_t${t}.out"
+      exit 1
+    fi
+  done
+  for f in ckpt jsonl; do
+    if ! cmp "${tmp}/svc_t1.${f}" "${tmp}/svc_t4.${f}"; then
+      echo "overload smoke: strangled run's .${f} differs at 1 vs 4 threads"
+      exit 1
+    fi
+  done
   "${dir}/examples/dapsp_service" --universe 20 --updates 30 --seed 7 \
     --breaker 2@3 --strangle 5:9 --quiet \
     --trace-out "${tmp}/svc_trace.json" \
-    --metrics-out "${tmp}/svc_metrics.json" > "${tmp}/svc.out"
-  if ! grep -q 'breaker: state=closed' "${tmp}/svc.out"; then
-    echo "overload smoke: breaker did not close after the strangle window"
-    cat "${tmp}/svc.out"
-    exit 1
-  fi
+    --metrics-out "${tmp}/svc_metrics.json" > /dev/null
   if command -v python3 >/dev/null 2>&1; then
     python3 scripts/validate_trace.py \
       "${tmp}/svc_trace.json" "${tmp}/svc_metrics.json"

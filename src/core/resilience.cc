@@ -11,6 +11,37 @@
 
 namespace dapsp::core {
 
+namespace {
+
+// One jitter draw: uniform in [lo, hi] inclusive, deterministic from the
+// (seed, a, b) key — the same keyed-stream construction as the fault
+// injector's per-(node, round) RNG streams (congest/faults.cc), so adjacent
+// keys share no affine structure. lo > hi answers lo.
+std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
+                             std::uint64_t seed, std::uint64_t a,
+                             std::uint64_t b) noexcept {
+  if (hi <= lo) return lo;
+  return lo + keyed_rng(seed, a, b).below(hi - lo + 1);
+}
+
+// Decorrelated-jitter backoff (the AWS "decorrelated jitter" shape): a draw
+// uniform in [min(base, cap), min(3 * min(max(base, prev), cap), cap)],
+// keyed by (seed, a, b); 3 * prev saturates at the cap instead of
+// overflowing. base == 0 stays 0. Feed the previous delay back in as prev to
+// grow the envelope across a failure streak.
+std::uint64_t decorrelated_jitter(std::uint64_t base, std::uint64_t prev,
+                                  std::uint64_t cap, std::uint64_t seed,
+                                  std::uint64_t a, std::uint64_t b) noexcept {
+  if (base == 0) return 0;
+  const std::uint64_t lo = std::min(base, cap);
+  const std::uint64_t anchor = std::min(std::max(base, prev), cap);
+  // 3 * anchor, saturating at the cap without computing a product past it.
+  const std::uint64_t hi = anchor > cap / 3 ? cap : anchor * 3;
+  return jitter_between(lo, hi, seed, a, b);
+}
+
+}  // namespace
+
 // ---- Status / enum names ---------------------------------------------------
 
 const char* to_string(ServeStatus s) noexcept {

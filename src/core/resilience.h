@@ -229,9 +229,9 @@ struct RetryPolicy {
 
 // Backoff before retry `attempt` (1-based) of request `request_id`:
 // decorrelated jitter, uniform in [base, min(cap, 3 * max(base, prev_us))],
-// deterministic from the (seed, request, attempt) stream — the service's
-// decorrelated_jitter with the policy's cap. prev_us is the previous delay
-// of the same request (0 before the first retry).
+// deterministic from the (seed, request, attempt) stream; 3 * prev_us
+// saturates at the cap instead of overflowing, and base 0 stays 0. prev_us
+// is the previous delay of the same request (0 before the first retry).
 std::uint64_t retry_delay_us(const RetryPolicy& policy,
                              std::uint64_t request_id, std::uint32_t attempt,
                              std::uint64_t prev_us) noexcept;

@@ -1,12 +1,8 @@
 #include "core/service.h"
 
 #include <algorithm>
-#include <chrono>
-#include <istream>
-#include <iterator>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "core/query.h"
 #include "util/blob.h"
@@ -85,51 +81,6 @@ CheckpointError classify_checkpoint_blob(std::span<const std::uint8_t> blob,
     *epoch_out = c.served->epoch();
   }
   return err;
-}
-
-std::uint64_t peek_checkpoint_epoch(
-    std::span<const std::uint8_t> blob) noexcept {
-  std::uint64_t epoch = 0;
-  classify_checkpoint_blob(blob, &epoch);
-  return epoch;
-}
-
-std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
-                               std::uint64_t exp) noexcept {
-  if (base_ms == 0) return 0;
-  if (base_ms >= kMaxBackoffMs || exp >= 63) return kMaxBackoffMs;
-  const std::uint64_t shifted = base_ms << exp;
-  // Saturate on wrap (base << exp no longer round-trips) or past the cap.
-  if ((shifted >> exp) != base_ms || shifted > kMaxBackoffMs) {
-    return kMaxBackoffMs;
-  }
-  return shifted;
-}
-
-std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
-                             std::uint64_t seed, std::uint64_t a,
-                             std::uint64_t b) noexcept {
-  if (hi <= lo) return lo;
-  return lo + keyed_rng(seed, a, b).below(hi - lo + 1);
-}
-
-std::uint64_t decorrelated_jitter(std::uint64_t base, std::uint64_t prev,
-                                  std::uint64_t cap, std::uint64_t seed,
-                                  std::uint64_t a, std::uint64_t b) noexcept {
-  if (base == 0) return 0;
-  const std::uint64_t lo = std::min(base, cap);
-  const std::uint64_t anchor = std::min(std::max(base, prev), cap);
-  // 3 * anchor, saturating at the cap without computing a product past it.
-  const std::uint64_t hi = anchor > cap / 3 ? cap : anchor * 3;
-  return jitter_between(lo, hi, seed, a, b);
-}
-
-std::uint64_t decorrelated_backoff_ms(std::uint64_t base_ms,
-                                      std::uint64_t prev_ms,
-                                      std::uint64_t seed, std::uint64_t epoch,
-                                      std::uint64_t attempt) noexcept {
-  return decorrelated_jitter(base_ms, prev_ms, kMaxBackoffMs, seed, epoch,
-                             attempt);
 }
 
 const char* to_string(RowStatus s) noexcept {
@@ -280,8 +231,7 @@ DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
   // Initial build: one full S-SP recompute (works on disconnected inputs —
   // the repair layer runs per component), certified over every row.
   RepairOptions ropts;
-  ropts.engine = config_.engine;
-  if (config_.watchdog_rounds) ropts.engine.max_rounds = config_.watchdog_rounds;
+  ropts.engine = repair_engine();
   std::vector<NodeId> all(n);
   for (NodeId v = 0; v < n; ++v) all[v] = v;
   ropts.suspects = all;
@@ -343,6 +293,12 @@ void DapspService::repoint_cut_hops(const BatchDiff& diff) {
   }
 }
 
+congest::EngineConfig DapspService::repair_engine() const {
+  congest::EngineConfig engine = config_.engine;
+  if (config_.watchdog_rounds) engine.max_rounds = config_.watchdog_rounds;
+  return engine;
+}
+
 void DapspService::serve_cell(NodeId v, NodeId s) {
   served_dist_.set(s, v, apsp_.dist.at(v, s));
   served_next_hop_.set(s, v, apsp_.next_hop.at(v, s));
@@ -363,8 +319,7 @@ void DapspService::refresh_served(std::span<const NodeId> rows,
 bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
                                      EpochReport& ep,
                                      std::vector<NodeId>& unhealed) {
-  congest::EngineConfig engine = config_.engine;
-  if (config_.watchdog_rounds) engine.max_rounds = config_.watchdog_rounds;
+  const congest::EngineConfig engine = repair_engine();
   CellRepairOptions copts;
   copts.engine = engine;
   copts.batch = cells.batch;
@@ -410,15 +365,6 @@ bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
 
 void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
                                      EpochReport& ep) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto wall_blown = [&]() {
-    if (config_.watchdog_wall_ms == 0) return false;
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - wall_start);
-    return static_cast<std::uint64_t>(elapsed.count()) >
-           config_.watchdog_wall_ms;
-  };
-
   const Graph snap = graph_.snapshot();
   apsp_.survived = graph_.active_mask();
 
@@ -427,9 +373,10 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
     if (graph_.active(v)) all_active.push_back(v);
   }
 
-  // The ladder's rungs: cell repair (step() only), certificate-driven
-  // detection, full recompute. force_escalate (needs_full) jumps straight to
-  // the last rung.
+  // The ladder's rungs, tried in order until one certifies: cell repair
+  // (step() only), certificate-driven detection, full recompute. A failed
+  // certificate or a watchdog trip moves on to the next rung.
+  // force_escalate (needs_full) runs only the last.
   enum class Rung { kCells, kDetect, kFull };
   std::vector<Rung> rungs;
   if (!force_escalate) {
@@ -445,28 +392,7 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
     unhealed.insert(unhealed.end(), cells->stale.begin(), cells->stale.end());
   }
 
-  // Jittered-backoff envelope: the degraded streak sets where the
-  // decorrelated walk starts (saturating via backoff_delay_ms — a plain
-  // shift would overflow past 2^63), and each sleep this epoch then draws
-  // uniform in [base, 3 * prev], keyed by (seed, epoch, attempt). Determinism
-  // survives (same key, same sleep) while co-churning shards decorrelate.
-  std::uint64_t prev_backoff_ms =
-      backoff_delay_ms(config_.backoff_base_ms, degraded_streak_);
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    if (i > 0) {
-      if (config_.backoff_base_ms > 0) {
-        const std::uint64_t ms =
-            decorrelated_backoff_ms(config_.backoff_base_ms, prev_backoff_ms,
-                                    config_.backoff_seed, epoch_, i);
-        prev_backoff_ms = ms;
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        stats_.backoff_ms += ms;
-      }
-      // Wall watchdog: skip intermediate rungs, keep only the final
-      // escalation (the one guaranteed-simple recovery path).
-      if (wall_blown() && i + 1 < rungs.size()) continue;
-    }
-    const Rung rung = rungs[i];
+  for (const Rung rung : rungs) {
     ++ep.attempts;
     if (rung == Rung::kFull) {
       ep.escalated = true;
@@ -476,14 +402,10 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
       if (rung == Rung::kCells) {
         if (!repair_cells_rung(*cells, snap, ep, unhealed)) continue;
         ep.certified = true;
-        degraded_streak_ = 0;
         return;
       }
       RepairOptions ropts;
-      ropts.engine = config_.engine;
-      if (config_.watchdog_rounds) {
-        ropts.engine.max_rounds = config_.watchdog_rounds;
-      }
+      ropts.engine = repair_engine();
       if (rung == Rung::kFull) ropts.suspects = all_active;
       const RepairReport rep = repair_apsp(snap, apsp_, ropts);
       stats_.repairs_attempted += rep.repairs_attempted;
@@ -495,7 +417,6 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
       ep.round_bound = rep.round_bound;
       ep.bound_ok = rep.bound_ok;
       stats_.rows_repaired += rep.rows_repaired;
-      degraded_streak_ = 0;
       // Every active row certified against the current graph.
       refresh_served(all_active, RowStatus::kExact);
       return;
@@ -510,7 +431,6 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
   // Every rung failed: mark what we meant to heal stale; the served snapshot
   // keeps answering from the last certified state.
   ep.certified = false;
-  ++degraded_streak_;
   ++stats_.epochs_failed;
   for (const NodeId s : unhealed) {
     if (graph_.active(s)) row_status_[s] = RowStatus::kStale;
@@ -650,15 +570,14 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
   if (suspects.empty() && !force) {
     ep.outcome = EpochOutcome::kClean;
     ep.certified = true;
-    degraded_streak_ = 0;
   } else if (config_.repair_gate != nullptr &&
              !config_.repair_gate->allow_repair(epoch_)) {
     // The gate (an open circuit breaker) refused the ladder: spend nothing.
     // Every implicated row was already downgraded to kStale above, so the
     // epoch serves degraded from the last certified values and the suspects
     // re-enter next epoch's set. Join-guard rows stay stale too — their
-    // joined cells were never computed. Not a failed repair: the degraded
-    // streak and epochs_failed are untouched.
+    // joined cells were never computed. Not a failed repair: epochs_failed
+    // is untouched.
     ep.outcome = EpochOutcome::kSuppressed;
     ep.certified = false;
     ++stats_.repairs_suppressed;
@@ -744,19 +663,6 @@ bool DapspService::fully_certified() const {
   return true;
 }
 
-ServiceQuery DapspService::query(NodeId from, NodeId to) const {
-  if (from >= graph_.universe() || to >= graph_.universe()) {
-    throw std::invalid_argument("DapspService::query: node out of universe");
-  }
-  ServiceQuery q;
-  if (!graph_.active(from) || !graph_.active(to)) return q;
-  q.active = true;
-  q.dist = served_dist_.at(to, from);
-  q.next_hop = served_next_hop_.at(to, from);
-  q.status = row_status_[to];
-  return q;
-}
-
 std::vector<std::uint8_t> DapspService::checkpoint_blob(
     std::span<const std::uint64_t> user_words) {
   const NodeId n = graph_.universe();
@@ -785,13 +691,6 @@ std::vector<std::uint8_t> DapspService::checkpoint_blob(
   stats_.checkpoints += 1;
   stats_.checkpoint_bytes += b.size();
   return b;
-}
-
-DapspService DapspService::restore(std::istream& in,
-                                   const ServiceConfig& config,
-                                   std::vector<std::uint64_t>* user_words_out) {
-  const std::vector<std::uint8_t> b(std::istreambuf_iterator<char>(in), {});
-  return restore_blob(b, config, user_words_out);
 }
 
 DapspService DapspService::restore_blob(

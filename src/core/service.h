@@ -47,14 +47,16 @@
 //
 // Supervision. Each epoch runs a three-rung escalation ladder under a
 // watchdog that bounds every attempt in engine rounds (RepairOptions
-// engine.max_rounds) and optionally wall-clock: (1) incremental repair —
+// engine.max_rounds); the service reads no clock. (1) incremental repair —
 // the cell-level protocol (repair_cells) for every row certified before the
 // batch, joined sources' rows included, plus row S-SP for rows already stale
 // before it, each certified (the cell rows on the neighborhoods the batch
 // touched);
 // (2) on failure, retry with certificate-driven detection over all rows;
-// (3) full recompute (suspects = every active node). needs_full skips
-// straight to (3). Failed epochs leave the suspects marked kStale and the
+// (3) full recompute (suspects = every active node). A rung fails when its
+// certificate fails or the watchdog trips, and the next rung runs at once:
+// each is a deterministic function of the tables and the graph. needs_full
+// runs only (3). Failed epochs leave the suspects marked kStale and the
 // service keeps running. Before any of it, a node that lost a link (each
 // `lost` pair of the diff) re-points every next hop over it to a parent it
 // keeps (repoint_cut_hops), so even rows the analyzer finds clean serve
@@ -77,16 +79,16 @@
 // periodic scrub() — a certificate-driven detection repair over all rows —
 // is what catches it (ServiceConfig::scrub_every automates the cadence).
 //
-// Checkpoint/restore. checkpoint() serializes the full *state* (graph,
+// Checkpoint/restore. checkpoint_blob() serializes the full *state* (graph,
 // working tables, epoch counter, caller words for e.g. DeltaPlan resume, and
-// the served snapshot as an embedded DQRY blob; DESIGN.md §14); restore()
-// rebuilds a service that continues bit-identically — state excludes the
-// cumulative stats, so a restored run and a straight-through run produce
-// identical checkpoints from the same epoch onward, at any thread count.
+// the served snapshot as an embedded DQRY blob; DESIGN.md §14);
+// restore_blob() rebuilds a service that continues bit-identically — state
+// excludes the cumulative stats, so a restored run and a straight-through run
+// produce identical checkpoints from the same epoch onward, at any thread
+// count.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -112,49 +114,6 @@ using dapsp::to_string;
 CheckpointError classify_checkpoint_blob(
     std::span<const std::uint8_t> blob,
     std::uint64_t* epoch_out = nullptr) noexcept;
-
-// The epoch stored in a checkpoint blob; 0 unless classify_checkpoint_blob
-// returns kNone.
-std::uint64_t peek_checkpoint_epoch(std::span<const std::uint8_t> blob) noexcept;
-
-// Retry backoff saturates here instead of overflowing: long degraded
-// streaks shift the exponential multiplier far past 64 bits, and a service
-// that sleeps "forever" (or UB-shifts into a tiny value) is as broken as
-// one that hot-loops.
-inline constexpr std::uint64_t kMaxBackoffMs = 60'000;
-
-// base_ms * 2^exp, clamped to kMaxBackoffMs (0 stays 0 at any exponent).
-std::uint64_t backoff_delay_ms(std::uint64_t base_ms,
-                               std::uint64_t exp) noexcept;
-
-// One jitter draw: uniform in [lo, hi] inclusive, deterministic from the
-// (seed, a, b) key — the same keyed-stream construction as the fault
-// injector's per-(node, round) RNG streams (congest/faults.cc), so adjacent
-// keys share no affine structure. lo > hi answers lo.
-std::uint64_t jitter_between(std::uint64_t lo, std::uint64_t hi,
-                             std::uint64_t seed, std::uint64_t a,
-                             std::uint64_t b) noexcept;
-
-// Decorrelated-jitter backoff (the AWS "decorrelated jitter" shape), the one
-// formula behind decorrelated_backoff_ms and the query tier's retry_delay_us
-// (core/resilience.h): a draw uniform in
-// [min(base, cap), min(3 * min(max(base, prev), cap), cap)], keyed by
-// (seed, a, b); 3 * prev saturates at the cap instead of overflowing.
-// Unlike the bare exponential, co-churning shards with identical degraded
-// streaks spread out instead of retrying in lockstep; unlike free-running
-// RNG backoff, the same key always sleeps the same amount. base == 0 stays 0
-// (don't sleep). Feed the previous delay back in as prev to grow the
-// envelope across a failure streak.
-std::uint64_t decorrelated_jitter(std::uint64_t base, std::uint64_t prev,
-                                  std::uint64_t cap, std::uint64_t seed,
-                                  std::uint64_t a, std::uint64_t b) noexcept;
-
-// The service's retry backoff: decorrelated_jitter capped at kMaxBackoffMs,
-// keyed by (seed, epoch, attempt).
-std::uint64_t decorrelated_backoff_ms(std::uint64_t base_ms,
-                                      std::uint64_t prev_ms,
-                                      std::uint64_t seed, std::uint64_t epoch,
-                                      std::uint64_t attempt) noexcept;
 
 // Per-source-row serving status (see header note).
 enum class RowStatus : std::uint8_t {
@@ -188,8 +147,8 @@ enum class EpochOutcome : std::uint8_t {
   kClean = 0,       // empty dirty set — nothing ran
   kRepaired = 1,    // incremental repair succeeded first try
   kRetried = 2,     // needed the detection retry
-  kEscalated = 3,   // full recompute fired (oversized region, needs_full,
-                    // exhausted retries, or watchdog trips)
+  kEscalated = 3,   // full recompute fired: needs_full, or every earlier
+                    // rung failed (certificate or watchdog trip)
   kSuppressed = 4,  // the repair gate (circuit breaker) refused the ladder;
                     // suspects stay kStale, the last certified snapshot
                     // keeps serving, and no repair work was spent
@@ -230,7 +189,6 @@ struct ServiceStats {
   std::uint64_t epochs_failed = 0;  // all attempts failed; rows left stale
   std::uint64_t scrubs = 0;
   std::uint64_t checkpoints = 0;
-  std::uint64_t backoff_ms = 0;  // total retry backoff slept
   // Overload robustness (core/resilience.h): epochs whose repair ladder the
   // gate refused, and gate state changes the service observed (each one is
   // also a kBreaker trace event).
@@ -280,8 +238,8 @@ struct SnapshotSink {
 // be able to heal) but still reports its outcome, so a successful scrub can
 // close an open breaker. state() is observability: 0 closed / 1 open /
 // 2 half-open; the service emits a kBreaker trace event whenever the value
-// changes across its consultations. Gate state is not checkpointed (like
-// degraded_streak() — a restored service starts from a closed gate).
+// changes across its consultations. Gate state is not checkpointed: a
+// restored service starts from a closed gate.
 struct RepairGate {
   virtual ~RepairGate() = default;
   virtual bool allow_repair(std::uint64_t epoch) = 0;
@@ -297,19 +255,9 @@ struct ServiceConfig {
   congest::EngineConfig engine{};
 
   // Watchdog: per-attempt engine round budget (0 = the engine default of
-  // 64n + 1024) and wall-clock budget for the whole epoch (0 = unbounded).
-  // A round-limit trip fails the attempt; blowing the wall budget jumps
-  // straight to the final escalation rung.
+  // 64n + 1024). A round-limit trip fails the attempt and the ladder moves
+  // to its next rung.
   std::uint64_t watchdog_rounds = 0;
-  std::uint64_t watchdog_wall_ms = 0;
-
-  // Retry backoff: sleep a decorrelated-jittered delay between failed
-  // attempts (0 = don't sleep; the default keeps tests and benches fast).
-  // The envelope starts at the bare exponential backoff_delay_ms(base,
-  // degraded_streak) and each draw is uniform in [base, min(cap, 3 * prev)]
-  // via decorrelated_backoff_ms, keyed by (backoff_seed, epoch, attempt).
-  std::uint64_t backoff_base_ms = 0;
-  std::uint64_t backoff_seed = 1;
 
   // Run scrub() automatically after every k-th epoch (0 = never). Scrubbing
   // is what catches bit-rot corruption, which is invisible to the delta
@@ -342,14 +290,6 @@ class ServedView {
   const Table<std::uint32_t>* t_;
 };
 
-// One distance query, answered from the served snapshot.
-struct ServiceQuery {
-  bool active = false;  // both endpoints currently active
-  std::uint32_t dist = kInfDist;
-  NodeId next_hop = kNoNextHop;
-  RowStatus status = RowStatus::kStale;  // status of the consulted row
-};
-
 class DapspService {
  public:
   // Builds the initial certified tables for `initial` (all nodes active) via
@@ -369,11 +309,6 @@ class DapspService {
   const ServiceStats& stats() const noexcept { return stats_; }
   const ApspResult& tables() const noexcept { return apsp_; }
   const ServiceConfig& config() const noexcept { return config_; }
-
-  // Consecutive failed epochs (reset by any certified epoch). Feeds the
-  // retry backoff exponent, saturating via backoff_delay_ms. Not part of
-  // the checkpointed state — a restored service starts its streak at 0.
-  std::uint64_t degraded_streak() const noexcept { return degraded_streak_; }
 
   // Ops/fault-drill knob: retune the per-attempt round watchdog on a live
   // service (0 restores the engine default). Deliberately mutable — the
@@ -398,10 +333,6 @@ class DapspService {
   // against the current graph (modulo not-yet-scrubbed bit-rot).
   bool fully_certified() const;
 
-  // Distance from `from` to `to` per the served snapshot. Inactive
-  // endpoints answer active = false with everything else defaulted.
-  ServiceQuery query(NodeId from, NodeId to) const;
-
   // Serializes the full service state (see header; excludes stats) plus the
   // caller's words (e.g. DeltaPlan rng state + batch counter). Counts the
   // blob size into stats().checkpoint_bytes. To keep it in a file, write it
@@ -409,13 +340,10 @@ class DapspService {
   std::vector<std::uint8_t> checkpoint_blob(
       std::span<const std::uint64_t> user_words = {});
 
-  // Rebuilds a service from a checkpoint stream. Throws std::runtime_error
+  // Rebuilds a service from a checkpoint blob. Throws std::runtime_error
   // naming the CheckpointError (missing / truncated / bad magic / version
   // mismatch / checksum mismatch / bad payload). `user_words_out` receives
   // the caller words stored at checkpoint time.
-  static DapspService restore(std::istream& in, const ServiceConfig& config,
-                              std::vector<std::uint64_t>* user_words_out);
-  // Same, from an in-memory blob.
   static DapspService restore_blob(std::span<const std::uint8_t> blob,
                                    const ServiceConfig& config,
                                    std::vector<std::uint64_t>* user_words_out);
@@ -428,10 +356,13 @@ class DapspService {
 
  private:
   // Sizes every table for `graph`, all rows stale: the shared start of the
-  // initial build and of restore().
+  // initial build and of a restore.
   struct RestoreTag {};
   DapspService(RestoreTag, const ServiceConfig& config, DynamicGraph graph);
 
+  // The engine config of every repair run: config_.engine under the round
+  // watchdog.
+  congest::EngineConfig repair_engine() const;
   // Zero source row x (dead) in working and served tables.
   void zero_row(NodeId x);
   // What step()'s first rung repairs (see header).
@@ -474,7 +405,6 @@ class DapspService {
   Table<NodeId> served_next_hop_;
   std::vector<RowStatus> row_status_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t degraded_streak_ = 0;
   std::uint8_t last_gate_state_ = 0;  // last observed RepairGate::state()
   ServiceStats stats_;
 };

@@ -255,7 +255,10 @@ TEST(CheckpointStoreTest, DamagedNewestFallsBackToPreviousGeneration) {
   // Find and damage the slot holding the newer blob.
   for (int slot = 0; slot < 2; ++slot) {
     std::vector<std::uint8_t> bytes = read_all(store.slot_path(slot));
-    if (core::peek_checkpoint_epoch(bytes) == 1) {
+    std::uint64_t epoch = 0;
+    if (core::classify_checkpoint_blob(bytes, &epoch) ==
+            core::CheckpointError::kNone &&
+        epoch == 1) {
       bytes[bytes.size() / 2] ^= 0x01;
       write_all(store.slot_path(slot), bytes);
     }

@@ -94,11 +94,13 @@ std::size_t validate_snapshot(const QuerySnapshot& snap,
     for (NodeId v = 0; v < n; ++v) {
       const QueryAnswer a = snap.p2p(u, v);
       if (svc != nullptr) {
-        const ServiceQuery q = svc->query(u, v);
-        EXPECT_EQ(a.active, q.active);
-        EXPECT_EQ(a.dist, q.dist);
-        EXPECT_EQ(a.next_hop, q.next_hop);
-        EXPECT_EQ(a.status, q.status);
+        const DynamicGraph& dg = svc->dynamic_graph();
+        EXPECT_EQ(a.active, dg.active(u) && dg.active(v));
+        if (a.active) {
+          EXPECT_EQ(a.dist, svc->served_dist().at(u, v));
+          EXPECT_EQ(a.next_hop, svc->served_next_hop().at(u, v));
+          EXPECT_EQ(a.status, svc->row_status(v));
+        }
       }
       if (!a.active) {
         EXPECT_TRUE(!snap.active(u) || !snap.active(v));

@@ -10,8 +10,8 @@
 //   * AdmissionController: integer micro-token refill exactness, bounded
 //     concurrency, bounded-wait queue, and the explicit shed accounting
 //     identity (offered == admitted + shed + still-queued),
-//   * decorrelated-jitter retry/backoff: envelope bounds, determinism,
-//     seed decorrelation (no thundering herd), and spread,
+//   * decorrelated-jitter retry delays: envelope bounds, cap saturation,
+//     determinism, seed decorrelation (no thundering herd), and spread,
 //   * CircuitBreaker state machine, the BreakerRepairGate wired into a
 //     live DapspService (suppressed epochs, kBreaker trace events,
 //     scrub-heals-an-open-breaker), bit-identical at 1/2/8 engine threads,
@@ -27,7 +27,6 @@
 #include <chrono>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -341,27 +340,20 @@ TEST(Jitter, DeterministicPerKeyAndDecorrelatedAcrossSeeds) {
   EXPECT_GT(distinct.size(), 16u);
 }
 
-TEST(Jitter, ServiceBackoffSharesTheEnvelopeAndSpreads) {
-  // decorrelated_backoff_ms: [base, min(cap, 3 * max(base, prev))], keyed
-  // by (seed, epoch, attempt).
-  std::set<std::uint64_t> seen_a;
-  std::size_t diverged = 0;
-  for (std::uint64_t epoch = 1; epoch <= 64; ++epoch) {
-    const std::uint64_t a = decorrelated_backoff_ms(10, 0, 1, epoch, 1);
-    const std::uint64_t b = decorrelated_backoff_ms(10, 0, 2, epoch, 1);
-    EXPECT_GE(a, 10u);
-    EXPECT_LE(a, 30u);
-    EXPECT_EQ(a, decorrelated_backoff_ms(10, 0, 1, epoch, 1));
-    if (a != b) ++diverged;
-    seen_a.insert(a);
-  }
-  EXPECT_GT(diverged, 32u);
-  EXPECT_GT(seen_a.size(), 8u);
-  // The envelope widens with prev and saturates at the service cap.
-  EXPECT_LE(decorrelated_backoff_ms(10, 100, 1, 1, 2), 300u);
-  EXPECT_LE(decorrelated_backoff_ms(10, kMaxBackoffMs, 1, 1, 2),
-            kMaxBackoffMs);
-  EXPECT_EQ(decorrelated_backoff_ms(0, 0, 1, 1, 1), 0u);
+TEST(Jitter, RetryDelayWidensWithPrevAndSaturatesAtTheCap) {
+  // [base, min(cap, 3 * max(base, prev))]: the envelope widens with prev,
+  // and a prev far past the cap (3 * prev would overflow) still lands inside
+  // [base, cap].
+  RetryPolicy p;
+  p.base_us = 10;
+  p.cap_us = 60'000;
+  EXPECT_LE(retry_delay_us(p, 1, 2, 100), 300u);
+  const std::uint64_t sat = retry_delay_us(p, 1, 2, ~0ull);
+  EXPECT_GE(sat, p.base_us);
+  EXPECT_LE(sat, p.cap_us);
+  RetryPolicy zero = p;
+  zero.base_us = 0;
+  EXPECT_EQ(retry_delay_us(zero, 1, 1, ~0ull), 0u);
 }
 
 // ------------------------------------------------------------ circuit breaker
@@ -469,13 +461,10 @@ BreakerScenario run_breaker_scenario(unsigned threads) {
                           /*probe_successes=*/2});
   ServiceConfig sc;
   sc.watchdog_rounds = 2;  // strangle: every ladder rung trips
-  sc.backoff_base_ms = 0;
   sc.repair_gate = &gate;
   sc.engine.threads = threads;
   sc.engine.trace = &trace;
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
-  DapspService svc = DapspService::restore(in, sc, nullptr);
+  DapspService svc = DapspService::restore_blob(blob, sc, nullptr);
 
   BreakerScenario out;
   const auto step_with = [&](ChurnBatch b) {
@@ -573,11 +562,8 @@ TEST(ServiceBreaker, ScrubHealsAndClosesAnOpenBreaker) {
                           /*probe_successes=*/1});
   ServiceConfig sc;
   sc.watchdog_rounds = 2;
-  sc.backoff_base_ms = 0;
   sc.repair_gate = &gate;
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
-  DapspService svc = DapspService::restore(in, sc, nullptr);
+  DapspService svc = DapspService::restore_blob(blob, sc, nullptr);
 
   ChurnBatch b;
   b.deltas.push_back({DeltaKind::kEdgeRemove, 0, 1});
