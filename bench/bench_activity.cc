@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
+#include "congest/trace.h"
 #include "core/pebble_apsp.h"
 #include "graph/generators.h"
 
@@ -15,11 +17,23 @@ using namespace dapsp;
 
 namespace {
 
+// Messages sent per round, read off the trace's kSend events.
+std::vector<std::uint64_t> sends_per_round(const congest::TraceLog& trace) {
+  std::vector<std::uint64_t> act;
+  for (const congest::TraceEvent& ev : trace.events()) {
+    if (ev.kind != congest::TraceEventKind::kSend) continue;
+    if (act.size() <= ev.round) act.resize(ev.round + 1, 0);
+    ++act[ev.round];
+  }
+  return act;
+}
+
 void profile(const char* name, const Graph& g) {
+  congest::TraceLog trace;
   core::ApspOptions opt;
-  opt.engine.record_activity = true;
+  opt.engine.trace = &trace;
   const core::ApspResult r = core::run_pebble_apsp(g, opt);
-  const auto& act = r.round_activity;
+  const std::vector<std::uint64_t> act = sends_per_round(trace);
 
   std::printf("\n== Activity profile: Algorithm 1 on %s (%llu rounds) ==\n",
               name, static_cast<unsigned long long>(r.stats.rounds));

@@ -7,8 +7,9 @@
 #                         [--bench-build] [--scale] [extra ctest args...]
 #   --tsan         run only the ThreadSanitizer configuration (the concurrency
 #                  surface: engine, equivalence, faults, determinism, the
-#                  sharded trace drain, and the query tier's snapshot-swap
-#                  soak) instead of the full matrix.
+#                  sharded trace drain, the certificate and repair, and the
+#                  query tier's snapshot-swap soak) instead of the full
+#                  matrix.
 #   --perf-smoke   run only the engine perf-regression gate
 #                  (bench_engine_perf --assert-speedup); self-skips on hosts
 #                  with < 4 hardware threads.
@@ -50,11 +51,12 @@ if [[ "${1:-}" == "--tsan" ]]; then
   shift
   # The tests that exercise the worker pool and the sharded phases —
   # test_engine_equivalence in particular runs the flat engine's arenas and
-  # inbox frames differentially at 1/2/8 threads, and test_trace runs the
+  # inbox frames differentially at 1/2/8 threads, test_trace runs the
   # sharded collection and drain of the TraceLog, the engine's one event
-  # channel, at 1/2/8 threads.
+  # channel, at 1/2/8 threads, and test_certify / test_repair run the
+  # certificate, whose per-shard wake-up timers sleep across rounds.
   run_config build-tsan Tsan OFF \
-    -R 'test_engine|test_engine_equivalence|test_arena|test_faults|test_determinism|test_query|test_resilience|test_trace' "$@"
+    -R 'test_engine|test_engine_equivalence|test_arena|test_faults|test_determinism|test_query|test_resilience|test_trace|test_certify|test_repair' "$@"
   echo "TSan checks passed."
   exit 0
 fi

@@ -1,6 +1,8 @@
 #include "congest/engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -94,6 +96,30 @@ void RoundCtx::send_all(const Message& m) {
 }
 
 namespace {
+
+// Builds without NDEBUG (the sanitizer configurations) audit every node a
+// round skips against the wake contract (Engine::audit_skipped).
+#ifdef NDEBUG
+constexpr bool kAuditSkips = false;
+#else
+constexpr bool kAuditSkips = true;
+#endif
+
+// Heap order of the wake-up timers: the earliest round on top.
+constexpr auto kLater = [](const auto& a, const auto& b) {
+  return a.round > b.round;
+};
+
+// Calls fn(v) for every set bit v of a node bitset, in ascending order.
+template <typename Fn>
+void for_each_node(const std::vector<std::uint64_t>& bits, Fn&& fn) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      fn(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(word))));
+    }
+  }
+}
 
 // Applies FaultDecision::corrupt_bit to a message: wire bit layout is the
 // kTagBits kind bits followed by num_fields fields of value_bits bits each
@@ -198,8 +224,12 @@ Engine::Engine(const Graph& g, EngineConfig config)
   for (InboxFrame& frame : inbox_) {
     frame.begin.assign(n, 0);
     frame.len.assign(n, 0);
+    frame.receivers.assign((std::size_t{n} + 63) / 64, 0);
   }
   inbox_cursor_.assign(n, 0);
+  done_.assign(n, 1);
+  wake_.assign(n, kNever);
+  awake_.assign((std::size_t{n} + 63) / 64, 0);
   edge_offsets_.resize(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
     edge_offsets_[v + 1] = edge_offsets_[v] + g.degree(v);
@@ -224,6 +254,17 @@ Engine::Engine(const Graph& g, EngineConfig config)
   if (config_.faults) {
     faults_ = std::make_unique<FaultInjector>(g, *config_.faults);
     delay_ring_.resize(std::size_t{faults_->max_extra_delay()} + 2);
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t crash = faults_->crash_round(v);
+      if (crash != std::numeric_limits<std::uint64_t>::max()) {
+        crash_schedule_.emplace_back(crash, v);
+      }
+      for (const auto& window : faults_->stall_windows(v)) {
+        stall_schedule_.emplace_back(window.first, v);
+      }
+    }
+    std::sort(crash_schedule_.begin(), crash_schedule_.end());
+    std::sort(stall_schedule_.begin(), stall_schedule_.end());
   }
   crashed_.assign(n, 0);
 
@@ -234,6 +275,12 @@ Engine::Engine(const Graph& g, EngineConfig config)
   const std::uint32_t shards =
       static_cast<std::uint32_t>(std::min<std::uint64_t>(threads_, n));
   accum_.resize(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    ShardAccum& acc = accum_[s];
+    acc.lo = static_cast<NodeId>(std::uint64_t{n} * s / shards);
+    acc.hi = static_cast<NodeId>(std::uint64_t{n} * (s + 1) / shards);
+    acc.wake.assign((acc.hi - 1) / 64 - acc.lo / 64 + 1, 0);
+  }
   if (shards > 1) pool_ = std::make_unique<WorkerPool>(shards - 1);
 }
 
@@ -258,49 +305,85 @@ void Engine::init(
     frame.items.clear();  // capacity retained
     std::fill(frame.begin.begin(), frame.begin.end(), std::size_t{0});
     std::fill(frame.len.begin(), frame.len.end(), std::size_t{0});
+    std::fill(frame.receivers.begin(), frame.receivers.end(),
+              std::uint64_t{0});
   }
   for (ShardAccum& acc : accum_) acc.reset();
   crashed_.assign(n, 0);
+  next_crash_ = 0;
   for (auto& slot : delay_ring_) slot.clear();
   delayed_pending_ = 0;
-  refresh_flags();
+  refresh();
   // Crash-at-round-0 nodes never execute at all.
   apply_crashes();
 }
 
-void Engine::refresh_flags() {
-  const NodeId n = graph_->num_nodes();
-  done_.assign(n, 1);
-  idle_.assign(n, 1);
+void Engine::refresh() {
+  std::fill(awake_.begin(), awake_.end(), std::uint64_t{0});
   busy_ = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (crashed_[v] != 0) continue;
-    done_[v] = processes_[v]->done() ? 1 : 0;
-    idle_[v] = done_[v] != 0 && processes_[v]->idle() ? 1 : 0;
-    if (done_[v] == 0) ++busy_;
+  for (ShardAccum& acc : accum_) {
+    std::fill(acc.wake.begin(), acc.wake.end(), std::uint64_t{0});
+    acc.timers.clear();
+    for (NodeId v = acc.lo; v < acc.hi; ++v) {
+      if (crashed_[v] != 0) {
+        done_[v] = 1;
+        wake_[v] = kNever;
+        continue;
+      }
+      const Process& p = *processes_[v];
+      done_[v] = p.done() ? 1 : 0;
+      if (done_[v] == 0) ++busy_;
+      wake_[v] = p.wake_round(round_);
+      if (wake_[v] <= round_) {
+        set_awake(v);
+      } else if (wake_[v] != kNever) {
+        acc.timers.push_back({wake_[v], v});
+      }
+    }
+    std::make_heap(acc.timers.begin(), acc.timers.end(), kLater);
+  }
+  const InboxFrame& cur = inbox_[cur_inbox_];
+  for_each_node(cur.receivers, [&](NodeId v) {
+    if (cur.len[v] != 0) set_awake(v);
+  });
+  next_stall_ = 0;
+  for (; next_stall_ < stall_schedule_.size() &&
+         stall_schedule_[next_stall_].first <= round_;
+       ++next_stall_) {
+    const NodeId v = stall_schedule_[next_stall_].second;
+    if (faults_->stalled(v, round_)) set_awake(v);
   }
 }
 
-void Engine::run_node(NodeId v, ShardAccum& acc) {
-  if (crashed_[v] != 0) return;  // crash-stop: no execution, no sends
+bool Engine::run_node(NodeId v, ShardAccum& acc) {
+  if (crashed_[v] != 0) return false;  // crash-stop: no execution, no sends
   if (faults_ && faults_->stalled(v, round_)) {
     // Transient stall: no execution, no sends, and the round's frozen inbox
     // is never read — the frame swap discards it, so count it as dropped
     // here (shard-local; v's inbox is owned by v's shard this round).
     acc.stats.messages_dropped += inbox_[cur_inbox_].len[v];
     ++acc.stats.node_stall_rounds;
-    return;
+    // It stays awake while the window lasts or its missed wake-up is due.
+    return wake_[v] <= round_ + 1 || faults_->stalled(v, round_ + 1);
   }
-  if (skip_idle_ && idle_[v] != 0 && inbox_[cur_inbox_].len[v] == 0) return;
   acc.outbox.reset();  // the previous node's sends were consumed below
   Ctx ctx(*this, v, acc);
   Process& p = *processes_[v];
+  bool stays_awake = false;
   try {
     p.on_round(ctx);
     const std::uint8_t done = p.done() ? 1 : 0;
     acc.busy_delta += static_cast<std::int64_t>(done_[v]) - done;
     done_[v] = done;
-    idle_[v] = done != 0 && p.idle() ? 1 : 0;
+    const std::uint64_t wake = p.wake_round(round_ + 1);
+    if (wake <= round_ + 1) {
+      stays_awake = true;
+    } else if (wake != kNever && wake != wake_[v]) {
+      // An unchanged future wake-up is already in the heap.
+      acc.timers.push_back({wake, v});
+      std::push_heap(acc.timers.begin(), acc.timers.end(), kLater);
+    }
+    wake_[v] = wake;
   } catch (...) {
     // Capture instead of unwinding through the worker pool. Every node still
     // runs its round — which errors occur must not depend on the shard
@@ -314,6 +397,7 @@ void Engine::run_node(NodeId v, ShardAccum& acc) {
   // Sends buffered before a mid-round failure are still accounted and
   // delivered, mirroring the serial engine (they were already on the wire).
   account_node(v, acc);
+  return stays_awake;
 }
 
 void Engine::account_node(NodeId v, ShardAccum& acc) {
@@ -392,7 +476,6 @@ void Engine::account_node(NodeId v, ShardAccum& acc) {
     acc.stats.messages += 1;
     acc.stats.total_bits += cost;
     if (record_trace_) record(TraceEventKind::kSend, to, m, 0);
-    if (config_.record_activity) ++acc.activity;
 
     // Index of `v` in `to`'s adjacency list: a precomputed load, not a
     // binary search — this runs once per message.
@@ -448,45 +531,65 @@ void Engine::account_node(NodeId v, ShardAccum& acc) {
 }
 
 void Engine::run_phases() {
-  const NodeId n = graph_->num_nodes();
-  const std::uint32_t shards =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(threads_, n));
+  const std::uint32_t shards = static_cast<std::uint32_t>(accum_.size());
   for (ShardAccum& acc : accum_) acc.reset();
 
   // Phases A+B fused, always inline: the trace is fed from the per-sender
   // event buffers after the merge, so instrumentation never forces a serial
-  // accounting pass.
+  // accounting pass. Each shard walks its range of the awake set word by
+  // word, in ascending node order.
   const auto shard_body = [&](unsigned s) {
-    const NodeId lo = static_cast<NodeId>(std::uint64_t{n} * s / shards);
-    const NodeId hi = static_cast<NodeId>(std::uint64_t{n} * (s + 1) / shards);
     ShardAccum& acc = accum_[s];
-    for (NodeId v = lo; v < hi; ++v) run_node(v, acc);
+    const std::size_t first = acc.lo / 64;
+    const std::size_t last = (acc.hi - 1) / 64;
+    for (std::size_t w = first; w <= last; ++w) {
+      std::uint64_t bits = awake_[w];
+      if (w == first) bits &= ~std::uint64_t{0} << (acc.lo % 64);
+      if (w == last && acc.hi % 64 != 0) {
+        bits &= (std::uint64_t{1} << (acc.hi % 64)) - 1;
+      }
+      // Collected in a register and stored once per word: the shards' wake
+      // words may share cache lines.
+      std::uint64_t keep = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        if (run_node(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)),
+                     acc)) {
+          keep |= std::uint64_t{1} << b;
+        }
+      }
+      acc.wake[w - first] = keep;
+    }
   };
-  if (pool_) {
+  const bool any_awake =
+      std::any_of(awake_.begin(), awake_.end(),
+                  [](std::uint64_t word) { return word != 0; });
+  if (any_awake && pool_) {
     pool_->run(shards, shard_body);
-  } else {
+  } else if (any_awake) {
     shard_body(0);
   }
+  if constexpr (kAuditSkips) audit_skipped();
 
   // Merge in fixed shard order. Counters add, loads take maxima and
   // histograms sum per value, so the merged RunStats and metrics are
   // independent of the shard partition — the determinism contract across
-  // thread counts.
-  std::uint64_t activity = 0;
+  // thread counts. The next round's awake set starts from the nodes that
+  // stay awake; deliver_round() adds the receivers.
   std::uint64_t round_messages = 0;
-  for (const ShardAccum& acc : accum_) {
+  std::fill(awake_.begin(), awake_.end(), std::uint64_t{0});
+  for (ShardAccum& acc : accum_) {
     accumulate(stats_, acc.stats);
     busy_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(busy_) +
                                        acc.busy_delta);
-    activity += acc.activity;
     round_messages += acc.stats.messages;
     if (config_.metrics) config_.metrics->merge(acc.metrics);
+    for (std::size_t i = 0; i < acc.wake.size(); ++i) {
+      awake_[acc.lo / 64 + i] |= acc.wake[i];
+      acc.wake[i] = 0;
+    }
   }
   if (config_.metrics) config_.metrics->round_activity.add(round_messages);
-  if (config_.record_activity && activity > 0) {
-    if (activity_.size() <= round_) activity_.resize(round_ + 1, 0);
-    activity_[round_] = activity;
-  }
 
   // Drain buffered events in global send order before error propagation:
   // the trace keeps every accounted send of the failing round too.
@@ -506,6 +609,41 @@ void Engine::run_phases() {
   if (worst != nullptr) std::rethrow_exception(worst->error);
 }
 
+void Engine::audit_skipped() {
+  const NodeId n = graph_->num_nodes();
+  const InboxFrame& cur = inbox_[cur_inbox_];
+  // Shadow steps run serially after the shards, on shard 0's buffers; a
+  // clean step leaves them as it found them.
+  ShardAccum& acc = accum_[0];
+  for (NodeId v = 0; v < n; ++v) {
+    if (crashed_[v] != 0 || awake(v)) continue;
+    const auto where = [&] {
+      return "node " + std::to_string(v) + " in round " +
+             std::to_string(round_);
+    };
+    if (cur.len[v] != 0 || wake_[v] <= round_ ||
+        (faults_ && faults_->stalled(v, round_))) {
+      throw std::logic_error("Engine: the awake set missed " + where());
+    }
+    Process& p = *processes_[v];
+    acc.outbox.reset();
+    const std::size_t events = acc.events.size();
+    const std::uint64_t suspected = acc.stats.neighbors_suspected;
+    Ctx ctx(*this, v, acc);
+    p.on_round(ctx);
+    if (!acc.outbox.empty() || acc.events.size() != events ||
+        acc.stats.neighbors_suspected != suspected) {
+      throw std::logic_error("wake contract broken: " + where() +
+                             " was skipped, but stepping it sends or traces");
+    }
+    if (p.done() != (done_[v] != 0) || p.wake_round(round_ + 1) != wake_[v]) {
+      throw std::logic_error("wake contract broken: " + where() +
+                             " was skipped, but stepping it changes done() "
+                             "or wake_round()");
+    }
+  }
+}
+
 void Engine::drain_node_events() {
   // Shards own ascending node ranges and run their nodes in order, so the
   // arenas concatenated in shard order replay events in ascending sender
@@ -521,15 +659,22 @@ void Engine::deliver_round() {
   // segment: normal deliveries in ascending sender order (then send order),
   // followed by delayed copies coming due in ring order — exactly the
   // per-node delivery order of the pre-flat engine. Delayed copies are
-  // routed to the ring during the counting pass.
-  const NodeId n = graph_->num_nodes();
+  // routed to the ring during the counting pass. Every pass covers only the
+  // receivers, marked in the frame's receiver bitset as they first appear:
+  // the frame's previous receivers are cleared first.
   InboxFrame& next = inbox_[cur_inbox_ ^ 1u];
-  std::fill(next.len.begin(), next.len.end(), std::size_t{0});
+  for_each_node(next.receivers, [&next](NodeId v) { next.len[v] = 0; });
+  std::fill(next.receivers.begin(), next.receivers.end(), std::uint64_t{0});
+  const auto receive = [&next](NodeId to) {
+    if (next.len[to]++ == 0) {
+      next.receivers[to / 64] |= std::uint64_t{1} << (to % 64);
+    }
+  };
   std::uint64_t total = 0;
   for (const ShardAccum& acc : accum_) {
     for (const ResolvedDelivery& d : acc.deliveries.span()) {
       if (d.extra_delay == 0) {
-        ++next.len[d.to];
+        receive(d.to);
         ++total;
       } else {
         const std::uint64_t due = round_ + 1 + d.extra_delay;
@@ -544,15 +689,18 @@ void Engine::deliver_round() {
   if (faults_) {
     due_slot = &delay_ring_[(round_ + 1) % delay_ring_.size()];
     for (const auto& [to, rec] : *due_slot) {
-      ++next.len[to];
+      receive(to);
       ++total;
     }
   }
   std::size_t offset = 0;
-  for (NodeId v = 0; v < n; ++v) {
+  for_each_node(next.receivers, [&](NodeId v) {
     next.begin[v] = offset;
     inbox_cursor_[v] = offset;
     offset += next.len[v];
+  });
+  for (std::size_t w = 0; w < awake_.size(); ++w) {
+    awake_[w] |= next.receivers[w];
   }
   next.items.resize(offset);  // within retained capacity after warm-up
   for (const ShardAccum& acc : accum_) {
@@ -592,29 +740,49 @@ void Engine::deliver_round() {
 
 void Engine::apply_crashes() {
   if (!faults_) return;
-  const NodeId n = graph_->num_nodes();
-  InboxFrame& cur = inbox_[cur_inbox_];
-  for (NodeId v = 0; v < n; ++v) {
-    if (crashed_[v] == 0 && faults_->crashed(v, round_)) {
-      crashed_[v] = 1;
-      if (done_[v] == 0) --busy_;
-      done_[v] = 1;
-      idle_[v] = 1;
-      ++stats_.nodes_crashed;
-      if (record_trace_) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kCrash;
-        ev.node = v;
-        ev.round = round_;
-        config_.trace->append(ev);
-      }
+  for (; next_crash_ < crash_schedule_.size() &&
+         crash_schedule_[next_crash_].first <= round_;
+       ++next_crash_) {
+    const NodeId v = crash_schedule_[next_crash_].second;
+    crashed_[v] = 1;
+    if (done_[v] == 0) --busy_;
+    done_[v] = 1;
+    ++stats_.nodes_crashed;
+    if (record_trace_) {
+      TraceEvent ev;
+      ev.kind = TraceEventKind::kCrash;
+      ev.node = v;
+      ev.round = round_;
+      config_.trace->append(ev);
     }
+  }
+  InboxFrame& cur = inbox_[cur_inbox_];
+  for_each_node(cur.receivers, [&](NodeId v) {
     if (crashed_[v] != 0 && cur.len[v] != 0) {
       // Deliveries to a crashed node vanish (the segment stays in items but
       // is unreachable once len is zeroed).
       stats_.messages_dropped += cur.len[v];
       pending_messages_ -= cur.len[v];
       cur.len[v] = 0;
+    }
+  });
+}
+
+void Engine::apply_stall_starts() {
+  for (; next_stall_ < stall_schedule_.size() &&
+         stall_schedule_[next_stall_].first <= round_;
+       ++next_stall_) {
+    set_awake(stall_schedule_[next_stall_].second);
+  }
+}
+
+void Engine::pop_due_timers() {
+  for (ShardAccum& acc : accum_) {
+    while (!acc.timers.empty() && acc.timers.front().round <= round_) {
+      const Timer t = acc.timers.front();
+      std::pop_heap(acc.timers.begin(), acc.timers.end(), kLater);
+      acc.timers.pop_back();
+      if (wake_[t.v] == t.round) set_awake(t.v);
     }
   }
 }
@@ -632,8 +800,11 @@ void Engine::step() {
   ++round_;
   stats_.rounds = round_;
   // Crashes scheduled for the new round silence the node before it runs, and
-  // absorb anything addressed to it (normal or delayed).
+  // absorb anything addressed to it (normal or delayed). Then the rest of
+  // the new round's awake set: opening stall windows and due timers.
   apply_crashes();
+  apply_stall_starts();
+  pop_due_timers();
 }
 
 bool Engine::quiescent() const {
@@ -641,15 +812,14 @@ bool Engine::quiescent() const {
 }
 
 RunStats Engine::run() {
-  // Processes may have been touched between runs: re-read their flags.
-  refresh_flags();
-  skip_idle_ = true;
+  // Processes may have been touched between runs: re-read their hints.
+  refresh();
   while (!quiescent()) step();
   return stats_;
 }
 
 RunStats Engine::run_rounds(std::uint64_t rounds) {
-  skip_idle_ = false;
+  refresh();
   for (std::uint64_t i = 0; i < rounds; ++i) step();
   return stats_;
 }

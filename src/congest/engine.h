@@ -11,9 +11,11 @@
 //     edge, round) budget B, throwing CongestionError on violation — the
 //     paper's congestion-freedom claims (Lemma 1) become checked runtime
 //     invariants;
+//   * steps, per round, only the awake nodes: this round's receivers, nodes
+//     whose Process::wake_round() hint has come due, and nodes inside a
+//     stall window — a round costs what its awake nodes do, not n;
 //   * terminates on global quiescence: every process reports done() and no
-//     messages are in flight (read from a counter; run() skips processes
-//     that report done() and idle() with an empty inbox);
+//     messages are in flight (read from a counter);
 //   * reports RunStats (rounds, message count, total bits, worst per-edge
 //     load) — the paper's cost measures.
 //
@@ -74,6 +76,9 @@ namespace dapsp::congest {
 
 class Engine;
 
+// Process::wake_round() value: no timer, only a message wakes the node.
+inline constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
 // Per-round view handed to a Process. Valid only during on_round(). Abstract
 // so that delivery layers (e.g. the ReliableAdapter) can interpose a virtual
 // round context between the engine and a wrapped process.
@@ -125,10 +130,9 @@ class Process {
  public:
   virtual ~Process() = default;
 
-  // Called once per round for every node, even with an empty inbox — except
-  // that run() / run_bounded() skip a node whose done() and idle() held
-  // after its last step while its inbox is empty (run_rounds() steps every
-  // node).
+  // Called in every round in which the node is awake: its inbox is
+  // non-empty, or its wake_round() hint has come due. A crashed or stalled
+  // node is never called.
   virtual void on_round(RoundCtx& ctx) = 0;
 
   // Quiescence flag: true when this node has nothing scheduled — it will not
@@ -136,11 +140,19 @@ class Process {
   // every process is done and no messages are in flight.
   virtual bool done() const = 0;
 
-  // Idle-node fast path, consulted only while done() holds: true when a
-  // step with an empty inbox would neither send nor change state the node
-  // later acts on, so the engine may skip it. A process that keeps working
-  // while done() (e.g. a degraded relay draining a queue) overrides it.
-  virtual bool idle() const { return true; }
+  // Wake contract: the earliest round >= r in which this node must run even
+  // with an empty inbox, or kNever when only a message can wake it. The
+  // engine asks after every step (r = the next round) and does not step the
+  // node with an empty inbox before that round: such a step must neither
+  // send, nor trace, nor change done() or wake_round(). The default suits a
+  // process that works every round until done(). A process that keeps
+  // working while done (a degraded relay draining a queue) returns r; one
+  // that sleeps until a known round (the certificate's next row) returns
+  // it. Builds without NDEBUG shadow-step every skipped node and throw
+  // std::logic_error on a violation.
+  virtual std::uint64_t wake_round(std::uint64_t r) const {
+    return done() ? kNever : r;
+  }
 
   // Failure-detector event: the delivery layer (congest/reliable.h) has
   // declared the neighbor at `neighbor_index` dead after prolonged silence.
@@ -189,9 +201,6 @@ struct EngineConfig {
   bool enforce_bandwidth = true;
   // Safety valve: run() throws RoundLimitError beyond this many rounds.
   std::uint64_t max_rounds = 0;  // 0 = default 64*n + 1024
-  // Record the number of messages sent in each round (round_activity()),
-  // e.g. to plot a protocol's phase structure.
-  bool record_activity = false;
 
   // Workers for the per-round node loop. 1 (default) steps nodes on the
   // calling thread; k > 1 shards the nodes across k workers (the caller plus
@@ -339,18 +348,14 @@ class Engine {
   RunStats run();
 
   // Runs exactly `rounds` additional rounds (for protocols with a known
-  // round bound), regardless of done() flags.
+  // round bound), regardless of done() flags. Nodes wake by the same rule
+  // as in run().
   RunStats run_rounds(std::uint64_t rounds);
 
   // Like run(), but never throws the engine errors: stalls (round limit) and
   // congestion violations are reported as an Outcome carrying the partial
   // stats. The engine is left at the round where the run stopped.
   Outcome run_bounded();
-
-  // Messages sent per round (only populated with config.record_activity).
-  const std::vector<std::uint64_t>& round_activity() const {
-    return activity_;
-  }
 
   // Access to a node's process after the run (to harvest results). Returns
   // the outermost process; process_as<T>() sees through delivery wrappers
@@ -387,6 +392,11 @@ class Engine {
     Received rec;
     std::uint32_t extra_delay;
   };
+  // A node's pending wake-up: its wake_round() hint, due at `round`.
+  struct Timer {
+    std::uint64_t round;
+    NodeId v;
+  };
   // Per-shard round accumulator. Shards own disjoint contiguous node ranges;
   // counters and maxima are merged into stats_ in fixed shard order after the
   // parallel phase (sums and maxima make the merge order immaterial — the
@@ -394,9 +404,11 @@ class Engine {
   // so adjacent shards' counters never false-share while the parallel phase
   // hammers them.
   struct alignas(kCacheLineBytes) ShardAccum {
-    RunStats stats;             // deltas only: counters and per-round maxima
-    std::uint64_t activity = 0;  // sends this round (record_activity)
-    EngineMetrics metrics;       // this round's samples (config.metrics only)
+    // The shard's node range [lo, hi), fixed at construction.
+    NodeId lo = 0;
+    NodeId hi = 0;
+    RunStats stats;        // deltas only: counters and per-round maxima
+    EngineMetrics metrics;  // this round's samples (config.metrics only)
     // Distinct directed edges the current node touched this round — scratch
     // of account_node(), drained into `metrics` after the node's outbox.
     std::vector<std::size_t> touched_edges;
@@ -416,9 +428,16 @@ class Engine {
     bool failed = false;
     NodeId failed_node = 0;
     std::exception_ptr error;
+    // Persistent across rounds. `wake` holds the words lo/64 .. (hi-1)/64 of
+    // the next round's awake set, with the bits of this shard's nodes that
+    // stay awake; merged serially after the round, since boundary words are
+    // shared with the neighbor shard. `timers` is a min-heap of this shard's
+    // future wake-ups; an entry whose round no longer matches wake_[v] is
+    // stale and discarded when it comes due.
+    std::vector<std::uint64_t> wake;
+    std::vector<Timer> timers;
     void reset() {
       stats = RunStats{};
-      activity = 0;
       metrics.clear();
       touched_edges.clear();
       outbox.reset();
@@ -435,11 +454,14 @@ class Engine {
   // is node v's inbox, normals in ascending-sender order followed by any
   // delayed copies that came due, in ring order — exactly the per-node
   // delivery order of the pre-flat engine. Two frames double-buffer the
-  // current and the next round; capacity is retained across rounds.
+  // current and the next round; capacity is retained across rounds. Only
+  // the nodes set in the `receivers` bitset have len != 0, so clearing and
+  // laying out a frame costs its receivers, walked word by word, not n.
   struct InboxFrame {
     std::vector<Received> items;
     std::vector<std::size_t> begin;  // n entries
     std::vector<std::size_t> len;    // n entries
+    std::vector<std::uint64_t> receivers;  // one bit per node
   };
 
   void step();  // executes one round
@@ -447,8 +469,9 @@ class Engine {
   // buffered into the shard's outbox arena. Exceptions are captured into
   // `acc`. Phase B (account_node) runs fused, inline, for every node — the
   // trace is fed from the buffered events afterwards, never by serializing
-  // this.
-  void run_node(NodeId v, ShardAccum& acc);
+  // this. Afterwards the node's wake_round() hint decides whether it stays
+  // awake next round (the return value) or sleeps on a timer.
+  bool run_node(NodeId v, ShardAccum& acc);
   // Phase B: bandwidth accounting + fault resolution for the node's buffered
   // outbox. Only sender-owned state (edge/node counters of v's directed
   // edges, the shard's delivery/event arenas, the shard accumulator) is
@@ -456,15 +479,33 @@ class Engine {
   void account_node(NodeId v, ShardAccum& acc);
   // Phase C (serial): count + prefix-sum + scatter the shards' resolved
   // deliveries (plus delayed copies coming due) into the next inbox frame in
-  // ascending sender order, then swap frames.
+  // ascending sender order, mark the receivers awake, then swap frames.
   void deliver_round();
   void run_phases();  // A+B across shards, merge, error propagation
   // Appends the per-shard event arenas in shard order (= ascending sender
   // order) to the trace log — the serial engine's global send order.
   void drain_node_events();
+  // Applies the crashes scheduled up to the current round and drops what the
+  // current frame addressed to crashed nodes.
   void apply_crashes();
-  // Re-reads every process's done() / idle() into the flags below.
-  void refresh_flags();
+  // Marks the nodes whose stall window opens at the current round awake.
+  void apply_stall_starts();
+  // Moves the timers due at the current round into the awake set.
+  void pop_due_timers();
+  // Builds the awake set for the current round from scratch: re-reads every
+  // process's done() and wake_round() (processes may have been touched
+  // between runs), the current frame's receivers and open stall windows.
+  void refresh();
+  // The audit of builds without NDEBUG: shadow-steps every live node the
+  // round skipped and throws std::logic_error if the step broke the wake
+  // contract.
+  void audit_skipped();
+  bool awake(NodeId v) const noexcept {
+    return ((awake_[v / 64] >> (v % 64)) & 1) != 0;
+  }
+  void set_awake(NodeId v) noexcept {
+    awake_[v / 64] |= std::uint64_t{1} << (v % 64);
+  }
   bool quiescent() const;
 
   const Graph* graph_;
@@ -475,14 +516,16 @@ class Engine {
   std::uint32_t threads_ = 1;  // resolved worker count (>= 1)
 
   std::vector<std::unique_ptr<Process>> processes_;
-  // Per node, as of its last step: done() and idle() (crashed nodes count as
-  // both). busy_ counts the nodes not done, so quiescent() reads a counter;
-  // skip_idle_ (set by run(), cleared by run_rounds()) lets run_node() pass
-  // over idle nodes with an empty inbox. Each flag is written only by its node's shard.
+  // Per node, as of its last step: done() (crashed nodes count as done) and
+  // the wake_round() hint for the following rounds. busy_ counts the nodes
+  // not done, so quiescent() reads a counter. Each slot is written only by
+  // its node's shard.
   std::vector<std::uint8_t> done_;
-  std::vector<std::uint8_t> idle_;
+  std::vector<std::uint64_t> wake_;
   std::uint64_t busy_ = 0;
-  bool skip_idle_ = false;
+  // The current round's awake set, one bit per node, walked word by word in
+  // ascending node order. Read-only while the shards run.
+  std::vector<std::uint64_t> awake_;
 
   // Double-buffered flat inboxes: inbox_[cur_inbox_] is the round's frozen
   // frame, the other is scattered into by deliver_round().
@@ -514,6 +557,12 @@ class Engine {
   // Fault state (engaged only when config_.faults is set).
   std::unique_ptr<FaultInjector> faults_;
   std::vector<std::uint8_t> crashed_;  // crash-stop applied
+  // The plan's crashes and stall-window openings as (round, node), sorted;
+  // each is walked by a cursor as the rounds advance.
+  std::vector<std::pair<std::uint64_t, NodeId>> crash_schedule_;
+  std::vector<std::pair<std::uint64_t, NodeId>> stall_schedule_;
+  std::size_t next_crash_ = 0;
+  std::size_t next_stall_ = 0;
   // Ring of future deliveries for delayed messages, indexed by absolute
   // delivery round modulo the ring size.
   std::vector<std::vector<std::pair<NodeId, Received>>> delay_ring_;
@@ -521,7 +570,6 @@ class Engine {
 
   std::uint64_t round_ = 0;
   RunStats stats_;
-  std::vector<std::uint64_t> activity_;
 };
 
 }  // namespace dapsp::congest

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -158,6 +159,13 @@ class FaultInjector {
   }
   bool crashed(NodeId v, std::uint64_t round) const noexcept {
     return round >= crash_round_[v];
+  }
+
+  // v's stall windows as [begin, end) rounds, canonicalized against its
+  // crash.
+  std::span<const std::pair<std::uint64_t, std::uint64_t>> stall_windows(
+      NodeId v) const noexcept {
+    return stall_windows_[v];
   }
 
   // True when v is inside one of its scheduled stall windows at `round`.

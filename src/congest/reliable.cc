@@ -530,20 +530,20 @@ void ReliableAdapter::on_round(RoundCtx& ctx) {
   transmit(ctx, active);
 }
 
-bool ReliableAdapter::idle() const {
-  if (!edges_ready_ || peer_ahead()) return false;
+std::uint64_t ReliableAdapter::wake_round(std::uint64_t r) const {
+  if (!done() || !edges_ready_ || peer_ahead()) return r;
   for (std::uint32_t e = 0; e < tx_.size(); ++e) {
     if (down_[e] == 0 &&
         tx_[e].marker_enqueued < std::min(rx_[e].peer_exec, executed_)) {
-      return false;
+      return r;
     }
   }
-  return true;
+  return kNever;
 }
 
 bool ReliableAdapter::done() const {
   if (!inner_->done()) return false;
-  if (!edges_ready_) return true;  // never scheduled; mirrors engine idle
+  if (!edges_ready_) return true;  // never stepped yet
   if (undelivered_data()) return false;
   for (std::uint32_t e = 0; e < tx_.size(); ++e) {
     if (down_[e] != 0) continue;  // ARQ toward a dead edge was canceled

@@ -104,6 +104,17 @@ class CertifyProcess final : public congest::Process {
 
   bool done() const override { return next_ == count(); }
 
+  // Asleep between its rows: the next ship round 2k (when it ships row k)
+  // or judge round 2k+1. A node that missed its judge round (stalled) can
+  // no longer act.
+  std::uint64_t wake_round(std::uint64_t r) const override {
+    if (done()) return congest::kNever;
+    const RowPart p = part(next_);
+    const std::uint64_t ship = 2 * std::uint64_t{p.k};
+    if (p.ship && r <= ship) return ship;
+    return r <= ship + 1 ? ship + 1 : congest::kNever;
+  }
+
   std::span<const std::uint8_t> row_ok() const noexcept { return row_ok_; }
   std::uint64_t checks_failed() const noexcept { return checks_failed_; }
 

@@ -326,7 +326,6 @@ ApspResult run_pebble_apsp(const Graph& g, const ApspOptions& options) {
   }
   out.status = outcome.status;
   out.stats = outcome.stats;
-  out.round_activity = engine.round_activity();
   out.dist = DistanceMatrix(n);
   out.next_hop = Table<NodeId>(n, n, kNoNextHop);
   out.ecc.resize(n);

@@ -75,10 +75,6 @@ struct ApspResult {
   bool aggregates_valid = false;
 
   congest::RunStats stats;
-  // Messages per round (populated when options.engine.record_activity):
-  // makes Algorithm 1's phase structure visible (tree build, pebble +
-  // staggered floods, aggregation).
-  std::vector<std::uint64_t> round_activity;
 };
 
 inline constexpr NodeId kNoNextHop = 0xffffffffu;

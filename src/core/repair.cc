@@ -25,7 +25,6 @@ congest::EngineConfig sanitized(const congest::EngineConfig& in) {
   cfg.process_wrapper = nullptr;
   cfg.trace = nullptr;
   cfg.metrics = nullptr;
-  cfg.record_activity = false;
   return cfg;
 }
 

@@ -358,10 +358,11 @@ class SspProcess final : public congest::Process {
     loop_over_ = ssp_.finished(ctx.round() + 1);
   }
 
-  // A degraded node is done but still relays the token loop: it idles only
+  // A degraded node is done but still relays the token loop: it sleeps only
   // once nothing is owed or the loop is over.
-  bool idle() const override {
-    return !degraded_ || loop_over_ || ssp_.quiet();
+  std::uint64_t wake_round(std::uint64_t r) const override {
+    const bool at_rest = !degraded_ || loop_over_ || ssp_.quiet();
+    return done() && at_rest ? congest::kNever : r;
   }
 
   bool done() const override {

@@ -2,10 +2,14 @@
 // determinism, quiescence, and failure modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "congest/engine.h"
+#include "congest/faults.h"
+#include "congest/trace.h"
 #include "graph/generators.h"
 
 namespace dapsp::congest {
@@ -150,6 +154,7 @@ TEST(Engine, RunRoundsExact) {
    public:
     void on_round(RoundCtx&) override { ++rounds_seen_; }
     bool done() const override { return true; }
+    std::uint64_t wake_round(std::uint64_t r) const override { return r; }
     int rounds_seen_ = 0;
   };
   Engine e(g);
@@ -325,6 +330,133 @@ TEST(Engine, DeterministicAcrossRuns) {
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.total_bits, b.total_bits);
+}
+
+// --- The wake contract: sleepers ------------------------------------------
+
+// Builds without NDEBUG shadow-step every live node the engine skips (the
+// wake-contract audit), so there a sleeper sees every round it is alive and
+// not stalled.
+#ifdef NDEBUG
+constexpr bool kShadowSteps = false;
+#else
+constexpr bool kShadowSteps = true;
+#endif
+
+// Sleeps until round `alarm` (its wake_round hint), rings then and is done.
+// With `ping` set it also sends one message to neighbor 0 when it rings.
+// Records every round it is stepped in.
+class Alarm final : public Process {
+ public:
+  Alarm(std::uint64_t alarm, bool ping) : alarm_(alarm), ping_(ping) {}
+  void on_round(RoundCtx& ctx) override {
+    steps_.push_back(ctx.round());
+    heard_ += ctx.inbox().size();
+    if (rang_ || ctx.round() < alarm_) return;
+    if (ping_) ctx.send(0, Message::make(1));
+    rang_ = true;
+  }
+  bool done() const override { return rang_; }
+  std::uint64_t wake_round(std::uint64_t r) const override {
+    return rang_ ? kNever : std::max(r, alarm_);
+  }
+  std::vector<std::uint64_t> steps_;
+  std::size_t heard_ = 0;
+
+ private:
+  std::uint64_t alarm_;
+  bool ping_;
+  bool rang_ = false;
+};
+
+// Rounds [0, end) without those in [skip_lo, skip_hi).
+std::vector<std::uint64_t> rounds_except(std::uint64_t end,
+                                         std::uint64_t skip_lo,
+                                         std::uint64_t skip_hi) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t r = 0; r < end; ++r) {
+    if (r < skip_lo || r >= skip_hi) out.push_back(r);
+  }
+  return out;
+}
+
+TEST(WakeContract, SleeperRunsAtItsWakeRoundOrWhenAMessageArrives) {
+  // Node 0 sleeps until round 10; node 1 rings at round 3 and pings it.
+  const Graph g = gen::path(2);
+  Engine e(g);
+  e.init([](NodeId v) {
+    return v == 0 ? std::make_unique<Alarm>(10, false)
+                  : std::make_unique<Alarm>(3, true);
+  });
+  const RunStats s = e.run();
+  EXPECT_EQ(s.rounds, 11u);
+  EXPECT_EQ(s.messages, 1u);
+  const auto& sleeper = e.process_as<Alarm>(0);
+  EXPECT_EQ(sleeper.heard_, 1u);
+  // The ping lands in round 4; the alarm rings in round 10.
+  const std::vector<std::uint64_t> ping_then_alarm = {4, 10};
+  EXPECT_EQ(sleeper.steps_,
+            kShadowSteps ? rounds_except(11, 0, 0) : ping_then_alarm);
+  EXPECT_EQ(e.process_as<Alarm>(1).steps_,
+            kShadowSteps ? rounds_except(11, 0, 0)
+                         : std::vector<std::uint64_t>{3});
+}
+
+TEST(WakeContract, StalledSleeperCountsItsStallAndDropsItsInbox) {
+  // Node 0's alarm (round 5) falls inside its stall [4, 7), and node 1's
+  // ping lands in round 5: both are lost to the stall, and the missed alarm
+  // rings in the first round after it.
+  const Graph g = gen::path(2);
+  FaultPlan plan;
+  plan.stalls.push_back({0, 4, 3});
+  EngineConfig cfg;
+  cfg.faults = plan;
+  Engine e(g, cfg);
+  e.init([](NodeId v) {
+    return v == 0 ? std::make_unique<Alarm>(5, false)
+                  : std::make_unique<Alarm>(4, true);
+  });
+  const RunStats s = e.run();
+  EXPECT_EQ(s.node_stall_rounds, 3u);
+  EXPECT_EQ(s.messages_dropped, 1u);
+  EXPECT_EQ(s.rounds, 8u);
+  const auto& sleeper = e.process_as<Alarm>(0);
+  EXPECT_EQ(sleeper.heard_, 0u);
+  EXPECT_TRUE(sleeper.done());
+  EXPECT_EQ(sleeper.steps_, kShadowSteps ? rounds_except(8, 4, 7)
+                                         : std::vector<std::uint64_t>{7});
+}
+
+TEST(WakeContract, SleepersCrashIsAppliedAndTracedAtItsRound) {
+  // Node 0 sleeps until round 10 but crashes at round 6; node 1's ping of
+  // round 7 is absorbed by the crash.
+  const Graph g = gen::path(2);
+  FaultPlan plan;
+  plan.crashes.push_back({0, 6});
+  TraceLog trace;
+  EngineConfig cfg;
+  cfg.faults = plan;
+  cfg.trace = &trace;
+  Engine e(g, cfg);
+  e.init([](NodeId v) {
+    return v == 0 ? std::make_unique<Alarm>(10, false)
+                  : std::make_unique<Alarm>(7, true);
+  });
+  const RunStats s = e.run();
+  EXPECT_EQ(s.nodes_crashed, 1u);
+  EXPECT_EQ(s.messages_dropped, 1u);
+  EXPECT_EQ(s.rounds, 8u);
+  EXPECT_TRUE(e.crashed(0));
+  std::vector<TraceEvent> crashes;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.kind == TraceEventKind::kCrash) crashes.push_back(ev);
+  }
+  ASSERT_EQ(crashes.size(), 1u);
+  EXPECT_EQ(crashes[0].node, 0u);
+  EXPECT_EQ(crashes[0].round, 6u);
+  EXPECT_EQ(e.process_as<Alarm>(0).steps_,
+            kShadowSteps ? rounds_except(6, 0, 0)
+                         : std::vector<std::uint64_t>{});
 }
 
 TEST(Message, DebugString) {

@@ -14,7 +14,11 @@
 //     must be byte-identical to the reference's serial send stream;
 //   * congestion / field-width / round-limit error paths must surface the
 //     same error text from the same node;
-//   * the reliable-delivery wrapper must behave identically on both.
+//   * the reliable-delivery wrapper must behave identically on both;
+//   * nodes asleep on far timers (Process::wake_round) — crashed, stalled or
+//     woken early by (delayed) messages while asleep — must behave as if
+//     stepped every round: the reference engine steps them, and throws if a
+//     step the production engine skips would have sent or changed the hint.
 //
 // Under AddressSanitizer this suite doubles as the arena-reuse check: every
 // round resets the per-shard arenas, poisoning their tails (util/arena.h),
@@ -22,7 +26,9 @@
 // silently passing a stale byte into the comparison.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +110,49 @@ class Gossip final : public Process {
   bool done_ = false;
 };
 
+// Far timers: each node sleeps until its next fire round, then sends one
+// beacon to every neighbor — three times, at gaps that depend on its id and
+// the round. A message that arrives while it sleeps may pull its next fire
+// earlier, so the awake set mixes receivers, due timers and stale heap
+// entries; the digest folds in arrival order.
+class Sleeper final : public Process {
+ public:
+  explicit Sleeper(NodeId id) : id_(id), next_fire_(first_fire(id)) {}
+
+  static std::uint64_t first_fire(NodeId id) { return 3 + (id * 7) % 23; }
+
+  void on_round(RoundCtx& ctx) override {
+    const std::uint64_t now = ctx.round();
+    for (const Received& r : ctx.inbox()) {
+      digest_ = digest_ * 31 + r.from_index + r.msg.f[0] + 7 * r.msg.f[1];
+    }
+    if (fires_left_ == 0) return;
+    if (!ctx.inbox().empty()) {
+      next_fire_ = std::min<std::uint64_t>(next_fire_, now + 2 + digest_ % 5);
+    }
+    if (now < next_fire_) return;
+    ctx.send_all(Message::make(5, id_ % 200,
+                               static_cast<std::uint32_t>(now % 200)));
+    --fires_left_;
+    next_fire_ = now + 5 + (id_ + now) % 17;
+  }
+  bool done() const override { return fires_left_ == 0; }
+  std::uint64_t wake_round(std::uint64_t r) const override {
+    return done() ? kNever : std::max(r, next_fire_);
+  }
+
+  std::string harvest() const {
+    return std::to_string(digest_) + "/" + std::to_string(fires_left_) + "/" +
+           std::to_string(next_fire_);
+  }
+
+ private:
+  NodeId id_;
+  std::uint64_t next_fire_;
+  std::uint32_t fires_left_ = 3;
+  std::uint32_t digest_ = 0;
+};
+
 // Everything one run can be compared by.
 struct Digest {
   std::string status;
@@ -114,16 +163,20 @@ struct Digest {
   bool operator==(const Digest&) const = default;
 };
 
-enum class Protocol { kFlood, kGossip };
+enum class Protocol { kFlood, kGossip, kSleeper };
 
 std::unique_ptr<Process> make_process(Protocol p, NodeId v) {
   if (p == Protocol::kFlood) return std::make_unique<Flood>(v);
+  if (p == Protocol::kSleeper) return std::make_unique<Sleeper>(v);
   return std::make_unique<Gossip>(v);
 }
 
 std::string harvest_process(Protocol p, Process& proc) {
   if (p == Protocol::kFlood) {
     return dynamic_cast<const Flood&>(proc.underlying()).harvest();
+  }
+  if (p == Protocol::kSleeper) {
+    return dynamic_cast<const Sleeper&>(proc.underlying()).harvest();
   }
   return dynamic_cast<const Gossip&>(proc.underlying()).harvest();
 }
@@ -248,7 +301,41 @@ FaultPlan plan_for(Rng& r, const Graph& g) {
   return plan;
 }
 
+// Faults aimed at Sleeper's sleep: a crash and a stall that begin before
+// the victim's first fire (the stall may swallow it), and delayed copies,
+// which land on nodes that are asleep by then.
+void add_sleeper_faults(Rng& r, const Graph& g, FaultPlan& plan) {
+  const auto victim = [&] {
+    return static_cast<NodeId>(r.below(g.num_nodes()));
+  };
+  const NodeId crashed = victim();
+  plan.crashes.push_back({crashed, r.between(1, Sleeper::first_fire(crashed))});
+  const NodeId stalled = victim();
+  plan.stalls.push_back({stalled, r.between(1, Sleeper::first_fire(stalled)),
+                         r.between(1, 6)});
+  plan.delay_prob = 0.1 + 0.3 * r.uniform01();
+  plan.max_extra_delay = static_cast<std::uint32_t>(r.between(2, 8));
+}
+
 // --- The main randomized differential -----------------------------------
+
+// Runs one configuration on the reference and on the flat engine at every
+// thread count, and compares everything a run can be compared by.
+void expect_matches_reference(const Graph& g, const EngineConfig& cfg,
+                              Protocol p, std::uint64_t seed) {
+  const Digest ref = run_reference(g, cfg, p);
+  for (const std::uint32_t t : kThreadCounts) {
+    const Digest flat = run_flat(g, cfg, p, t);
+    ASSERT_EQ(flat.status, ref.status)
+        << "seed=" << seed << " threads=" << t << " " << g.summary();
+    ASSERT_EQ(flat.stats, ref.stats)
+        << "seed=" << seed << " threads=" << t << " " << g.summary();
+    ASSERT_EQ(flat.harvest, ref.harvest)
+        << "seed=" << seed << " threads=" << t << " " << g.summary();
+    ASSERT_EQ(flat.sends, ref.sends)
+        << "seed=" << seed << " threads=" << t << " " << g.summary();
+  }
+}
 
 TEST(EngineEquivalence, RandomizedDifferentialAgainstReference) {
   constexpr std::uint64_t kConfigs = 200;
@@ -261,19 +348,26 @@ TEST(EngineEquivalence, RandomizedDifferentialAgainstReference) {
     const Protocol p = r.chance(0.5) ? Protocol::kFlood : Protocol::kGossip;
     const bool reliable = r.chance(0.25);
     if (reliable) apply_reliable(cfg);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(g, cfg, p, seed));
+  }
+}
 
-    const Digest ref = run_reference(g, cfg, p);
-    for (const std::uint32_t t : kThreadCounts) {
-      const Digest flat = run_flat(g, cfg, p, t);
-      ASSERT_EQ(flat.status, ref.status)
-          << "seed=" << seed << " threads=" << t << " " << g.summary();
-      ASSERT_EQ(flat.stats, ref.stats)
-          << "seed=" << seed << " threads=" << t << " " << g.summary();
-      ASSERT_EQ(flat.harvest, ref.harvest)
-          << "seed=" << seed << " threads=" << t << " " << g.summary();
-      ASSERT_EQ(flat.sends, ref.sends)
-          << "seed=" << seed << " threads=" << t << " " << g.summary();
-    }
+// The same differential over nodes asleep on far timers, under the random
+// plan plus faults aimed at the sleepers. Sleepers finish within a few
+// thousand rounds; the lower limit keeps a run that never quiesces (both
+// engines must still agree on its round-limit outcome) cheap.
+TEST(EngineEquivalence, SleeperDifferentialAgainstReference) {
+  constexpr std::uint64_t kConfigs = 80;
+  for (std::uint64_t seed = 0; seed < kConfigs; ++seed) {
+    Rng r(0x51ee0000 + seed);
+    const Graph g = graph_for(r);
+    EngineConfig cfg;
+    cfg.faults = plan_for(r, g);
+    add_sleeper_faults(r, g, *cfg.faults);
+    cfg.max_rounds = 20000;
+    if (r.chance(0.25)) apply_reliable(cfg);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_matches_reference(g, cfg, Protocol::kSleeper, seed));
   }
 }
 
@@ -431,6 +525,65 @@ TEST(EngineEquivalence, RoundLimitMatchesReference) {
     // Every accounted send is in the stream, the failing round's too.
     ASSERT_EQ(send_stream(trace), send_stream(ref_trace)) << "threads=" << t;
   }
+}
+
+// --- The wake contract -----------------------------------------------------
+
+// Sends once, in round 5, and sleeps until the round its hint names. With
+// hint round 6 the hint is one round late: round 5's step, which the
+// contract lets the engine skip, sends.
+class OneShot final : public Process {
+ public:
+  explicit OneShot(std::uint64_t hint_round) : hint_round_(hint_round) {}
+  void on_round(RoundCtx& ctx) override {
+    if (ctx.round() != 5) return;
+    ctx.send_all(Message::make(1, 1));
+    sent_ = true;
+  }
+  bool done() const override { return sent_; }
+  std::uint64_t wake_round(std::uint64_t r) const override {
+    return sent_ ? kNever : std::max(r, hint_round_);
+  }
+
+ private:
+  std::uint64_t hint_round_;
+  bool sent_ = false;
+};
+
+TEST(EngineEquivalence, LateWakeHintIsFlaggedByTheReferenceAudit) {
+  const Graph g = gen::path(3);
+  dapsp::testing::ReferenceEngine late(g, EngineConfig{});
+  late.init([](NodeId) { return std::make_unique<OneShot>(6); });
+  try {
+    late.run();
+    FAIL() << "a hint one round late passed the audit";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("node 0 in round 5"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The exact hint passes, and the engine that trusts it agrees.
+  dapsp::testing::ReferenceEngine exact(g, EngineConfig{});
+  exact.init([](NodeId) { return std::make_unique<OneShot>(5); });
+  const RunStats ref = exact.run();
+  EXPECT_EQ(ref.rounds, 7u);  // round 6 delivers round 5's sends
+  EXPECT_EQ(ref.messages, 4u);
+  for (const std::uint32_t t : kThreadCounts) {
+    EngineConfig cfg;
+    cfg.threads = t;
+    Engine eng(g, cfg);
+    eng.init([](NodeId) { return std::make_unique<OneShot>(5); });
+    EXPECT_EQ(eng.run().debug_string(), ref.debug_string()) << "threads=" << t;
+  }
+
+#ifndef NDEBUG
+  // Builds without NDEBUG shadow-step what the engine skips: the same late
+  // hint fails there too.
+  Engine eng(g);
+  eng.init([](NodeId) { return std::make_unique<OneShot>(6); });
+  EXPECT_THROW(eng.run(), std::logic_error);
+#endif
 }
 
 }  // namespace

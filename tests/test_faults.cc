@@ -212,6 +212,7 @@ TEST(Faults, LinkFailureCutsBothDirections) {
       if (ctx.round() < 5) ctx.send_all(Message::make(1, id_));
     }
     bool done() const override { return true; }
+    std::uint64_t wake_round(std::uint64_t r) const override { return r; }
     std::uint64_t last_recv_ = 0;
 
    private:
@@ -243,6 +244,7 @@ TEST(Faults, CrashStopSilencesNode) {
       if (ctx.round() < 6) ctx.send_all(Message::make(1, 7));
     }
     bool done() const override { return true; }
+    std::uint64_t wake_round(std::uint64_t r) const override { return r; }
     std::uint64_t rounds_run_ = 0;
     std::size_t received_ = 0;
   };
@@ -964,6 +966,7 @@ TEST(Faults, StallSilencesNodeTransiently) {
       if (ctx.round() < 6) ctx.send_all(Message::make(1, 7));
     }
     bool done() const override { return true; }
+    std::uint64_t wake_round(std::uint64_t r) const override { return r; }
     std::uint64_t rounds_run_ = 0;
     std::size_t received_ = 0;
   };

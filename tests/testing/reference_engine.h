@@ -24,9 +24,14 @@
 //     accounted send (round-major, sender-major, send order), including the
 //     sends of a round that fails.
 //
+// It steps every live node in every round, and so audits the wake contract
+// (Process::wake_round) that lets the production engine skip nodes: a step
+// the contract allows skipping — empty inbox, wake_round(round) > round —
+// must send nothing, report no suspect, and leave done() and the hint
+// unchanged, or the step throws std::logic_error naming node and round.
+//
 // Not reproduced (compare via the production engine's own thread-count
-// determinism instead): the trace's other event kinds, EngineMetrics,
-// round_activity.
+// determinism instead): the trace's other event kinds and EngineMetrics.
 #pragma once
 
 #include <algorithm>
@@ -197,15 +202,23 @@ class ReferenceEngine {
       }
       outbox_.clear();
       Ctx ctx(*this, v);
+      congest::Process& p = *processes_[v];
+      const std::uint64_t wake = p.wake_round(round_);
+      const bool skippable = inboxes_[v].empty() && wake > round_;
+      const bool was_done = p.done();
+      const std::uint64_t suspected = stats_.neighbors_suspected;
+      bool threw = false;
       try {
-        processes_[v]->on_round(ctx);
+        p.on_round(ctx);
       } catch (...) {
+        threw = true;
         if (!failed) {
           failed = true;
           failed_node = v;
           error = std::current_exception();
         }
       }
+      if (skippable && !threw) audit_skippable(v, wake, was_done, suspected);
       // Accounting: an error reported here supersedes a phase-A failure of
       // the same node, never an earlier node's.
       const auto fail = [&](std::string text) {
@@ -304,6 +317,25 @@ class ReferenceEngine {
         delayed_.erase(due);
       }
       apply_crashes();
+    }
+  }
+
+  // The wake contract for a step the production engine may skip.
+  void audit_skippable(NodeId v, std::uint64_t wake, bool was_done,
+                       std::uint64_t suspected) const {
+    const congest::Process& p = *processes_[v];
+    const auto where = [&] {
+      return "node " + std::to_string(v) + " in round " +
+             std::to_string(round_);
+    };
+    if (!outbox_.empty() || stats_.neighbors_suspected != suspected) {
+      throw std::logic_error("wake contract broken: " + where() +
+                             " may be skipped, but stepping it sends");
+    }
+    if (p.done() != was_done || p.wake_round(round_ + 1) != wake) {
+      throw std::logic_error("wake contract broken: " + where() +
+                             " may be skipped, but stepping it changes "
+                             "done() or wake_round()");
     }
   }
 
