@@ -53,7 +53,7 @@ std::vector<RowCoverage> classify_coverage(
 namespace {
 
 // One row a node takes part in: it broadcasts its value for row k in round
-// 2k when it ships the row, and checks the row in round 2k+1 when it judges
+// k when it ships the row, and checks the row in round k+1 when it judges
 // it.
 struct RowPart {
   std::uint32_t k;
@@ -61,11 +61,12 @@ struct RowPart {
   bool judge;
 };
 
-// One node of the distributed verifier. Round 2k: broadcast (k, value) for
-// row k. Round 2k+1: judge row k against the neighborhood broadcast of the
-// previous round. Dead nodes never run (crash-stopped at round 0), so their
-// entries are neither offered nor demanded. With a scope (`view` set), a
-// neighbor that did not ship the row is judged by the entry it last
+// One node of the distributed verifier, pipelined like Algorithm 2's
+// floods: round k broadcasts (k, value) for row k, and round k+1 judges row
+// k against that broadcast while it ships row k+1. Each edge still carries
+// one message per round. Dead nodes never run (crash-stopped at round 0),
+// so their entries are neither offered nor demanded. With a scope (`view`
+// set), a neighbor that did not ship the row is judged by the entry it last
 // shipped, read through `view`.
 class CertifyProcess final : public congest::Process {
  public:
@@ -84,38 +85,41 @@ class CertifyProcess final : public congest::Process {
     for (std::size_t i = 0; i < count(); ++i) {
       values_.push_back(entry(id, sources_[part(i).k]));
     }
-    row_ok_.assign(sources_.size(), 1);
   }
 
   void on_round(congest::RoundCtx& ctx) override {
     if (next_ == count()) return;
-    const RowPart p = part(next_);
-    if (ctx.round() == 2 * std::uint64_t{p.k}) {
-      if (!p.ship) return;
+    RowPart p = part(next_);
+    if (ctx.round() == std::uint64_t{p.k} + 1) {
+      if (p.judge) judge_row(ctx, p.k, values_[next_]);
+      if (++next_ == count()) return;
+      p = part(next_);
+    }
+    if (ctx.round() == p.k && p.ship) {
       const std::uint32_t inf = congest::wire_infinity(ctx.n());
       const std::uint32_t w =
           values_[next_] == kInfDist ? inf : std::min(values_[next_], inf);
       ctx.send_all(congest::Message::make(kCertValue, p.k, w));
-    } else if (ctx.round() == 2 * std::uint64_t{p.k} + 1) {
-      if (p.judge) judge_row(ctx, p.k, values_[next_]);
-      ++next_;
     }
   }
 
   bool done() const override { return next_ == count(); }
 
-  // Asleep between its rows: the next ship round 2k (when it ships row k)
-  // or judge round 2k+1. A node that missed its judge round (stalled) can
+  // Asleep between its rows: the next ship round k (when it ships row k)
+  // or judge round k+1. A node that missed its judge round (stalled) can
   // no longer act.
   std::uint64_t wake_round(std::uint64_t r) const override {
     if (done()) return congest::kNever;
     const RowPart p = part(next_);
-    const std::uint64_t ship = 2 * std::uint64_t{p.k};
+    const std::uint64_t ship = p.k;
     if (p.ship && r <= ship) return ship;
     return r <= ship + 1 ? ship + 1 : congest::kNever;
   }
 
-  std::span<const std::uint8_t> row_ok() const noexcept { return row_ok_; }
+  // The rows this node saw fail, ascending.
+  std::span<const std::uint32_t> failed_rows() const noexcept {
+    return failed_;
+  }
   std::uint64_t checks_failed() const noexcept { return checks_failed_; }
 
  private:
@@ -128,7 +132,7 @@ class CertifyProcess final : public congest::Process {
   }
 
   void fail(std::uint32_t k) {
-    row_ok_[k] = 0;
+    if (failed_.empty() || failed_.back() != k) failed_.push_back(k);
     ++checks_failed_;
   }
 
@@ -179,7 +183,7 @@ class CertifyProcess final : public congest::Process {
   std::span<const std::uint8_t> survived_;
   bool view_;
   std::vector<std::uint32_t> values_;  // one per row taken part in
-  std::vector<std::uint8_t> row_ok_;
+  std::vector<std::uint32_t> failed_;
   std::vector<std::uint32_t> nbr_;
   std::uint64_t checks_failed_ = 0;
   std::size_t next_ = 0;  // first row taken part in not yet judged
@@ -250,10 +254,7 @@ CertifyReport certify_rows(const Graph& g,
     if (survived[v] == 0) continue;
     const auto& p = engine.process_as<CertifyProcess>(v);
     report.checks_failed += p.checks_failed();
-    const auto ok = p.row_ok();
-    for (std::size_t k = 0; k < ok.size(); ++k) {
-      if (ok[k] == 0) report.certified[k] = 0;
-    }
+    for (const std::uint32_t k : p.failed_rows()) report.certified[k] = 0;
   }
   for (const std::uint8_t c : report.certified) report.rows_certified += c;
   return report;

@@ -29,8 +29,11 @@
 //     surviving entry, and a crashed source's row is never certifiable —
 //     no survivor may claim 0.
 //
-//     Each check uses one broadcast round plus one comparison round per row,
-//     matching the O(1)-round certificate flavor of the paper's lower-bound
+//     Each row costs one broadcast round and one comparison round, and the
+//     rows are pipelined like Algorithm 2's floods: row k ships in round k
+//     and is judged in round k+1, the round that ships row k+1, so K rows
+//     take K+1 rounds with one message per edge per round. That matches the
+//     O(1)-rounds-per-row certificate flavor of the paper's lower-bound
 //     section (checking is as hard as computing only when done from scratch).
 //
 //  Lemma 1 / Claim 1 (no directed edge ever carries two kApspFlood messages
@@ -75,13 +78,14 @@ struct CertifyOptions {
   // Per-row node subsets. Empty: every survivor ships and judges every row.
   // Otherwise one entry per source each: scope[k] lists the nodes that judge
   // row sources[k] and shipped[k] the nodes that broadcast their entry of
-  // it. A judge reads a neighbor that does not ship from its view, the entry
-  // that neighbor shipped last, i.e. entry(u, s): every certificate ships
-  // every changed entry, so the views stay current. Rules (a)-(c) are local,
-  // so a row that was exact before a batch is exact after it if every node
-  // whose own entry, a neighbor's entry or whose adjacency changed judges it
-  // (the cell certificate of core/repair.h; DESIGN.md §13). Neither is
-  // owned; both must outlive the call.
+  // it, in any order and possibly more than once. A judge reads a neighbor
+  // that does not ship from its view, the entry that neighbor shipped last,
+  // i.e. entry(u, s): every certificate ships every changed entry, so the
+  // views stay current. Rules (a)-(c) are local, so a row that was exact
+  // before a batch is exact after it if every node whose own entry, a
+  // neighbor's entry or whose adjacency changed judges it (the cell
+  // certificate of core/repair.h; DESIGN.md §13). Neither is owned; both
+  // must outlive the call.
   std::span<const std::vector<NodeId>> scope;
   std::span<const std::vector<NodeId>> shipped;
 };
@@ -103,8 +107,11 @@ struct CertifyReport {
 
 // Runs the distributed verifier over the surviving subgraph (dead nodes are
 // crash-stopped at round 0, so their entries neither broadcast nor judge).
-// Two engine rounds per row. With a scope, a row nobody judges passes. Throws std::invalid_argument on size mismatches
-// or out-of-range sources.
+// K rows take K + 1 engine rounds: row k ships in round k and is judged in
+// round k + 1. A node that misses its judge round (a stall) never acts
+// again, so the run ends at the round limit. With a scope, a row nobody
+// judges passes. Throws std::invalid_argument on size mismatches or
+// out-of-range sources.
 CertifyReport certify_rows(const Graph& g,
                            std::span<const std::uint8_t> survived,
                            std::span<const NodeId> sources,

@@ -143,22 +143,29 @@ KNearestAnswer QuerySnapshot::k_nearest(NodeId u, std::uint32_t k,
                           ? n_
                           : static_cast<NodeId>(std::min<std::uint64_t>(
                                 n_, budget->grant(n_)));
-  std::vector<NearNeighbor> cand;
-  cand.reserve(scan);
-  for (NodeId v = 0; v < scan; ++v) {
-    if (v == u || active_[v] == 0 || row[v] == kInfDist) continue;
-    cand.push_back({v, row[v]});
-  }
+  // A max-heap of the k best (dist, id) scanned so far, kept in the
+  // answer's own storage: the scan allocates nothing else.
   const auto by_dist_then_id = [](const NearNeighbor& a,
                                   const NearNeighbor& b) {
     return a.dist != b.dist ? a.dist < b.dist : a.node < b.node;
   };
-  const std::size_t keep = std::min<std::size_t>(k, cand.size());
-  std::partial_sort(cand.begin(),
-                    cand.begin() + static_cast<std::ptrdiff_t>(keep),
-                    cand.end(), by_dist_then_id);
-  cand.resize(keep);
-  ans.nearest = std::move(cand);
+  std::vector<NearNeighbor>& heap = ans.nearest;
+  if (k != 0) {
+    heap.reserve(std::min<std::size_t>(k, scan));
+    for (NodeId v = 0; v < scan; ++v) {
+      if (v == u || active_[v] == 0 || row[v] == kInfDist) continue;
+      const NearNeighbor c{v, row[v]};
+      if (heap.size() < k) {
+        heap.push_back(c);
+        std::ranges::push_heap(heap, by_dist_then_id);
+      } else if (by_dist_then_id(c, heap.front())) {
+        std::ranges::pop_heap(heap, by_dist_then_id);
+        heap.back() = c;
+        std::ranges::push_heap(heap, by_dist_then_id);
+      }
+    }
+    std::ranges::sort_heap(heap, by_dist_then_id);
+  }
   if (scan < n_) {
     ans.truncated = true;
     ans.scanned = scan;

@@ -254,6 +254,17 @@ bool test_bit(std::span<const std::uint64_t> bits, std::size_t i) {
   return ((bits[i >> 6] >> (i & 63)) & 1u) != 0;
 }
 
+// Calls f(i) for every set bit i of an n-bit row, ascending.
+template <class F>
+void for_each_bit(std::span<const std::uint64_t> bits, F&& f) {
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      f(static_cast<NodeId>(w * 64 +
+                            static_cast<std::size_t>(std::countr_zero(b))));
+    }
+  }
+}
+
 // What every node of the cell protocol may read: its own and its neighbors'
 // pre-batch entries (the certificate exchange put them on every edge), the
 // batch's effect on its own adjacency, and which rows take part.
@@ -263,7 +274,9 @@ struct CellView {
   NodeId n = 0;
   std::uint32_t words = 0;  // 64-bit words per n-bit row
   std::vector<NodeId> rows;
+  std::vector<std::uint8_t> in_rows;  // per source: takes part
   std::vector<std::uint8_t> fresh;   // per source: joined, row starts empty
+  std::vector<NodeId> fresh_rows;    // the rows with fresh set, ascending
   std::vector<std::uint8_t> joined;  // per node
   // Per node, ascending: the batch's lost and gained neighbors.
   std::vector<std::vector<NodeId>> lost;
@@ -323,6 +336,8 @@ class InvalidateProcess final : public congest::Process {
     if (test_bit(invalidated_by(i), s)) return kInfDist;
     return view_.value(view_.g.neighbors(id_)[i], s);
   }
+  // The sources this node invalidated, as an n-bit row.
+  std::span<const std::uint64_t> invalidated() const { return inval_; }
   // The sources neighbor i invalidated, as an n-bit row.
   std::span<const std::uint64_t> invalidated_by(std::uint32_t i) const {
     return {nbr_inval_.data() + std::size_t{i} * view_.words, view_.words};
@@ -332,6 +347,12 @@ class InvalidateProcess final : public congest::Process {
       if (it->first == s) return it->second;
     }
     return table_.next_hop.at(id_, s);
+  }
+  // Calls f(s) for every source whose next hop this node re-pointed (a
+  // source may repeat).
+  template <class F>
+  void for_each_repointed(F&& f) const {
+    for (const auto& [s, h] : hops_) f(s);
   }
   // Whether any entry of this node changed: invalidated or re-pointed, or
   // a neighbor invalidated something (this node may have to regrow it).
@@ -395,7 +416,11 @@ class RegrowProcess final : public congest::Process {
 
   void on_round(congest::RoundCtx& ctx) override {
     if (!started_) start();
-    for (const congest::Received& r : ctx.inbox()) ssp_.handle(ctx, r);
+    for (const congest::Received& r : ctx.inbox()) {
+      if (!ssp_.handle(ctx, r)) continue;
+      const NodeId s = r.msg.f[0];
+      claimed_[s >> 6] |= std::uint64_t{1} << (s & 63);
+    }
     ssp_.advance(ctx);
   }
 
@@ -403,14 +428,32 @@ class RegrowProcess final : public congest::Process {
 
   bool started() const { return started_; }
   const SspMachine& ssp() const { return ssp_; }
+  // The sources of every claim that reached this node, as an n-bit row
+  // (empty if it never started): the only entries regrowth can have
+  // improved.
+  std::span<const std::uint64_t> claimed() const { return claimed_; }
 
  private:
+  // Seeds the machine with this node's entries after the wave: its table
+  // row (nothing if it joined), blanked in the fresh rows and at the
+  // entries it invalidated. Entries outside the rows keep their table
+  // values; no claim ever names them.
   void start() {
     started_ = true;
-    std::vector<std::uint32_t> seed(view_.n, kInfDist);
-    for (const NodeId s : view_.rows) seed[s] = wave_.mine(s);
+    claimed_.assign(view_.words, 0);
     const auto nbrs = view_.g.neighbors(id_);
-    ssp_.seed(view_.g.degree(id_), seed);
+    if (view_.joined[id_] != 0) {
+      ssp_.seed(view_.g.degree(id_), {});
+      if (view_.in_rows[id_] != 0) ssp_.seed_at(id_, 0);
+    } else {
+      ssp_.seed(view_.g.degree(id_), view_.old.row(id_));
+      for (const NodeId s : view_.fresh_rows) {
+        ssp_.seed_at(s, s == id_ ? 0 : kInfDist);
+      }
+      for_each_bit(wave_.invalidated(),
+                   [&](NodeId s) { ssp_.seed_at(s, kInfDist); });
+    }
+    const std::vector<std::uint32_t>& seed = ssp_.delta();
     for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
       if (std::ranges::binary_search(view_.gained[id_], nbrs[i])) {
         // A new edge carries every entry that shortcuts the far side.
@@ -422,14 +465,9 @@ class RegrowProcess final : public congest::Process {
         continue;
       }
       // An old edge carries the entries the far side invalidated.
-      const auto row = wave_.invalidated_by(i);
-      for (std::uint32_t w = 0; w < view_.words; ++w) {
-        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
-          const auto s = static_cast<NodeId>(
-              w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits)));
-          if (seed[s] != kInfDist) ssp_.owe(s, i);
-        }
-      }
+      for_each_bit(wave_.invalidated_by(i), [&](NodeId s) {
+        if (seed[s] != kInfDist) ssp_.owe(s, i);
+      });
     }
   }
 
@@ -439,7 +477,95 @@ class RegrowProcess final : public congest::Process {
   SspMachine ssp_;
   bool started_ = false;
   bool has_work_ = false;
+  std::vector<std::uint64_t> claimed_;
 };
+
+// What the harvest finds for one cell (v, s): the entry the wave left, and
+// the entry and next hop after regrowth. A zero or infinite entry has no
+// next hop.
+struct CellOutcome {
+  std::uint32_t seeded;
+  std::uint32_t dist;
+  NodeId hop;
+  bool invalid;
+};
+
+CellOutcome harvest_cell(const InvalidateProcess& wave,
+                         const RegrowProcess& grow,
+                         std::span<const NodeId> nbrs, NodeId s) {
+  CellOutcome c;
+  c.seeded = wave.mine(s);
+  c.dist = c.seeded;
+  c.hop = c.seeded == kInfDist || c.seeded == 0 ? kNoNextHop : wave.hop(s);
+  if (grow.started() && grow.ssp().delta()[s] < c.seeded) {
+    c.dist = grow.ssp().delta()[s];
+    const std::uint32_t pi = grow.ssp().parent_index()[s];
+    c.hop = pi == kNoParent ? kNoNextHop : nbrs[pi];
+  }
+  c.invalid = wave.invalid(s);
+  return c;
+}
+
+// The rows at which a worked node that did not join can leave its table
+// other than the phases found it, ascending in `out`: the entries the wave
+// invalidated or re-pointed, the sources a regrowth claim reached, the
+// fresh rows, and the rows whose zero or infinite entry still has a next
+// hop (bit-rot; the harvest clears that hop). Every other row keeps its
+// entry and its hop. `mask` is scratch for an n-bit row.
+void harvest_sources(NodeId v, const CellView& view, const ApspResult& table,
+                     const InvalidateProcess& wave, const RegrowProcess& grow,
+                     std::vector<std::uint64_t>& mask,
+                     std::vector<NodeId>& out) {
+  const auto set = [&](NodeId s) {
+    mask[s >> 6] |= std::uint64_t{1} << (s & 63);
+  };
+  mask.assign(wave.invalidated().begin(), wave.invalidated().end());
+  for (std::size_t w = 0; w < grow.claimed().size(); ++w) {
+    mask[w] |= grow.claimed()[w];
+  }
+  wave.for_each_repointed(set);
+  for (const NodeId s : view.fresh_rows) set(s);
+  // A zero or infinite entry with a hop is rare: test for one first with a
+  // loop the compiler can vectorize.
+  const auto dist = table.dist.row(v);
+  const auto hop = table.next_hop.row(v);
+  std::uint32_t any = 0;
+  for (NodeId s = 0; s < view.n; ++s) {
+    any |= static_cast<std::uint32_t>(dist[s] + 1u <= 1u) &
+           static_cast<std::uint32_t>(hop[s] != kNoNextHop);
+  }
+  if (any != 0) {
+    for (NodeId s = 0; s < view.n; ++s) {
+      if (dist[s] + 1u <= 1u && hop[s] != kNoNextHop && view.in_rows[s] != 0) {
+        set(s);
+      }
+    }
+  }
+  out.clear();
+  for_each_bit(mask, [&](NodeId s) { out.push_back(s); });
+}
+
+#ifndef NDEBUG
+// Audits harvest_sources against the exhaustive harvest: every row it
+// skipped at node v must be one the full harvest leaves alone.
+void audit_sparse_harvest(NodeId v, const CellView& view,
+                          const ApspResult& table,
+                          const InvalidateProcess& wave,
+                          const RegrowProcess& grow,
+                          std::span<const NodeId> harvested) {
+  const auto nbrs = view.g.neighbors(v);
+  for (const NodeId s : view.rows) {
+    if (std::ranges::binary_search(harvested, s)) continue;
+    const CellOutcome c = harvest_cell(wave, grow, nbrs, s);
+    if (c.invalid || c.dist != c.seeded || table.dist.at(v, s) != c.dist ||
+        table.next_hop.at(v, s) != c.hop) {
+      throw std::logic_error("repair_cells: the sparse harvest skipped cell (" +
+                             std::to_string(v) + ", " + std::to_string(s) +
+                             "), which the exhaustive harvest rewrites");
+    }
+  }
+}
+#endif
 
 // 2 * ecc(leader) maximized over the components of the active subgraph: a
 // convergecast plus a broadcast over each component's BFS tree.
@@ -488,7 +614,9 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
                 .n = n,
                 .words = (n + 63) / 64,
                 .rows = {},
+                .in_rows = {},
                 .fresh = {},
+                .fresh_rows = {},
                 .joined = {},
                 .lost = {},
                 .gained = {}};
@@ -496,6 +624,7 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
   std::ranges::sort(view.rows);
   view.rows.erase(std::unique(view.rows.begin(), view.rows.end()),
                   view.rows.end());
+  view.in_rows.assign(n, 0);
   view.fresh.assign(n, 0);
   view.joined.assign(n, 0);
   for (const NodeId w : batch.joined) view.joined[w] = 1;
@@ -504,7 +633,9 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
       throw std::invalid_argument("repair_cells: row " + std::to_string(s) +
                                   " is out of range or inactive");
     }
+    view.in_rows[s] = 1;
     view.fresh[s] = view.joined[s];
+    if (view.fresh[s] != 0) view.fresh_rows.push_back(s);
   }
 
   // Each node's adjacency change, and the nodes whose adjacency changed.
@@ -520,17 +651,14 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
     }
   }
 
-  // A node that did nothing can only hold a stale entry in a fresh row.
-  std::vector<NodeId> fresh_rows;
-  std::ranges::copy_if(view.rows, std::back_inserter(fresh_rows),
-                       [&](NodeId s) { return view.fresh[s] != 0; });
-
   // The two phases, then the harvest: every changed entry and next hop is
   // written back, and per row the nodes whose entry moved or was
   // invalidated are noted. A joined node is harvested in every row, so an
   // entry from before it left cannot survive (one that joins edgeless does
-  // no work at all). The engines (and every node's regrowth state) are gone
-  // before the certificate runs.
+  // no work at all). Any other node that worked is harvested only where its
+  // cells can differ (harvest_sources), and a node that did nothing can
+  // only hold a stale entry in a fresh row. The engines (and every node's
+  // regrowth state) are gone before the certificate runs.
   CellRepairReport report;
   const congest::EngineConfig cfg = sanitized(options.engine);
   congest::RunStats wave_stats, grow_stats;
@@ -548,36 +676,37 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
           v, view, wave_engine.process_as<InvalidateProcess>(v));
     });
     grow_stats = grow_engine.run();
+    std::vector<std::uint64_t> mask;
+    std::vector<NodeId> sparse;
     for (NodeId v = 0; v < n; ++v) {
       if (active[v] == 0) continue;
       const auto& wave = wave_engine.process_as<InvalidateProcess>(v);
       const auto& grow = grow_engine.process_as<RegrowProcess>(v);
       const auto nbrs = g.neighbors(v);
-      const bool worked =
-          grow.started() || wave.touched() || view.joined[v] != 0;
-      for (const NodeId s : worked ? view.rows : fresh_rows) {
-        const std::uint32_t seeded = wave.mine(s);
-        std::uint32_t dist = seeded;
-        NodeId hop =
-            seeded == kInfDist || seeded == 0 ? kNoNextHop : wave.hop(s);
-        if (grow.started() && grow.ssp().delta()[s] < seeded) {
-          dist = grow.ssp().delta()[s];
-          const std::uint32_t pi = grow.ssp().parent_index()[s];
-          hop = pi == kNoParent ? kNoNextHop : nbrs[pi];
-        }
-        const bool invalid = wave.invalid(s);
-        if (invalid) report.depth = std::max(report.depth, view.value(v, s));
-        if (dist < seeded) report.depth = std::max(report.depth, dist);
-        if (invalid || dist < seeded) row_affected[s] = 1;
-        const bool moved = result.dist.at(v, s) != dist;
+      std::span<const NodeId> cells = view.fresh_rows;
+      if (view.joined[v] != 0) {
+        cells = view.rows;
+      } else if (grow.started() || wave.touched()) {
+        harvest_sources(v, view, result, wave, grow, mask, sparse);
+        cells = sparse;
+#ifndef NDEBUG
+        audit_sparse_harvest(v, view, result, wave, grow, sparse);
+#endif
+      }
+      for (const NodeId s : cells) {
+        const CellOutcome c = harvest_cell(wave, grow, nbrs, s);
+        if (c.invalid) report.depth = std::max(report.depth, view.value(v, s));
+        if (c.dist < c.seeded) report.depth = std::max(report.depth, c.dist);
+        if (c.invalid || c.dist < c.seeded) row_affected[s] = 1;
+        const bool moved = result.dist.at(v, s) != c.dist;
         report.cells_changed += moved ? 1 : 0;
-        if (moved || invalid) touched[s].push_back(v);
-        if (moved || result.next_hop.at(v, s) != hop ||
+        if (moved || c.invalid) touched[s].push_back(v);
+        if (moved || result.next_hop.at(v, s) != c.hop ||
             view.joined[v] != 0) {
           row_changed[s] = 1;
           report.changed_cells.emplace_back(v, s);
-          result.dist.set(v, s, dist);
-          result.next_hop.set(v, s, hop);
+          result.dist.set(v, s, c.dist);
+          result.next_hop.set(v, s, c.hop);
         }
       }
     }
@@ -622,8 +751,6 @@ CellRepairReport repair_cells(const Graph& g, ApspResult& result,
         judges.insert(judges.end(), g.neighbors(v).begin(),
                       g.neighbors(v).end());
       }
-      std::ranges::sort(judges);
-      judges.erase(std::unique(judges.begin(), judges.end()), judges.end());
     }
     if (judges.empty()) continue;
     report.certified_rows.push_back(s);

@@ -346,6 +346,8 @@ bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
   ep.suspect_rows =
       static_cast<std::uint32_t>(cells.certify.size() + cells.stale.size());
   ep.cells_changed = cr.cells_changed;
+  ep.affected_sources = cr.affected_sources;
+  ep.depth = cr.depth;
   ep.repair_rounds = cr.repair_rounds + sr.repair_rounds;
   ep.round_bound = cr.round_bound + (cells.stale.empty() ? 0 : sr.round_bound);
   ep.bound_ok = cr.bound_ok && sr.bound_ok;

@@ -164,6 +164,11 @@ struct EpochReport {
   std::uint32_t corrupted_entries = 0;
   std::uint32_t suspect_rows = 0;  // rows implicated this epoch
   std::uint64_t cells_changed = 0;  // entries the cell rung changed
+  // When the cell rung healed the epoch: its |S_aff| (rows with an
+  // invalidated or improved entry) and h (the largest such entry), the
+  // terms of its round bound (core/repair.h).
+  std::uint32_t affected_sources = 0;
+  std::uint32_t depth = 0;
   std::uint32_t attempts = 0;      // repair attempts consumed
   bool escalated = false;
   bool certified = true;  // the epoch's repaired rows certified

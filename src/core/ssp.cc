@@ -70,7 +70,7 @@ void SspMachine::seed(std::uint32_t degree,
     throw std::logic_error("SspMachine::seed: loop already running");
   }
   ensure_storage(degree);
-  std::ranges::copy(dist.first(n_), delta_.begin());
+  if (!dist.empty()) std::ranges::copy(dist.first(n_), delta_.begin());
 }
 
 void SspMachine::owe(std::uint32_t src, std::uint32_t edge) {

@@ -84,12 +84,15 @@ class SspMachine {
 
   // Seeding entry point for the cell-level repair (core/repair.h): the loop
   // starts from a known table instead of the sources' zeros. seed() presets
-  // delta to `dist` (one entry per source, kInfDist = unknown) before the loop
-  // starts, owing nothing; owe() then queues the current claim of source
-  // `src` on edge `edge`. A seeded machine runs Algorithm 2's (dist, id)
-  // edge priority and min-merge unchanged: a claim that improves delta is
-  // adopted, with the sender as parent, and forwarded on every other edge.
+  // delta to `dist` (one entry per source, kInfDist = unknown; empty = all
+  // unknown) before the loop starts, owing nothing, and seed_at() overwrites
+  // one preset entry before anything is owed; owe() then queues the current
+  // claim of source `src` on edge `edge`. A seeded machine runs Algorithm
+  // 2's (dist, id) edge priority and min-merge unchanged: a claim that
+  // improves delta is adopted, with the sender as parent, and forwarded on
+  // every other edge.
   void seed(std::uint32_t degree, std::span<const std::uint32_t> dist);
+  void seed_at(std::uint32_t src, std::uint32_t dist) { delta_[src] = dist; }
   void owe(std::uint32_t src, std::uint32_t edge);
   // No claim owed on any edge and none awaiting resolution: the machine
   // sends nothing until a claim arrives. Meaningful after advance().

@@ -265,6 +265,64 @@ TEST(QueryBlob, RoundTripPreservesFieldsAndAnswers) {
   }
 }
 
+TEST(QueryBlob, KNearestMatchesAPartialSortReference) {
+  // Random rows with many ties, inactive nodes and unreachable entries,
+  // queried with and without budgets: the bounded heap must return exactly
+  // the (dist, id)-ordered prefix a full candidate sort does, and mark a
+  // budget-truncated scan the same way.
+  Rng rng(0x6b6e6e);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<NodeId>(rng.between(1, 70));
+    DistanceMatrix dist(n);
+    std::vector<std::uint8_t> active(n);
+    for (NodeId v = 0; v < n; ++v) active[v] = rng.below(5) != 0 ? 1 : 0;
+    for (NodeId v = 0; v < n; ++v) {
+      for (NodeId s = 0; s < n; ++s) {
+        const std::uint64_t roll = rng.below(8);
+        dist.set(v, s, roll == 0 ? kInfDist
+                                 : static_cast<std::uint32_t>(rng.below(4)));
+      }
+    }
+    const QuerySnapshot snap =
+        QuerySnapshot::from_blob(encode_query_snapshot_tables(
+            dist, nullptr, active, all_exact(n), 0, 0, false));
+    for (NodeId u = 0; u < n; ++u) {
+      const std::uint32_t k = static_cast<std::uint32_t>(rng.below(n + 3));
+      const std::uint64_t limit = rng.below(3) == 0 ? rng.below(n + 2) : 0;
+      WorkBudget budget{.limit = limit};
+      const KNearestAnswer got =
+          snap.k_nearest(u, k, limit != 0 ? &budget : nullptr);
+      ASSERT_EQ(got.active, active[u] != 0);
+      if (!got.active) continue;
+
+      const NodeId scan =
+          limit != 0 ? static_cast<NodeId>(std::min<std::uint64_t>(n, limit))
+                     : n;
+      std::vector<NearNeighbor> want;
+      for (NodeId v = 0; v < scan; ++v) {
+        const std::uint32_t d = dist.at(v, u);
+        if (v != u && active[v] != 0 && d != kInfDist) want.push_back({v, d});
+      }
+      const auto keep = std::min<std::size_t>(k, want.size());
+      std::partial_sort(want.begin(),
+                        want.begin() + static_cast<std::ptrdiff_t>(keep),
+                        want.end(),
+                        [](const NearNeighbor& a, const NearNeighbor& b) {
+                          return a.dist != b.dist ? a.dist < b.dist
+                                                  : a.node < b.node;
+                        });
+      want.resize(keep);
+      ASSERT_EQ(got.nearest.size(), want.size()) << "n " << n << " u " << u;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.nearest[i].node, want[i].node);
+        EXPECT_EQ(got.nearest[i].dist, want[i].dist);
+      }
+      EXPECT_EQ(got.truncated, scan < n);
+      EXPECT_EQ(got.scanned, scan < n ? scan : 0u);
+    }
+  }
+}
+
 TEST(QueryBlob, ClassifyTaxonomy) {
   const Graph g = gen::random_connected(8, 4, 2);
   std::vector<std::uint8_t> blob = encode_static(g);

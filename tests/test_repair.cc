@@ -5,7 +5,9 @@
 // (crashes + drops + payload corruption -> all-certified repairs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/engine.h"
@@ -466,6 +468,40 @@ TEST(CellRepair, CertificateOutOfRoundsLeavesTheRowsUncertified) {
   EXPECT_THROW(repair_grid_cut(untouched, after, before, 1),
                congest::RoundLimitError);
   EXPECT_EQ(untouched.dist, exact_table(before).dist);
+}
+
+TEST(CellRepair, BitRottedZeroAtAWorkedNodeLosesItsNextHop) {
+  // Node 0 loses edge {0, 1}, so it works in this repair. Its entries for
+  // rows 30 and 31 do not change with the cut, but bit-rot left a zero
+  // (0 != 30) and an infinity in them with their next hops still set. The
+  // harvest writes every cell it rules on, and a zero or infinite entry has
+  // no next hop, so both hops are cleared and both cells are reported.
+  const Graph before = gen::grid(6, 6);
+  std::vector<Edge> kept;
+  for (const Edge& e : before.edges()) {
+    if (!(e.u == 0 && e.v == 1)) kept.push_back(e);
+  }
+  const Graph after(before.num_nodes(), kept);
+  ApspResult table = exact_table(before);
+  ASSERT_NE(table.next_hop.at(0, 30), kNoNextHop);
+  ASSERT_NE(table.next_hop.at(0, 31), kNoNextHop);
+  table.dist.set(0, 30, 0);
+  table.dist.set(0, 31, kInfDist);
+  const CellRepairReport rep = repair_grid_cut(table, after, before);
+  EXPECT_EQ(table.dist.at(0, 30), 0u);
+  EXPECT_EQ(table.dist.at(0, 31), kInfDist);
+  EXPECT_EQ(table.next_hop.at(0, 30), kNoNextHop);
+  EXPECT_EQ(table.next_hop.at(0, 31), kNoNextHop);
+  const auto has = [&](NodeId v, NodeId s) {
+    return std::ranges::find(rep.changed_cells, std::pair{v, s}) !=
+           rep.changed_cells.end();
+  };
+  EXPECT_TRUE(has(0, 30));
+  EXPECT_TRUE(has(0, 31));
+  EXPECT_TRUE(std::ranges::binary_search(rep.changed_rows, NodeId{30}));
+  EXPECT_TRUE(std::ranges::binary_search(rep.changed_rows, NodeId{31}));
+  // Node 0 judges both rows (its adjacency changed) and rejects them.
+  EXPECT_FALSE(rep.all_certified());
 }
 
 }  // namespace
