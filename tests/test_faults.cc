@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "congest/engine.h"
@@ -18,6 +20,7 @@
 #include "graph/generators.h"
 #include "seq/apsp.h"
 #include "seq/bfs.h"
+#include "util/blob.h"
 
 namespace dapsp::congest {
 namespace {
@@ -809,6 +812,134 @@ TEST(CrashSurvival, DelayOnlyWrappedPebbleStaysExact) {
   EXPECT_TRUE(r.dist == seq::apsp(g));
   for (const core::RowCoverage c : r.coverage) {
     EXPECT_EQ(c, core::RowCoverage::kComplete);
+  }
+}
+
+// One line per degraded run: status, cost, verdicts, the survivors that
+// degraded, per-source coverage (C/P/L) and an FNV-1a digest of the
+// distance and next-hop/parent tables.
+std::string degraded_line(const std::string& label, RunStatus status,
+                          const RunStats& st,
+                          const std::vector<NodeId>& degraded_nodes,
+                          const std::vector<core::RowCoverage>& coverage,
+                          std::span<const std::uint32_t> dist,
+                          std::span<const std::uint32_t> hop) {
+  std::ostringstream os;
+  os << label << ": " << to_string(status) << " rounds=" << st.rounds
+     << " messages=" << st.messages << " bits=" << st.total_bits
+     << " suspected=" << st.neighbors_suspected << " degraded=[";
+  for (std::size_t i = 0; i < degraded_nodes.size(); ++i) {
+    os << (i ? "," : "") << degraded_nodes[i];
+  }
+  os << "] coverage=";
+  for (const core::RowCoverage c : coverage) {
+    os << (c == core::RowCoverage::kComplete  ? 'C'
+           : c == core::RowCoverage::kPartial ? 'P'
+                                              : 'L');
+  }
+  std::uint64_t h = kFnv1a64Basis;
+  for (const std::uint32_t x : dist) h = fnv1a64_u64(h, x);
+  for (const std::uint32_t x : hop) h = fnv1a64_u64(h, x);
+  os << " tables=" << std::hex << h;
+  return std::move(os).str();
+}
+
+TEST(CrashSurvival, DegradedRunsMatchGolden) {
+  // Pins the degraded path of both paper algorithms under the detector —
+  // the CrashSurvival scenarios above plus a crashed S-SP source — to
+  // recorded values, at 1 and 4 engine threads.
+  const std::vector<std::string> golden = {
+      "Graph(n=8, m=7) pebble #0: degraded rounds=260 messages=1717 bits=40416 "
+          "suspected=1 degraded=[1,2,3,4,5,6,7] coverage=CCCCCCCC "
+          "tables=c04bf8bc5b9f4abb",
+      "Graph(n=8, m=7) pebble #1: degraded rounds=254 messages=1660 bits=38752 "
+          "suspected=2 degraded=[0,1,2,3,5,6,7] coverage=CCCCCCCC "
+          "tables=eb3319781eb87205",
+      "Graph(n=8, m=7) pebble #2: degraded rounds=258 messages=1567 bits=38200 "
+          "suspected=5 degraded=[0,2,3,5,6] coverage=CCCCCCCC "
+          "tables=eb3319781eb87205",
+      "Graph(n=8, m=7) ssp: degraded rounds=228 messages=1372 bits=31176 "
+          "suspected=2 degraded=[0,1,2,3,5,6,7] coverage=CCC "
+          "tables=42505488560c7d7c",
+      "Graph(n=12, m=17) pebble #0: degraded rounds=252 messages=4092 "
+          "bits=95560 suspected=2 degraded=[1,2,3,4,5,6,7,8,9,10,11] "
+          "coverage=CCCCLCCCLCCC tables=ccd8c5360af6f1b0",
+      "Graph(n=12, m=17) pebble #1: degraded rounds=249 messages=3915 "
+          "bits=93280 suspected=4 degraded=[0,1,2,3,4,5,7,8,9,10,11] "
+          "coverage=CCCCLCCCLCCC tables=78cd322e626f6480",
+      "Graph(n=12, m=17) pebble #2: degraded rounds=271 messages=3832 "
+          "bits=92416 suspected=9 degraded=[0,2,3,4,5,7,8,9,10] "
+          "coverage=CCCCPCCCLCCC tables=93b1b3777271c82",
+      "Graph(n=12, m=17) ssp: degraded rounds=214 messages=2915 bits=65504 "
+          "suspected=4 degraded=[0,1,2,3,4,5,7,8,9,10,11] coverage=CCC "
+          "tables=8563170f19602438",
+      "Graph(n=10, m=15) pebble #0: degraded rounds=216 messages=2760 "
+          "bits=64976 suspected=3 degraded=[1,2,3,4,5,6,7,8,9] "
+          "coverage=CCCCCLCLLC tables=4f5fe822de065a29",
+      "Graph(n=10, m=15) pebble #1: degraded rounds=216 messages=2673 "
+          "bits=63608 suspected=3 degraded=[0,1,2,3,4,6,7,8,9] "
+          "coverage=CCCCCLCLLC tables=4da95bf4b00d222",
+      "Graph(n=10, m=15) pebble #2: degraded rounds=223 messages=2407 "
+          "bits=56592 suspected=9 degraded=[0,2,3,4,6,7,8] coverage=CCCCCLCLLC "
+          "tables=3174b2d63d0c10a8",
+      "Graph(n=10, m=15) ssp: degraded rounds=186 messages=2048 bits=44248 "
+          "suspected=3 degraded=[0,1,2,3,4,6,7,8,9] coverage=CCC "
+          "tables=20ecdce6183d09",
+      "Graph(n=14, m=23) pebble #0: degraded rounds=249 messages=5268 "
+          "bits=120968 suspected=2 degraded=[1,2,3,4,5,6,7,8,9,10,11,12,13] "
+          "coverage=CCCLCCCCLLCCCL tables=86122483aa7ef1d3",
+      "Graph(n=14, m=23) pebble #1: degraded rounds=243 messages=5221 "
+          "bits=119200 suspected=2 degraded=[0,1,2,3,4,5,6,8,9,10,11,12,13] "
+          "coverage=CCCLCCCLLLCCCL tables=e092059ee2316cac",
+      "Graph(n=14, m=23) pebble #2: degraded rounds=255 messages=4925 "
+          "bits=114976 suspected=7 degraded=[0,2,3,4,5,6,8,9,10,11,12] "
+          "coverage=CCCLCCCCLLCCCL tables=6242df9e3b18de0f",
+      "Graph(n=14, m=23) ssp: degraded rounds=197 messages=3601 bits=78832 "
+          "suspected=2 degraded=[0,1,2,3,4,5,6,8,9,10,11,12,13] coverage=CCC "
+          "tables=b9380de29dd62587",
+  };
+  for (const std::uint32_t threads : {1u, 4u}) {
+    std::vector<std::string> lines;
+    for (const Graph& g : test_families()) {
+      const NodeId n = g.num_nodes();
+      const std::string name = g.summary();
+
+      core::ApspOptions base;
+      base.engine.max_rounds = 500000;
+      base.engine.threads = threads;
+      apply_reliable(base.engine);
+      const std::uint64_t mid = core::run_pebble_apsp(g, base).stats.rounds / 2;
+      const std::vector<std::vector<NodeCrash>> scenarios = {
+          {{0, mid}},
+          {{n / 2, mid}},
+          {{n - 1, mid}, {n / 2, mid + 3}, {1, mid + 7}},
+      };
+      for (std::size_t k = 0; k < scenarios.size(); ++k) {
+        core::ApspOptions opt = base;
+        opt.engine.faults = FaultPlan{};
+        opt.engine.faults->crashes = scenarios[k];
+        const auto r = core::run_pebble_apsp(g, opt);
+        lines.push_back(degraded_line(
+            name + " pebble #" + std::to_string(k), r.status, r.stats,
+            r.degraded_nodes, r.coverage, r.dist.data(), r.next_hop.data()));
+      }
+
+      const std::vector<NodeId> sources = {0, n / 2, n - 1};
+      core::SspOptions sbase;
+      sbase.engine.max_rounds = 500000;
+      sbase.engine.threads = threads;
+      apply_reliable(sbase.engine);
+      const std::uint64_t smid =
+          core::run_ssp(g, sources, sbase).stats.rounds / 2;
+      core::SspOptions sopt = sbase;
+      sopt.engine.faults = FaultPlan{};
+      sopt.engine.faults->crashes.push_back({n / 2, smid});
+      const auto s = core::run_ssp(g, sources, sopt);
+      lines.push_back(degraded_line(name + " ssp", s.status, s.stats,
+                                    s.degraded_nodes, s.coverage,
+                                    s.delta.data(), s.parent_index.data()));
+    }
+    EXPECT_EQ(lines, golden) << "threads=" << threads;
   }
 }
 
