@@ -2,22 +2,21 @@
 //
 // Builds an initial graph, then sustains a seeded churn stream (edge
 // inserts/removes, node joins/leaves) interleaved with crash-stops and
-// stored-entry bit-rot, healing incrementally every epoch and checkpointing
-// on a cadence. The process exits 0 iff the final tables are fully certified
-// against the final graph — the soak contract CI leans on.
+// stored-entry bit-rot, healing incrementally every epoch. The process exits
+// 0 iff the final tables are fully certified against the final graph — the
+// soak contract CI leans on.
 //
 //   dapsp_service --universe 24 --updates 500 --chaos 0.05 --scrub-every 50
-//   dapsp_service --updates 200 --checkpoint-every 20 --kill-at 117
-//       (dies mid-run with exit 42; --restore <ckpt> resumes bit-identically)
-//   dapsp_service --restore s.ckpt --updates 200 ...  # resumes bit-identically
 //
-// Durable mode (--durable-dir) swaps the single checkpoint file for the WAL
-// + atomic-rotation protocol of core/durable.h: every batch is journaled
-// before it is applied, checkpoints rotate between two generations, and
-// --recover resumes after ANY kill — including one injected at an exact
-// durable byte offset:
+// Durable mode (--durable-dir) is the one way to persist and resume: the WAL
+// + atomic-rotation protocol of core/durable.h journals every batch before
+// it is applied, rotates checkpoints between two generations, and --recover
+// resumes after ANY kill — after an update (--kill-at) or at an exact
+// durable byte offset (--kill-at-byte):
 //
 //   dapsp_service --durable-dir d --updates 60 --checkpoint-every 8
+//   dapsp_service --durable-dir d --updates 60 --kill-at 13
+//       (exit 42 right after update 13)
 //   dapsp_service --durable-dir d --updates 60 --kill-at-byte 5000
 //       (exit 42 with a torn journal or half-written checkpoint)
 //   dapsp_service --durable-dir d --updates 60 --recover --ckpt-dump out.bin
@@ -52,7 +51,6 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "seq/apsp.h"
-#include "util/blob.h"
 #include "util/journal.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -72,8 +70,6 @@ struct Args {
   std::uint32_t threads = 1;
   std::uint32_t scrub_every = 0;
   std::uint64_t checkpoint_every = 0;
-  std::string checkpoint_file = "dapsp_service.ckpt";
-  std::optional<std::string> restore_file;
   std::uint64_t kill_at = 0;  // die right after this update (0 = never)
   std::optional<std::string> durable_dir;
   bool recover = false;
@@ -85,7 +81,7 @@ struct Args {
   // --breaker K@C: circuit-break the repair ladder after K consecutive
   // failed epochs, cool down for C epochs before the half-open probe.
   std::optional<core::BreakerConfig> breaker;
-  // --strangle A:B: force watchdog_rounds=1 during updates A..B (1-based)
+  // --strangle A:B: force a 1-round watchdog during updates A..B (1-based)
   // so every repair in that window trips — the seeded way to open the
   // breaker from the CLI.
   std::optional<std::pair<std::uint64_t, std::uint64_t>> strangle;
@@ -106,20 +102,17 @@ struct Args {
       "  --chaos <p>            per-batch crash AND bit-rot probability\n"
       "  --threads <t>          engine workers (identical results at any t)\n"
       "  --scrub-every <k>      certificate scrub after every k-th epoch\n"
-      "  --checkpoint-every <k> checkpoint after every k-th update\n"
-      "  --checkpoint-file <f>  checkpoint path (default dapsp_service.ckpt)\n"
-      "  --restore <f>          resume from a checkpoint file\n"
-      "  --kill-at <k>          exit abruptly (code 42) after update k\n"
-      "  --kill-at-epoch <k>    alias for --kill-at\n"
       "  --durable-dir <d>      WAL + rotating-checkpoint mode (core/durable)\n"
+      "  --checkpoint-every <k> rotate a checkpoint after every k-th update\n"
       "  --recover              resume from --durable-dir after a kill\n"
+      "  --kill-at <k>          exit abruptly (code 42) after update k\n"
       "  --kill-at-byte <b>     exit 42 when durable byte b is written\n"
       "  --ckpt-dump <f>        write the final checkpoint blob to f\n"
       "  --trace-out <f>        service delta/epoch trace (.json/.jsonl/.csv)\n"
       "  --metrics-out <f>      service counters (.json or .csv)\n"
       "  --breaker <K@C>        open the repair circuit breaker after K\n"
       "                         consecutive failed epochs; cool down C epochs\n"
-      "  --strangle <A:B>       watchdog_rounds=1 during updates A..B (trips\n"
+      "  --strangle <A:B>       1-round watchdog during updates A..B (trips\n"
       "                         every repair; pairs with --breaker)\n"
       "  --serve <r>            publish DQRY snapshots; r reader threads\n"
       "                         validate answers against the oracle\n"
@@ -158,11 +151,7 @@ Args parse(int argc, char** argv) {
       a.scrub_every = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (arg == "--checkpoint-every") {
       a.checkpoint_every = std::stoull(next());
-    } else if (arg == "--checkpoint-file") {
-      a.checkpoint_file = next();
-    } else if (arg == "--restore") {
-      a.restore_file = next();
-    } else if (arg == "--kill-at" || arg == "--kill-at-epoch") {
+    } else if (arg == "--kill-at") {
       a.kill_at = std::stoull(next());
     } else if (arg == "--durable-dir") {
       a.durable_dir = next();
@@ -535,8 +524,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (a.durable_dir) return run_durable(a);
-  if (a.recover || a.kill_at_byte) {
-    std::fprintf(stderr, "--recover/--kill-at-byte require --durable-dir\n");
+  if (a.recover || a.checkpoint_every || a.kill_at || a.kill_at_byte) {
+    std::fprintf(stderr,
+                 "--recover/--checkpoint-every/--kill-at/--kill-at-byte "
+                 "require --durable-dir\n");
     return 2;
   }
 
@@ -572,58 +563,29 @@ int main(int argc, char** argv) {
   DeltaPlan plan(pc);
 
   std::optional<core::DapspService> svc;
-  std::uint64_t done = 0;
   try {
-    if (a.restore_file) {
-      const std::optional<std::vector<std::uint8_t>> blob =
-          read_file(*a.restore_file);
-      if (!blob) {
-        std::fprintf(stderr, "cannot open %s\n", a.restore_file->c_str());
-        return 1;
-      }
-      std::vector<std::uint64_t> words;
-      svc.emplace(core::DapspService::restore_blob(*blob, cfg, &words));
-      if (words.size() != 3) {
-        std::fprintf(stderr, "checkpoint is missing the plan state\n");
-        return 1;
-      }
-      plan.resume(words[0], words[1]);
-      done = words[2];
-      std::fprintf(stderr, "restored epoch %llu, %llu/%llu updates done\n",
-                   static_cast<unsigned long long>(svc->epoch()),
-                   static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(a.updates));
-      if (soak) {
-        // The restore ctor publishes nothing, but a trailing scrub can
-        // publish at the restored epoch, so stage its oracle too.
-        soak->reserve_epochs(svc->epoch() + (a.updates - done));
-        soak->stage_oracle(svc->epoch(), svc->dynamic_graph().snapshot());
-        soak->start();
-      }
-    } else {
-      const Graph g = make_graph(a);
-      if (soak) {
-        // The fresh-build ctor publishes the first snapshot at epoch 0;
-        // its oracle must be staged before the service exists.
-        soak->reserve_epochs(a.updates);
-        soak->stage_oracle(0, g);
-        soak->start();
-      }
-      svc.emplace(g, cfg);
-      std::fprintf(stderr, "initial build: n=%u m=%zu, all rows certified\n",
-                   g.num_nodes(), g.num_edges());
+    const Graph g = make_graph(a);
+    if (soak) {
+      // The fresh-build ctor publishes the first snapshot at epoch 0; its
+      // oracle must be staged before the service exists.
+      soak->reserve_epochs(a.updates);
+      soak->stage_oracle(0, g);
+      soak->start();
     }
+    svc.emplace(g, cfg);
+    std::fprintf(stderr, "initial build: n=%u m=%zu, all rows certified\n",
+                 g.num_nodes(), g.num_edges());
 
     std::optional<DynamicGraph> shadow;
     if (soak) shadow.emplace(svc->dynamic_graph());
 
     const std::uint64_t progress_step =
         a.quiet ? 0 : std::max<std::uint64_t>(1, a.updates / 20);
-    for (std::uint64_t u = done; u < a.updates; ++u) {
+    for (std::uint64_t u = 0; u < a.updates; ++u) {
       if (a.strangle) {
         const bool inside = u + 1 >= a.strangle->first &&
                             u + 1 <= a.strangle->second;
-        svc->set_watchdog_rounds(inside ? 1 : cfg.watchdog_rounds);
+        svc->set_watchdog_rounds(inside ? 1 : cfg.engine.max_rounds);
       }
       const ChurnBatch batch = plan.next(svc->dynamic_graph());
       if (soak) {
@@ -644,19 +606,6 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(u + 1),
                      static_cast<unsigned long long>(a.updates),
                      ep.debug_string().c_str());
-      }
-      if (a.checkpoint_every && (u + 1) % a.checkpoint_every == 0) {
-        const std::uint64_t words[3] = {plan.rng_state(),
-                                        plan.batches_generated(), u + 1};
-        // Temp file + rename: a kill mid-write leaves the previous
-        // checkpoint whole.
-        write_blob_atomic(a.checkpoint_file, svc->checkpoint_blob(words));
-      }
-      if (a.kill_at && u + 1 == a.kill_at) {
-        std::fprintf(stderr, "killed at update %llu (by request)\n",
-                     static_cast<unsigned long long>(u + 1));
-        write_outputs(a, trace, svc->stats());
-        return 42;
       }
     }
 

@@ -121,7 +121,7 @@ churn_smoke() {
   trap 'rm -rf "${tmp}"' RETURN
   "${dir}/examples/dapsp_service" --updates 500 --universe 24 --seed 7 \
     --chaos 0.05 --scrub-every 50 --checkpoint-every 100 \
-    --checkpoint-file "${tmp}/svc.ckpt" \
+    --durable-dir "${tmp}/svc" \
     --trace-out "${tmp}/service_trace.json" \
     --metrics-out "${tmp}/service_metrics.json" --quiet
   if command -v python3 >/dev/null 2>&1; then

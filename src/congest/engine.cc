@@ -824,21 +824,25 @@ RunStats Engine::run_rounds(std::uint64_t rounds) {
   return stats_;
 }
 
+RunStatus quiescent_status(const RunStats& stats) noexcept {
+  // Quiescence with observed node failures is survival, not success: the
+  // caller should treat harvested tables as partial until certified
+  // (core/certify.h).
+  return stats.nodes_crashed > 0 || stats.neighbors_suspected > 0
+             ? RunStatus::kDegraded
+             : RunStatus::kCompleted;
+}
+
 Outcome Engine::run_bounded() {
   Outcome out;
   try {
     out.stats = run();
-    // Quiescence with observed node failures is survival, not success: the
-    // caller gets kDegraded plus the crash/detector counters, and should
-    // treat harvested tables as partial until certified (core/certify.h).
-    if (out.stats.nodes_crashed > 0 || out.stats.neighbors_suspected > 0) {
-      out.status = RunStatus::kDegraded;
+    out.status = quiescent_status(out.stats);
+    if (out.status == RunStatus::kDegraded) {
       out.message = "terminated degraded: crashed=" +
                     std::to_string(out.stats.nodes_crashed) +
                     " neighbors_suspected=" +
                     std::to_string(out.stats.neighbors_suspected);
-    } else {
-      out.status = RunStatus::kCompleted;
     }
   } catch (const RoundLimitError& e) {
     out.status = RunStatus::kRoundLimit;

@@ -324,6 +324,10 @@ struct Outcome {
 
 const char* to_string(RunStatus s) noexcept;
 
+// How a run that reached quiescence ended: kDegraded when it saw crash-stops
+// or failure-detector verdicts, kCompleted otherwise.
+RunStatus quiescent_status(const RunStats& stats) noexcept;
+
 class Engine {
  public:
   // The graph must outlive the engine. Throws std::invalid_argument on an

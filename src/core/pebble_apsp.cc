@@ -34,7 +34,7 @@ class PebbleApspProcess final : public congest::Process {
     // Failure notices first: a node that learns of a crash this round (own
     // detector verdict, or a kFailNotice from a neighbor) degrades before
     // doing anything else, and forwards the notice exactly once.
-    absorb_failure_notices(ctx);
+    notice_.absorb(ctx);
 
     // Group this round's flood receipts by root: new roots must be forwarded
     // to everyone except their same-round senders (Claim 1's rule, which also
@@ -60,7 +60,7 @@ class PebbleApspProcess final : public congest::Process {
         case kPebble:
           // A degraded node swallows the pebble — no new floods are started
           // behind a failure, so the traversal ends with the notice.
-          if (!degraded_) handle_pebble(ctx);
+          if (!notice_.degraded()) handle_pebble(ctx);
           break;
         case kBcast:
           if (collect_bcast_.handle(r)) {
@@ -80,7 +80,8 @@ class PebbleApspProcess final : public congest::Process {
     tree_.advance(ctx);
 
     // Root: kick off the pebble once T1 is complete.
-    if (id_ == 0 && tree_.root_complete() && !visited_ && !degraded_) {
+    if (id_ == 0 && tree_.root_complete() && !visited_ &&
+        !notice_.degraded()) {
       handle_pebble(ctx);  // the pebble "enters" the root
     }
 
@@ -89,27 +90,27 @@ class PebbleApspProcess final : public congest::Process {
     // but keeps the pebble.
     if (visited_ && !acted_ && ctx.round() >= act_round_) {
       start_own_flood(ctx);
-      if (!degraded_) forward_pebble(ctx);
+      if (!notice_.degraded()) forward_pebble(ctx);
       acted_ = true;
     }
 
     flush_new_roots(ctx);
 
-    if (aggregate_ && !degraded_) run_aggregation(ctx);
+    if (aggregate_ && !notice_.degraded()) run_aggregation(ctx);
   }
 
   bool done() const override {
     // An undelivered failure notice keeps the node schedulable so the
     // notice flood gets out (the detector's verdict arrives between rounds).
-    if (notice_pending_) return false;
-    if (degraded_) return !visited_ || acted_;
+    if (notice_.pending()) return false;
+    if (notice_.degraded()) return !visited_ || acted_;
     if (!visited_ || !acted_) return false;
     if (!aggregate_) return true;
     return have_result_ && result_bcast_.idle();
   }
 
   void on_neighbor_down(std::uint32_t, std::uint64_t) override {
-    notice_pending_ = true;
+    notice_.on_neighbor_down();
   }
 
   // -- Harvest (after the run) ------------------------------------------
@@ -122,31 +123,10 @@ class PebbleApspProcess final : public congest::Process {
   std::uint32_t girth_wire() const { return result_[2]; }
   bool is_center() const { return local_ecc_ == result_[1]; }
   bool is_peripheral() const { return local_ecc_ == result_[0]; }
-  bool degraded() const { return degraded_; }
+  bool degraded() const { return notice_.degraded(); }
   bool has_result() const { return have_result_; }
 
  private:
-  void absorb_failure_notices(congest::RoundCtx& ctx) {
-    bool saw = notice_pending_;
-    notice_pending_ = false;
-    notice_exclude_.clear();
-    for (const congest::Received& r : ctx.inbox()) {
-      if (r.msg.kind == kFailNotice) {
-        saw = true;
-        notice_exclude_.push_back(r.from_index);
-      }
-    }
-    if (!saw || degraded_) return;  // forward-once flood
-    degraded_ = true;
-    const std::uint32_t deg = ctx.degree();
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      if (std::find(notice_exclude_.begin(), notice_exclude_.end(), i) !=
-          notice_exclude_.end()) {
-        continue;
-      }
-      ctx.send(i, congest::Message::make(kFailNotice));
-    }
-  }
   void handle_flood(congest::RoundCtx& ctx, const congest::Received& r) {
     const std::uint32_t root = r.msg.f[0];
     const std::uint32_t d = r.msg.f[1];
@@ -271,10 +251,7 @@ class PebbleApspProcess final : public congest::Process {
   std::vector<std::uint32_t> dist_row_;
   std::vector<std::uint32_t> parent_row_;  // neighbor index toward each root
 
-  // Degraded mode (crash survival).
-  bool notice_pending_ = false;  // detector verdict awaiting its flood
-  bool degraded_ = false;
-  std::vector<std::uint32_t> notice_exclude_;
+  FailureNotice notice_;  // crash survival: degraded mode
 
   // Pebble state.
   bool visited_ = false;
@@ -314,18 +291,10 @@ ApspResult run_pebble_apsp(const Graph& g, const ApspOptions& options) {
   });
 
   ApspResult out;
-  // run_bounded so degraded terminations surface as a status instead of an
-  // exception; genuine stalls (e.g. disconnected inputs) and congestion
-  // violations keep their documented throwing behavior.
-  const congest::Outcome outcome = engine.run_bounded();
-  if (outcome.status == congest::RunStatus::kRoundLimit) {
-    throw congest::RoundLimitError(outcome.message);
-  }
-  if (outcome.status == congest::RunStatus::kCongestion) {
-    throw congest::CongestionError(outcome.message);
-  }
-  out.status = outcome.status;
-  out.stats = outcome.stats;
+  // Stalls (e.g. disconnected inputs) and congestion violations throw; a
+  // quiescent run that saw failures reports kDegraded.
+  out.stats = engine.run();
+  out.status = congest::quiescent_status(out.stats);
   out.dist = DistanceMatrix(n);
   out.next_hop = Table<NodeId>(n, n, kNoNextHop);
   out.ecc.resize(n);

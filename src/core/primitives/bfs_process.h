@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "congest/engine.h"
@@ -47,6 +48,50 @@ enum MsgKind : std::uint8_t {
   kCertValue = 13,  // certification (core/certify): (source index, distance)
   kFailNotice = 14,  // degraded mode: "a neighbor crashed", flooded once
   kCellInvalid = 15,  // cell repair (core/repair): (source) lost every parent
+};
+
+// Crash survival (DESIGN.md §10), shared by Algorithms 1 and 2: a survivor
+// that holds a NeighborDown verdict, or hears a kFailNotice, degrades and
+// floods one notice to every neighbor it did not hear one from this round
+// (the forward-once flood, Claim 1's rule). A degraded node schedules no new
+// work; each protocol decides what "new work" means.
+class FailureNotice {
+ public:
+  // The detector's verdict (Process::on_neighbor_down) arrives between
+  // rounds; the flood goes out in the next absorb().
+  void on_neighbor_down() noexcept { pending_ = true; }
+
+  // Call first in every on_round(), before reading the inbox.
+  void absorb(congest::RoundCtx& ctx) {
+    bool saw = pending_;
+    pending_ = false;
+    if (degraded_) return;  // forward once
+    const std::span<const congest::Received> inbox = ctx.inbox();
+    for (const congest::Received& r : inbox) {
+      if (r.msg.kind == kFailNotice) {
+        saw = true;
+        break;
+      }
+    }
+    if (!saw) return;
+    degraded_ = true;
+    const std::uint32_t deg = ctx.degree();
+    for (std::uint32_t i = 0; i < deg; ++i) {
+      bool heard = false;
+      for (const congest::Received& r : inbox) {
+        heard = heard || (r.msg.kind == kFailNotice && r.from_index == i);
+      }
+      if (!heard) ctx.send(i, congest::Message::make(kFailNotice));
+    }
+  }
+
+  // A verdict whose flood has not gone out yet: keep the node schedulable.
+  bool pending() const noexcept { return pending_; }
+  bool degraded() const noexcept { return degraded_; }
+
+ private:
+  bool pending_ = false;
+  bool degraded_ = false;
 };
 
 // Echo flag bits.

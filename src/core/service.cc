@@ -231,7 +231,7 @@ DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
   // Initial build: one full S-SP recompute (works on disconnected inputs —
   // the repair layer runs per component), certified over every row.
   RepairOptions ropts;
-  ropts.engine = repair_engine();
+  ropts.engine = config_.engine;
   std::vector<NodeId> all(n);
   for (NodeId v = 0; v < n; ++v) all[v] = v;
   ropts.suspects = all;
@@ -293,12 +293,6 @@ void DapspService::repoint_cut_hops(const BatchDiff& diff) {
   }
 }
 
-congest::EngineConfig DapspService::repair_engine() const {
-  congest::EngineConfig engine = config_.engine;
-  if (config_.watchdog_rounds) engine.max_rounds = config_.watchdog_rounds;
-  return engine;
-}
-
 void DapspService::serve_cell(NodeId v, NodeId s) {
   served_dist_.set(s, v, apsp_.dist.at(v, s));
   served_next_hop_.set(s, v, apsp_.next_hop.at(v, s));
@@ -319,9 +313,8 @@ void DapspService::refresh_served(std::span<const NodeId> rows,
 bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
                                      EpochReport& ep,
                                      std::vector<NodeId>& unhealed) {
-  const congest::EngineConfig engine = repair_engine();
   CellRepairOptions copts;
-  copts.engine = engine;
+  copts.engine = config_.engine;
   copts.batch = cells.batch;
   copts.rows = cells.rows;
   copts.certify = cells.certify;
@@ -334,7 +327,7 @@ bool DapspService::repair_cells_rung(const CellRung& cells, const Graph& snap,
   RepairReport sr;
   if (ok && !cells.stale.empty()) {
     RepairOptions ropts;
-    ropts.engine = engine;
+    ropts.engine = config_.engine;
     ropts.suspects = cells.stale;
     ropts.certify_all = false;
     sr = repair_apsp(snap, apsp_, ropts);
@@ -394,6 +387,7 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
     unhealed.insert(unhealed.end(), cells->stale.begin(), cells->stale.end());
   }
 
+  ep.certified = false;
   for (const Rung rung : rungs) {
     ++ep.attempts;
     if (rung == Rung::kFull) {
@@ -402,12 +396,12 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
     }
     try {
       if (rung == Rung::kCells) {
-        if (!repair_cells_rung(*cells, snap, ep, unhealed)) continue;
-        ep.certified = true;
-        return;
+        ep.certified = repair_cells_rung(*cells, snap, ep, unhealed);
+        if (ep.certified) break;
+        continue;
       }
       RepairOptions ropts;
-      ropts.engine = repair_engine();
+      ropts.engine = config_.engine;
       if (rung == Rung::kFull) ropts.suspects = all_active;
       const RepairReport rep = repair_apsp(snap, apsp_, ropts);
       stats_.repairs_attempted += rep.repairs_attempted;
@@ -421,7 +415,7 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
       stats_.rows_repaired += rep.rows_repaired;
       // Every active row certified against the current graph.
       refresh_served(all_active, RowStatus::kExact);
-      return;
+      break;
     } catch (const congest::RoundLimitError&) {
       // Watchdog trip: the attempt is over budget, move up the ladder.
       continue;
@@ -430,41 +424,50 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
     }
   }
 
-  // Every rung failed: mark what we meant to heal stale; the served snapshot
-  // keeps answering from the last certified state.
-  ep.certified = false;
-  ++stats_.epochs_failed;
-  for (const NodeId s : unhealed) {
-    if (graph_.active(s)) row_status_[s] = RowStatus::kStale;
+  if (!ep.certified) {
+    // Every rung failed: mark what we meant to heal stale; the served
+    // snapshot keeps answering from the last certified state.
+    ++stats_.epochs_failed;
+    for (const NodeId s : unhealed) {
+      if (graph_.active(s)) row_status_[s] = RowStatus::kStale;
+    }
+  }
+  ep.outcome = ep.escalated       ? EpochOutcome::kEscalated
+               : ep.attempts > 1 ? EpochOutcome::kRetried
+                                 : EpochOutcome::kRepaired;
+  if (config_.repair_gate != nullptr) {
+    config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
   }
 }
 
-void DapspService::note_gate_state() {
-  if (config_.repair_gate == nullptr) return;
-  const std::uint8_t gs = config_.repair_gate->state();
-  if (gs == last_gate_state_) return;
-  ++stats_.breaker_transitions;
-  if (config_.engine.trace != nullptr) {
+void DapspService::close_epoch(const EpochReport& ep) {
+  congest::accumulate(stats_.run, ep.stats);
+  congest::TraceLog* trace = config_.engine.trace;
+  const std::uint8_t gs = config_.repair_gate != nullptr
+                              ? config_.repair_gate->state()
+                              : last_gate_state_;
+  if (gs != last_gate_state_) {
+    ++stats_.breaker_transitions;
+    if (trace != nullptr) {
+      TraceEvent ev;
+      ev.kind = TraceEventKind::kBreaker;
+      ev.node = gs;
+      ev.peer = last_gate_state_;
+      ev.round = epoch_;
+      ev.aux = static_cast<std::uint32_t>(stats_.breaker_transitions);
+      trace->append(ev);
+    }
+    last_gate_state_ = gs;
+  }
+  if (trace != nullptr) {
     TraceEvent ev;
-    ev.kind = TraceEventKind::kBreaker;
-    ev.node = gs;
-    ev.peer = last_gate_state_;
-    ev.round = epoch_;
-    ev.aux = static_cast<std::uint32_t>(stats_.breaker_transitions);
-    config_.engine.trace->append(ev);
+    ev.kind = TraceEventKind::kEpoch;
+    ev.node = static_cast<NodeId>(ep.epoch);
+    ev.peer = ep.suspect_rows;
+    ev.round = ep.epoch;
+    ev.aux = static_cast<std::uint32_t>(ep.outcome);
+    trace->append(ev);
   }
-  last_gate_state_ = gs;
-}
-
-void DapspService::emit_epoch_event(const EpochReport& ep) {
-  if (config_.engine.trace == nullptr) return;
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kEpoch;
-  ev.node = static_cast<NodeId>(ep.epoch);
-  ev.peer = ep.suspect_rows;
-  ev.round = ep.epoch;
-  ev.aux = static_cast<std::uint32_t>(ep.outcome);
-  config_.engine.trace->append(ev);
 }
 
 EpochReport DapspService::step(const ChurnBatch& batch) {
@@ -585,9 +588,6 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
     ++stats_.repairs_suppressed;
   } else {
     run_repair_ladder(force ? nullptr : &cells, force, ep);
-    if (config_.repair_gate != nullptr) {
-      config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
-    }
     if (ep.certified && !force) {
       // Every rung serves the joined nodes' entries of every row, so the
       // join-guard downgrade lifts now that the rows are whole again.
@@ -597,10 +597,6 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
         }
       }
     }
-    ep.outcome = ep.escalated ? EpochOutcome::kEscalated
-                 : ep.attempts > 1
-                     ? EpochOutcome::kRetried
-                     : EpochOutcome::kRepaired;
   }
 
   // Bit-rot lands after the epoch's certification (it models decay between
@@ -622,14 +618,11 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
   stats_.deltas_applied += ep.deltas_applied;
   stats_.crashes += ep.crashes;
   stats_.corrupted_entries += ep.corrupted_entries;
-  congest::accumulate(stats_.run, ep.stats);
-  note_gate_state();
-  emit_epoch_event(ep);
+  close_epoch(ep);
 
   if (config_.scrub_every > 0 && epoch_ % config_.scrub_every == 0) {
-    scrub();
-  }
-  if (config_.snapshot_sink != nullptr) {
+    scrub();  // publishes the epoch's final snapshot
+  } else if (config_.snapshot_sink != nullptr) {
     config_.snapshot_sink->on_snapshot(*this, /*degraded=*/false);
   }
   return ep;
@@ -642,16 +635,8 @@ EpochReport DapspService::scrub() {
   // must always be able to heal. Its outcome still feeds the gate, so a
   // successful scrub closes an open breaker (and a failed one re-opens it).
   run_repair_ladder(nullptr, false, ep);
-  if (config_.repair_gate != nullptr) {
-    config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
-  }
-  ep.outcome = ep.escalated  ? EpochOutcome::kEscalated
-               : ep.attempts > 1 ? EpochOutcome::kRetried
-                                 : EpochOutcome::kRepaired;
   stats_.scrubs += 1;
-  congest::accumulate(stats_.run, ep.stats);
-  note_gate_state();
-  emit_epoch_event(ep);
+  close_epoch(ep);
   if (config_.snapshot_sink != nullptr) {
     config_.snapshot_sink->on_snapshot(*this, /*degraded=*/false);
   }

@@ -46,8 +46,9 @@
 // (core/repair.h repoint_hop), read over the post-batch adjacency.
 //
 // Supervision. Each epoch runs a three-rung escalation ladder under a
-// watchdog that bounds every attempt in engine rounds (RepairOptions
-// engine.max_rounds); the service reads no clock. (1) incremental repair —
+// watchdog that bounds every attempt in engine rounds (ServiceConfig
+// engine.max_rounds, handed to every repair run); the service reads no
+// clock. (1) incremental repair —
 // the cell-level protocol (repair_cells) for every row certified before the
 // batch, joined sources' rows included, plus row S-SP for rows already stale
 // before it, each certified (the cell rows on the neighborhoods the batch
@@ -221,7 +222,8 @@ class DapspService;
 //     statuses are conservative for the post-batch graph; publishing here is
 //     what keeps mid-epoch readers from trusting a row that is in flight.
 //     Only fired when at least one row was downgraded this epoch.
-//   * degraded = false — at the end of every step()/scrub(), statuses final.
+//   * degraded = false — at the end of every step() and scrub(), statuses
+//     final; once per epoch, also when step() runs its scheduled scrub.
 // The service is in a consistent, queryable state at both points; the sink
 // must not mutate it.
 struct SnapshotSink {
@@ -256,13 +258,11 @@ struct ServiceConfig {
   // Engine knobs for all repair/certify sub-runs (threads, bandwidth_ids are
   // honored; faults and instrumentation are stripped by the repair layer —
   // attach `engine.trace` to receive the service's own kDelta/kEpoch
-  // events instead).
+  // events instead). engine.max_rounds is the watchdog: every repair
+  // attempt's round budget (0 = the engine default of 64n + 1024). A
+  // round-limit trip fails the attempt and the ladder moves to its next
+  // rung.
   congest::EngineConfig engine{};
-
-  // Watchdog: per-attempt engine round budget (0 = the engine default of
-  // 64n + 1024). A round-limit trip fails the attempt and the ladder moves
-  // to its next rung.
-  std::uint64_t watchdog_rounds = 0;
 
   // Run scrub() automatically after every k-th epoch (0 = never). Scrubbing
   // is what catches bit-rot corruption, which is invisible to the delta
@@ -315,12 +315,13 @@ class DapspService {
   const ApspResult& tables() const noexcept { return apsp_; }
   const ServiceConfig& config() const noexcept { return config_; }
 
-  // Ops/fault-drill knob: retune the per-attempt round watchdog on a live
-  // service (0 restores the engine default). Deliberately mutable — the
-  // overload drills pin it to 1 round to force deterministic repair
-  // failures, then lift it; it is config, not checkpointed state.
+  // Ops/fault-drill knob: retune the per-attempt round watchdog,
+  // config().engine.max_rounds, on a live service (0 restores the engine
+  // default). Deliberately mutable — the overload drills pin it to 1 round
+  // to force deterministic repair failures, then lift it; it is config, not
+  // checkpointed state.
   void set_watchdog_rounds(std::uint64_t rounds) noexcept {
-    config_.watchdog_rounds = rounds;
+    config_.engine.max_rounds = rounds;
   }
 
   RowStatus row_status(NodeId s) const { return row_status_[s]; }
@@ -365,9 +366,6 @@ class DapspService {
   struct RestoreTag {};
   DapspService(RestoreTag, const ServiceConfig& config, DynamicGraph graph);
 
-  // The engine config of every repair run: config_.engine under the round
-  // watchdog.
-  congest::EngineConfig repair_engine() const;
   // Zero source row x (dead) in working and served tables.
   void zero_row(NodeId x);
   // What step()'s first rung repairs (see header).
@@ -379,7 +377,8 @@ class DapspService {
   };
   // The repair ladder shared by step() and scrub(): cells, detection, full
   // recompute. Without `cells` the first rung is certificate-driven
-  // detection. Fills the report's repair fields.
+  // detection. Fills the report's repair fields and outcome, and reports
+  // the outcome to the repair gate.
   void run_repair_ladder(const CellRung* cells, bool force_escalate,
                          EpochReport& ep);
   // Rung (1); false when its certificate failed. `unhealed` gains every row
@@ -398,9 +397,10 @@ class DapspService {
   // rows certified whole; refresh also sets their status.
   void serve_rows(std::span<const NodeId> rows);
   void refresh_served(std::span<const NodeId> rows, RowStatus status);
-  void emit_epoch_event(const EpochReport& ep);
-  // kBreaker event + counter when the gate's observed state changed.
-  void note_gate_state();
+  // Ends a step() or scrub() epoch: folds its engine stats into the
+  // service's, emits a kBreaker event (and counts it) when the gate's
+  // observed state changed, then the kEpoch event.
+  void close_epoch(const EpochReport& ep);
 
   ServiceConfig config_;
   DynamicGraph graph_;

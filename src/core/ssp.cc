@@ -322,7 +322,7 @@ class SspProcess final : public congest::Process {
       : id_(id), tree_(in_s), ssp_(id, n, in_s), params_(kTagSspParams) {}
 
   void on_round(congest::RoundCtx& ctx) override {
-    absorb_failure_notices(ctx);
+    notice_.absorb(ctx);
 
     for (const congest::Received& r : ctx.inbox()) {
       if (r.msg.kind == kFailNotice) continue;  // consumed above
@@ -361,7 +361,7 @@ class SspProcess final : public congest::Process {
   // A degraded node is done but still relays the token loop: it sleeps only
   // once nothing is owed or the loop is over.
   std::uint64_t wake_round(std::uint64_t r) const override {
-    const bool at_rest = !degraded_ || loop_over_ || ssp_.quiet();
+    const bool at_rest = !notice_.degraded() || loop_over_ || ssp_.quiet();
     return done() && at_rest ? congest::kNever : r;
   }
 
@@ -369,43 +369,21 @@ class SspProcess final : public congest::Process {
     // Keep schedulable until a detector verdict's notice flood is out; a
     // degraded node is otherwise done (it still relays the token loop while
     // messages flow, which drains on its own schedule).
-    if (notice_pending_) return false;
-    if (degraded_) return true;
+    if (notice_.pending()) return false;
+    if (notice_.degraded()) return true;
     return quiescent_;
   }
 
   void on_neighbor_down(std::uint32_t, std::uint64_t) override {
-    notice_pending_ = true;
+    notice_.on_neighbor_down();
   }
 
   const SspMachine& ssp() const { return ssp_; }
   const TreeMachine& tree() const { return tree_; }
   std::uint32_t d0() const { return d0_; }
-  bool degraded() const { return degraded_; }
+  bool degraded() const { return notice_.degraded(); }
 
  private:
-  void absorb_failure_notices(congest::RoundCtx& ctx) {
-    bool saw = notice_pending_;
-    notice_pending_ = false;
-    notice_exclude_.clear();
-    for (const congest::Received& r : ctx.inbox()) {
-      if (r.msg.kind == kFailNotice) {
-        saw = true;
-        notice_exclude_.push_back(r.from_index);
-      }
-    }
-    if (!saw || degraded_) return;  // forward-once flood
-    degraded_ = true;
-    const std::uint32_t deg = ctx.degree();
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      if (std::find(notice_exclude_.begin(), notice_exclude_.end(), i) !=
-          notice_exclude_.end()) {
-        continue;
-      }
-      ctx.send(i, congest::Message::make(kFailNotice));
-    }
-  }
-
   NodeId id_;
   TreeMachine tree_;
   SspMachine ssp_;
@@ -414,9 +392,7 @@ class SspProcess final : public congest::Process {
   std::uint32_t d0_ = 0;
   bool quiescent_ = false;
   bool loop_over_ = false;
-  bool notice_pending_ = false;
-  bool degraded_ = false;
-  std::vector<std::uint32_t> notice_exclude_;
+  FailureNotice notice_;  // crash survival: degraded mode
 };
 
 }  // namespace
@@ -440,17 +416,10 @@ SspResult run_ssp(const Graph& g, std::span<const NodeId> sources,
   std::sort(out.sources.begin(), out.sources.end());
   out.sources.erase(std::unique(out.sources.begin(), out.sources.end()),
                     out.sources.end());
-  // run_bounded: degraded terminations become a status; genuine stalls and
-  // congestion violations keep throwing as before.
-  const congest::Outcome outcome = engine.run_bounded();
-  if (outcome.status == congest::RunStatus::kRoundLimit) {
-    throw congest::RoundLimitError(outcome.message);
-  }
-  if (outcome.status == congest::RunStatus::kCongestion) {
-    throw congest::CongestionError(outcome.message);
-  }
-  out.status = outcome.status;
-  out.stats = outcome.stats;
+  // Stalls and congestion violations throw; a quiescent run that saw
+  // failures reports kDegraded.
+  out.stats = engine.run();
+  out.status = congest::quiescent_status(out.stats);
   out.survived.resize(n);
   for (NodeId v = 0; v < n; ++v) out.survived[v] = engine.crashed(v) ? 0 : 1;
   // A node that never configured its machine keeps empty rows: all unknown.

@@ -460,7 +460,7 @@ BreakerScenario run_breaker_scenario(unsigned threads) {
   BreakerRepairGate gate({/*failure_threshold=*/2, /*cooldown_ticks=*/2,
                           /*probe_successes=*/2});
   ServiceConfig sc;
-  sc.watchdog_rounds = 2;  // strangle: every ladder rung trips
+  sc.engine.max_rounds = 2;  // strangle: every ladder rung trips
   sc.repair_gate = &gate;
   sc.engine.threads = threads;
   sc.engine.trace = &trace;
@@ -561,7 +561,7 @@ TEST(ServiceBreaker, ScrubHealsAndClosesAnOpenBreaker) {
   BreakerRepairGate gate({/*failure_threshold=*/1, /*cooldown_ticks=*/100,
                           /*probe_successes=*/1});
   ServiceConfig sc;
-  sc.watchdog_rounds = 2;
+  sc.engine.max_rounds = 2;
   sc.repair_gate = &gate;
   DapspService svc = DapspService::restore_blob(blob, sc, nullptr);
 

@@ -724,6 +724,36 @@ TEST(Service, GoldenStrangledSoakPinsTheFailingLadder) {
   }
 }
 
+TEST(Service, ScrubEpochPublishesOneFinalSnapshot) {
+  // Records the degraded flag of every publish.
+  struct CountingSink final : SnapshotSink {
+    void on_snapshot(const DapspService&, bool degraded) override {
+      calls.push_back(degraded);
+    }
+    std::vector<bool> calls;
+  };
+  CountingSink sink;
+  ServiceConfig cfg;
+  cfg.snapshot_sink = &sink;
+  cfg.scrub_every = 1;
+  DapspService svc(gen::cycle(8), cfg);
+  EXPECT_EQ(sink.calls, std::vector<bool>{false});  // the initial build
+
+  // A removal implicates rows: the degraded publish, then one final one
+  // after the epoch's scrub.
+  sink.calls.clear();
+  ChurnBatch b;
+  b.deltas.push_back({DeltaKind::kEdgeRemove, 0, 1});
+  svc.step(b);
+  EXPECT_EQ(sink.calls, (std::vector<bool>{true, false}));
+
+  // A clean epoch implicates nothing: its scrub's final publish only.
+  sink.calls.clear();
+  svc.step({});
+  EXPECT_EQ(sink.calls, std::vector<bool>{false});
+  EXPECT_EQ(svc.stats().scrubs, 2u);
+}
+
 TEST(Service, WatchdogTripsFailTheEpochButNotTheService) {
   // Build healthy, checkpoint, then restore under a 2-round watchdog: every
   // ladder rung trips, the epoch fails, and the service keeps serving the
@@ -732,7 +762,7 @@ TEST(Service, WatchdogTripsFailTheEpochButNotTheService) {
   const std::vector<std::uint8_t> blob = healthy.checkpoint_blob();
 
   ServiceConfig strict;
-  strict.watchdog_rounds = 2;
+  strict.engine.max_rounds = 2;
   DapspService svc = DapspService::restore_blob(blob, strict, nullptr);
 
   ChurnBatch b;
