@@ -128,10 +128,6 @@ class ReliableAdapter::VirtualCtx final : public RoundCtx {
 ReliableAdapter::ReliableAdapter(std::unique_ptr<Process> inner,
                                  ReliableConfig config)
     : inner_(std::move(inner)), config_(config) {
-  if (config_.retransmit_after < 2) {
-    throw std::invalid_argument(
-        "ReliableConfig: retransmit_after must cover the 2-round trip");
-  }
   if (config_.heartbeat_every == 0) {
     throw std::invalid_argument("ReliableConfig: heartbeat_every must be >= 1");
   }
@@ -452,7 +448,7 @@ void ReliableAdapter::transmit(RoundCtx& ctx, bool active) {
     }
     EdgeTx& tx = tx_[e];
     if (tx.outstanding) {
-      if (now - tx.last_send >= config_.retransmit_after) {
+      if (now - tx.last_send >= kRetransmitAfter) {
         ctx.send(e, *tx.outstanding);
         tx.last_send = now;
         ++stats_.retransmissions;

@@ -26,7 +26,7 @@
 //     so even a garbled frame is sound evidence the peer is alive;
 //   * frames form a FIFO stream with per-edge sequence numbers (mod 256) and
 //     stop-and-wait ARQ: one frame outstanding, positive acks, retransmit
-//     after `retransmit_after` silent rounds; the receiver dedups stale
+//     after kRetransmitAfter silent rounds; the receiver dedups stale
 //     sequence numbers, giving at-least-once transport, exactly-once
 //     delivery;
 //   * a round *marker* frame closes each virtual round's batch (piggybacked
@@ -133,13 +133,12 @@ inline constexpr std::uint32_t kReliableBandwidthIds = 8;
 // delay-only plan can never produce a false NeighborDown.
 inline constexpr std::uint32_t kDefaultSuspectAfter = 150;
 
-struct ReliableConfig {
-  // Retransmit an unacknowledged frame after this many rounds of silence.
-  // Must cover the round trip (2 rounds fault-free; add 2*max_extra_delay
-  // when the plan delays messages) or retransmissions go spurious — still
-  // correct, just wasteful.
-  std::uint32_t retransmit_after = 4;
+// Retransmit an unacknowledged frame after this many rounds of silence. It
+// covers the fault-free 2-round trip; under delaying plans some
+// retransmissions go spurious — still correct, just wasteful.
+inline constexpr std::uint32_t kRetransmitAfter = 4;
 
+struct ReliableConfig {
   // Failure detector: declare a neighbor dead after this many consecutive
   // silent real rounds on its edge while this node is active. 0 disables
   // detection (crashes then stall the run, as before PR 2). Must exceed
@@ -188,12 +187,6 @@ class ReliableAdapter final : public Process {
   const ReliableStats& stats() const noexcept { return stats_; }
   std::uint64_t virtual_round() const noexcept {
     return static_cast<std::uint64_t>(executed_ + 1);
-  }
-
-  // True once the failure detector has declared the neighbor at `index`
-  // dead. Permanent for the rest of the run.
-  bool neighbor_down(std::uint32_t index) const {
-    return index < down_.size() && down_[index] != 0;
   }
 
  private:

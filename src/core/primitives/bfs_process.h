@@ -122,7 +122,6 @@ class TreeMachine {
   std::uint32_t dist() const { return dist_; }
   std::uint32_t parent_index() const { return parent_idx_; }
   const std::vector<std::uint32_t>& children() const { return children_; }
-  std::uint32_t flood_receipts() const { return receipts_; }
 
   // Root aggregates, valid once root_complete():
   std::uint32_t root_ecc() const { return agg_depth_; }

@@ -119,17 +119,6 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
   report.rows_repaired = static_cast<std::uint32_t>(suspects.size());
   report.repairs_attempted = 1;
 
-  // Supplied-empty fast path: nothing to repair, and with certify_all off
-  // nothing to certify either — return a zero-cost report (the convergence
-  // contract service epochs with a clean dirty set rely on).
-  if (suspects.empty() && options.suspects && !options.certify_all) {
-    const std::vector<RowCoverage> after_now =
-        classify_coverage(result.survived, all_sources, entry);
-    add_coverage(report.coverage_after, after_now);
-    result.coverage = after_now;
-    return report;
-  }
-
   // 3. Connected components of the surviving subgraph. Members are collected
   // ascending, so members[0] — the subgraph's node 0 after relabeling — is
   // the component's smallest surviving id, satisfying run_ssp's leader-is-

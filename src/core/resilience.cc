@@ -329,16 +329,8 @@ std::vector<SimRequest> generate_overload_arrivals(const OverloadConfig& cfg,
   // every arrival onto t = 0; the clock the sim sees stays integer us.
   const std::uint64_t mean_gap_mus = 1'000'000'000 / rate;
   std::uint64_t t_mus = 0;
-  std::uint32_t burst_left = 0;
   for (std::uint64_t i = 0; i < cfg.requests; ++i) {
-    if (burst_left > 0) {
-      --burst_left;  // lands at the same instant as the burst head
-    } else {
-      t_mus += mean_gap_mus == 0 ? 0 : rng.below(2 * mean_gap_mus + 1);
-      if (cfg.burst_every != 0 && i != 0 && i % cfg.burst_every == 0) {
-        burst_left = cfg.burst_size;
-      }
-    }
+    t_mus += mean_gap_mus == 0 ? 0 : rng.below(2 * mean_gap_mus + 1);
     SimRequest r;
     r.id = i;
     r.at_us = t_mus / 1'000;

@@ -425,10 +425,6 @@ struct OverloadConfig {
   // Mean offered load (arrivals per virtual second); interarrivals are
   // uniform in [0, 2 * mean] so the stream is irregular but seeded.
   std::uint64_t arrivals_per_sec = 100'000;
-  // Every burst_every-th arrival lands together with the next burst_size
-  // arrivals at the same instant (0 disables bursts).
-  std::uint32_t burst_every = 0;
-  std::uint32_t burst_size = 0;
   // Per-request deadline in virtual microseconds (0 = none), converted to a
   // WorkBudget of deadline_us * kSimCellsPerUs cells.
   std::uint64_t deadline_us = 0;

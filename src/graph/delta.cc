@@ -184,15 +184,10 @@ std::vector<Edge> DynamicGraph::sorted_edges() const {
   return es;  // u-major, v-minor: already sorted
 }
 
-NodeId DynamicGraph::reach_count(NodeId skip, NodeId eu, NodeId ev) const {
-  NodeId start = kNone;
-  for (NodeId v = 0; v < n_; ++v) {
-    if (active_[v] && v != skip) {
-      start = v;
-      break;
-    }
-  }
-  if (start == kNone) return 0;
+bool DynamicGraph::connected_active() const {
+  NodeId start = 0;
+  while (start < n_ && !active_[start]) ++start;
+  if (start == n_) return true;
   std::vector<std::uint8_t> seen(n_, 0);
   std::vector<NodeId> queue{start};
   seen[start] = 1;
@@ -202,35 +197,12 @@ NodeId DynamicGraph::reach_count(NodeId skip, NodeId eu, NodeId ev) const {
     queue.pop_back();
     ++reached;
     for (const NodeId w : adj_[v]) {
-      if (seen[w] || w == skip) continue;
-      if ((v == eu && w == ev) || (v == ev && w == eu)) continue;
+      if (seen[w]) continue;
       seen[w] = 1;
       queue.push_back(w);
     }
   }
-  return reached;
-}
-
-bool DynamicGraph::connected_active() const {
-  if (active_count_ == 0) return true;
-  return reach_count(kNone, kNone, kNone) == active_count_;
-}
-
-bool DynamicGraph::edge_is_bridge(NodeId u, NodeId v) const {
-  if (!has_edge(u, v)) {
-    throw std::invalid_argument("DynamicGraph::edge_is_bridge: no such edge");
-  }
-  // Only meaningful relative to a currently-connected active subgraph; the
-  // probe answers "does removing {u, v} reduce reachability".
-  return reach_count(kNone, u, v) < active_count_;
-}
-
-bool DynamicGraph::node_is_cut(NodeId v) const {
-  if (v >= n_ || !active_[v]) {
-    throw std::invalid_argument("DynamicGraph::node_is_cut: inactive node");
-  }
-  if (active_count_ <= 2) return false;
-  return reach_count(v, kNone, kNone) < active_count_ - 1;
+  return reached == active_count_;
 }
 
 BatchDiff diff_batch(std::span<const Edge> edges_before,
@@ -276,19 +248,14 @@ BatchDiff diff_batch(std::span<const Edge> edges_before,
   return d;
 }
 
-namespace {
+bool Connectivity::is_bridge(const Edge& e) const {
+  return std::binary_search(bridges.begin(), bridges.end(),
+                            std::make_pair(e.u, e.v));
+}
 
-// Bridges and articulation points of the active subgraph in one iterative
-// low-link DFS — O(n + m), so the plan generator can filter removal / leave
-// candidates per draw without quadratic rescans.
-struct ConnStructure {
-  std::vector<std::uint8_t> is_cut;            // per universe node
-  std::vector<std::pair<NodeId, NodeId>> bridges;  // u < v
-};
-
-ConnStructure connectivity_structure(const DynamicGraph& g) {
+Connectivity connectivity_structure(const DynamicGraph& g) {
   const NodeId n = g.universe();
-  ConnStructure cs;
+  Connectivity cs;
   cs.is_cut.assign(n, 0);
   std::vector<std::uint32_t> disc(n, 0), low(n, 0);
   std::vector<NodeId> parent(n, kNone);
@@ -336,6 +303,15 @@ ConnStructure connectivity_structure(const DynamicGraph& g) {
   return cs;
 }
 
+namespace {
+
+// Relative weights of insert, remove, join and leave.
+constexpr double kKindWeight[4] = {1.0, 1.0, 0.5, 0.5};
+// Edges a joining node attaches with (capped by the active population).
+constexpr std::uint32_t kJoinAttachments = 2;
+// Stored entries one corruption event flips.
+constexpr std::uint32_t kCorruptEntries = 2;
+
 }  // namespace
 
 DeltaPlan::DeltaPlan(const DeltaPlanConfig& config)
@@ -343,16 +319,16 @@ DeltaPlan::DeltaPlan(const DeltaPlanConfig& config)
   if (config.max_batch == 0) {
     throw std::invalid_argument("DeltaPlanConfig: max_batch must be >= 1");
   }
-  const auto check_w = [](double w, const char* what) {
-    if (!(w >= 0.0)) {
-      throw std::invalid_argument(std::string("DeltaPlanConfig: ") + what +
-                                  " must be >= 0");
-    }
-  };
-  check_w(config.w_insert, "w_insert");
-  check_w(config.w_remove, "w_remove");
-  check_w(config.w_join, "w_join");
-  check_w(config.w_leave, "w_leave");
+}
+
+std::vector<NodeId> DeltaPlan::droppable(const DynamicGraph& g) const {
+  std::vector<NodeId> cands;
+  if (g.num_active() <= config_.min_active) return cands;
+  const Connectivity cs = connectivity_structure(g);
+  for (NodeId v = 0; v < g.universe(); ++v) {
+    if (g.active(v) && !cs.is_cut[v]) cands.push_back(v);
+  }
+  return cands;
 }
 
 bool DeltaPlan::draw_delta(DynamicGraph& work, std::vector<GraphDelta>& out) {
@@ -363,10 +339,10 @@ bool DeltaPlan::draw_delta(DynamicGraph& work, std::vector<GraphDelta>& out) {
   double w[4];
   const std::uint64_t pairs =
       static_cast<std::uint64_t>(active) * (active > 0 ? active - 1 : 0) / 2;
-  w[0] = (active >= 2 && work.num_edges() < pairs) ? config_.w_insert : 0.0;
-  w[1] = work.num_edges() > 0 ? config_.w_remove : 0.0;
-  w[2] = (work.universe() > active) ? config_.w_join : 0.0;
-  w[3] = (active > config_.min_active) ? config_.w_leave : 0.0;
+  w[0] = (active >= 2 && work.num_edges() < pairs) ? kKindWeight[0] : 0.0;
+  w[1] = work.num_edges() > 0 ? kKindWeight[1] : 0.0;
+  w[2] = (work.universe() > active) ? kKindWeight[2] : 0.0;
+  w[3] = (active > config_.min_active) ? kKindWeight[3] : 0.0;
 
   for (int attempt = 0; attempt < 4; ++attempt) {
     const double total = w[0] + w[1] + w[2] + w[3];
@@ -394,15 +370,10 @@ bool DeltaPlan::draw_delta(DynamicGraph& work, std::vector<GraphDelta>& out) {
         out.push_back(d);
         return true;
       }
-      case 1: {  // remove: uniform over (non-bridge, when keeping connected)
+      case 1: {  // remove: uniform over non-bridge edges
         std::vector<Edge> cands = work.sorted_edges();
-        if (config_.keep_connected && !cands.empty()) {
-          const ConnStructure cs = connectivity_structure(work);
-          std::erase_if(cands, [&](const Edge& e) {
-            return std::binary_search(cs.bridges.begin(), cs.bridges.end(),
-                                      std::make_pair(e.u, e.v));
-          });
-        }
+        const Connectivity cs = connectivity_structure(work);
+        std::erase_if(cands, [&](const Edge& e) { return cs.is_bridge(e); });
         if (cands.empty()) break;
         const Edge e = cands[rng_.below(cands.size())];
         const GraphDelta d{DeltaKind::kEdgeRemove, e.u, e.v};
@@ -422,8 +393,7 @@ bool DeltaPlan::draw_delta(DynamicGraph& work, std::vector<GraphDelta>& out) {
           if (work.active(v)) anchors.push_back(v);
         }
         const std::uint32_t want = std::min<std::uint32_t>(
-            std::max<std::uint32_t>(config_.join_attachments, 1),
-            static_cast<std::uint32_t>(anchors.size()));
+            kJoinAttachments, static_cast<std::uint32_t>(anchors.size()));
         const GraphDelta jd{DeltaKind::kNodeJoin, joiner, joiner};
         work.apply(jd);
         out.push_back(jd);
@@ -437,16 +407,7 @@ bool DeltaPlan::draw_delta(DynamicGraph& work, std::vector<GraphDelta>& out) {
         return true;
       }
       case 3: {  // leave: uniform over droppable (non-cut) active nodes
-        if (work.num_active() <= config_.min_active) break;
-        std::vector<NodeId> cands;
-        const ConnStructure cs = config_.keep_connected
-                                     ? connectivity_structure(work)
-                                     : ConnStructure{};
-        for (NodeId v = 0; v < work.universe(); ++v) {
-          if (!work.active(v)) continue;
-          if (config_.keep_connected && cs.is_cut[v]) continue;
-          cands.push_back(v);
-        }
+        const std::vector<NodeId> cands = droppable(work);
         if (cands.empty()) break;
         const NodeId v = cands[rng_.below(cands.size())];
         const GraphDelta d{DeltaKind::kNodeLeave, v, v};
@@ -468,17 +429,7 @@ ChurnBatch DeltaPlan::next(const DynamicGraph& g) {
     if (!draw_delta(work, batch.deltas)) break;
   }
   if (rng_.chance(config_.crash_prob)) {
-    std::vector<NodeId> cands;
-    if (work.num_active() > config_.min_active) {
-      const ConnStructure cs = config_.keep_connected
-                                   ? connectivity_structure(work)
-                                   : ConnStructure{};
-      for (NodeId v = 0; v < work.universe(); ++v) {
-        if (!work.active(v)) continue;
-        if (config_.keep_connected && cs.is_cut[v]) continue;
-        cands.push_back(v);
-      }
-    }
+    const std::vector<NodeId> cands = droppable(work);
     if (!cands.empty()) {
       const NodeId v = cands[rng_.below(cands.size())];
       work.apply({DeltaKind::kNodeLeave, v, v});
@@ -486,7 +437,7 @@ ChurnBatch DeltaPlan::next(const DynamicGraph& g) {
     }
   }
   if (rng_.chance(config_.corrupt_prob)) {
-    batch.corrupt_flips = config_.corrupt_entries;
+    batch.corrupt_flips = kCorruptEntries;
     batch.corrupt_seed = rng_();
   }
   ++batches_;

@@ -47,9 +47,6 @@ class Rng {
   // Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p) noexcept;
 
-  // Derive an independent child generator (for nested components).
-  Rng fork() noexcept { return Rng((*this)()); }
-
   // The full generator state (SplitMix64 is its counter). Re-seeding a new
   // Rng with this value resumes the exact stream — the serialization hook
   // used by checkpointable components (graph/delta.h plans).

@@ -515,9 +515,10 @@ TEST(Reliable, UnprotectedFloodFailsDetectablyUnderLoss) {
 }
 
 TEST(Reliable, AdapterRejectsBadConfig) {
-  EXPECT_THROW(
-      ReliableAdapter(std::make_unique<NaiveFlood>(0), ReliableConfig{1}),
-      std::invalid_argument);
+  ReliableConfig bad;
+  bad.heartbeat_every = 0;
+  EXPECT_THROW(ReliableAdapter(std::make_unique<NaiveFlood>(0), bad),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
