@@ -366,8 +366,9 @@ bool bench_repair(const Graph& g, const std::string& label) {
 }  // namespace
 }  // namespace dapsp
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dapsp;
+  if (argc > 1) bench::usage_exit(argv[0], "(takes no arguments)");
   std::printf("Reliable delivery under transport faults.\n");
   std::printf(
       "Plans: drop p, duplicate p/2, delay p/2 (1..3 extra rounds), fixed "

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/distance_labels.h"
 #include "core/query.h"
 #include "graph/generators.h"
@@ -174,6 +175,8 @@ int main(int argc, char** argv) {
       assert_rate = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
       n = static_cast<NodeId>(std::atoi(argv[++i]));
+    } else {
+      bench::usage_exit(argv[0], "[--smoke] [--assert-rate R] [--n N]");
     }
   }
   if (smoke) n = 256;

@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/distance_labels.h"
 #include "core/query.h"
 #include "core/resilience.h"
@@ -228,6 +229,8 @@ int main(int argc, char** argv) {
       n = static_cast<NodeId>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
       requests = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    } else {
+      bench::usage_exit(argv[0], "[--smoke] [--assert] [--n N] [--requests R]");
     }
   }
   if (smoke) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -48,5 +49,12 @@ struct Table {
 };
 
 inline void note(const std::string& s) { std::printf("   %s\n", s.c_str()); }
+
+// The answer to an argument a bench does not take, or a flag without its
+// value: print the usage line and exit 2, before any file is written.
+[[noreturn]] inline void usage_exit(const char* argv0, const char* options) {
+  std::fprintf(stderr, "usage: %s %s\n", argv0, options);
+  std::exit(2);
+}
 
 }  // namespace dapsp::bench
