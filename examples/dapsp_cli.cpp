@@ -15,7 +15,6 @@
 //
 // With no -g, the graph is read from stdin.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -23,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_output.h"
 #include "congest/faults.h"
 #include "congest/reliable.h"
 #include "congest/trace.h"
@@ -195,35 +195,10 @@ struct Instrumentation {
   }
 };
 
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t len = std::strlen(suffix);
-  return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
-}
-
-std::ofstream open_or_die(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  return out;
-}
-
 void write_instrumentation(const Args& a, const Instrumentation& instr,
                            const congest::RunStats& stats,
                            std::uint64_t repairs_attempted = 0) {
-  if (a.trace_out) {
-    std::ofstream out = open_or_die(*a.trace_out);
-    if (has_suffix(*a.trace_out, ".jsonl")) {
-      instr.trace.write_jsonl(out);
-    } else if (has_suffix(*a.trace_out, ".csv")) {
-      instr.trace.write_csv(out);
-    } else {
-      instr.trace.write_chrome_json(out);
-    }
-    std::fprintf(stderr, "trace: %zu events -> %s\n", instr.trace.size(),
-                 a.trace_out->c_str());
-  }
+  if (a.trace_out) cli::write_trace_file(*a.trace_out, instr.trace);
   if (a.metrics_out) {
     MetricsRegistry reg;
     reg.counter("rounds") = stats.rounds;
@@ -243,13 +218,7 @@ void write_instrumentation(const Args& a, const Instrumentation& instr,
     reg.histogram("edge_bits").merge(instr.metrics.edge_bits);
     reg.histogram("edge_messages").merge(instr.metrics.edge_messages);
     reg.histogram("round_activity").merge(instr.metrics.round_activity);
-    std::ofstream out = open_or_die(*a.metrics_out);
-    if (has_suffix(*a.metrics_out, ".csv")) {
-      reg.write_csv(out);
-    } else {
-      reg.write_json(out);
-    }
-    std::fprintf(stderr, "metrics -> %s\n", a.metrics_out->c_str());
+    cli::write_metrics_file(*a.metrics_out, reg);
   }
 }
 

@@ -35,13 +35,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_output.h"
 #include "congest/trace.h"
 #include "core/durable.h"
 #include "core/query.h"
@@ -217,36 +217,11 @@ Graph make_graph(const Args& a) {
   std::exit(2);
 }
 
-bool has_suffix(const std::string& s, const char* suffix) {
-  const std::size_t len = std::strlen(suffix);
-  return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
-}
-
-std::ofstream open_or_die(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  return out;
-}
-
 void write_outputs(const Args& a, const congest::TraceLog& trace,
                    const core::ServiceStats& st,
                    const core::DurableStats* ds = nullptr,
                    const CrashPoint* crash = nullptr) {
-  if (a.trace_out) {
-    std::ofstream out = open_or_die(*a.trace_out);
-    if (has_suffix(*a.trace_out, ".jsonl")) {
-      trace.write_jsonl(out);
-    } else if (has_suffix(*a.trace_out, ".csv")) {
-      trace.write_csv(out);
-    } else {
-      trace.write_chrome_json(out);
-    }
-    std::fprintf(stderr, "trace: %zu events -> %s\n", trace.size(),
-                 a.trace_out->c_str());
-  }
+  if (a.trace_out) cli::write_trace_file(*a.trace_out, trace);
   if (a.metrics_out) {
     MetricsRegistry reg;
     reg.counter("service_epochs") = st.epochs;
@@ -277,13 +252,7 @@ void write_outputs(const Args& a, const congest::TraceLog& trace,
       // sweep range for --kill-at-byte.
       reg.counter("durable_bytes") = crash->written;
     }
-    std::ofstream out = open_or_die(*a.metrics_out);
-    if (has_suffix(*a.metrics_out, ".csv")) {
-      reg.write_csv(out);
-    } else {
-      reg.write_json(out);
-    }
-    std::fprintf(stderr, "metrics -> %s\n", a.metrics_out->c_str());
+    cli::write_metrics_file(*a.metrics_out, reg);
   }
 }
 

@@ -45,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_output.h"
 #include "congest/trace.h"
 #include "core/distance_labels.h"
 #include "core/query.h"
@@ -362,39 +363,11 @@ int run_serve(const Args& a) {
     const core::HealthReport health = rep.health(&snap);
     std::printf("health: %s\n", health.debug_string().c_str());
 
-    if (a.trace_out) {
-      std::ofstream out(*a.trace_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", a.trace_out->c_str());
-        return 1;
-      }
-      const std::string& p = *a.trace_out;
-      if (p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0) {
-        trace.write_csv(out);
-      } else if (p.size() >= 6 &&
-                 p.compare(p.size() - 6, 6, ".jsonl") == 0) {
-        trace.write_jsonl(out);
-      } else {
-        trace.write_chrome_json(out);
-      }
-      std::fprintf(stderr, "trace: %zu events -> %s\n", trace.size(),
-                   a.trace_out->c_str());
-    }
+    if (a.trace_out) cli::write_trace_file(*a.trace_out, trace);
     if (a.metrics_out) {
       MetricsRegistry reg;
       health.to_metrics(reg);
-      std::ofstream out(*a.metrics_out);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", a.metrics_out->c_str());
-        return 1;
-      }
-      const std::string& p = *a.metrics_out;
-      if (p.size() >= 4 && p.compare(p.size() - 4, 4, ".csv") == 0) {
-        reg.write_csv(out);
-      } else {
-        reg.write_json(out);
-      }
-      std::fprintf(stderr, "metrics -> %s\n", a.metrics_out->c_str());
+      cli::write_metrics_file(*a.metrics_out, reg);
     }
 
     // The contract this mode exists to enforce.
