@@ -168,15 +168,16 @@ int main(int argc, char** argv) {
   bool smoke = false;
   double assert_rate = 0;
   NodeId n = 2048;
+  const char* const usage = "[--smoke] [--assert-rate R] [--n N]";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--assert-rate") == 0 && i + 1 < argc) {
-      assert_rate = std::atof(argv[++i]);
+      assert_rate = bench::flag_value<double>(argv[++i], argv[0], usage);
     } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<NodeId>(std::atoi(argv[++i]));
+      n = bench::flag_value<NodeId>(argv[++i], argv[0], usage);
     } else {
-      bench::usage_exit(argv[0], "[--smoke] [--assert-rate R] [--n N]");
+      bench::usage_exit(argv[0], usage);
     }
   }
   if (smoke) n = 256;

@@ -220,17 +220,18 @@ int main(int argc, char** argv) {
   bool assert_floor = false;
   NodeId n = 256;
   std::uint64_t requests = 30'000;
+  const char* const usage = "[--smoke] [--assert] [--n N] [--requests R]";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--assert") == 0) {
       assert_floor = true;
     } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<NodeId>(std::atoi(argv[++i]));
+      n = bench::flag_value<NodeId>(argv[++i], argv[0], usage);
     } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      requests = bench::flag_value<std::uint64_t>(argv[++i], argv[0], usage);
     } else {
-      bench::usage_exit(argv[0], "[--smoke] [--assert] [--n N] [--requests R]");
+      bench::usage_exit(argv[0], usage);
     }
   }
   if (smoke) {

@@ -4,10 +4,13 @@
 // to the paper's predicted bound.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace dapsp::bench {
@@ -55,6 +58,24 @@ inline void note(const std::string& s) { std::printf("   %s\n", s.c_str()); }
 [[noreturn]] inline void usage_exit(const char* argv0, const char* options) {
   std::fprintf(stderr, "usage: %s %s\n", argv0, options);
   std::exit(2);
+}
+
+// A flag's value, parsed whole: empty, non-numeric, partly numeric or
+// out-of-range text is a usage error, and so is a zero count (integral T)
+// or a non-finite real.
+template <typename T>
+T flag_value(const char* text, const char* argv0, const char* options) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  bool ok = ec == std::errc{} && stop == end;
+  if constexpr (std::is_integral_v<T>) {
+    ok = ok && v != 0;
+  } else {
+    ok = ok && std::isfinite(v);
+  }
+  if (!ok) usage_exit(argv0, options);
+  return v;
 }
 
 }  // namespace dapsp::bench

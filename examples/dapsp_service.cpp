@@ -45,7 +45,6 @@
 #include "congest/trace.h"
 #include "core/durable.h"
 #include "core/query.h"
-#include "core/resilience.h"
 #include "core/service.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
@@ -505,11 +504,7 @@ int main(int argc, char** argv) {
   cfg.engine.threads = a.threads;
   cfg.scrub_every = a.scrub_every;
   if (a.trace_out) cfg.engine.trace = &trace;
-  std::optional<core::BreakerRepairGate> gate;
-  if (a.breaker) {
-    gate.emplace(*a.breaker);
-    cfg.repair_gate = &*gate;
-  }
+  cfg.breaker = a.breaker;
 
   DeltaPlanConfig pc;
   pc.seed = a.seed;
@@ -612,9 +607,9 @@ int main(int argc, char** argv) {
 
   const core::ServiceStats& st = svc->stats();
   std::printf("service: %s\n", st.debug_string().c_str());
-  if (gate) {
+  if (svc->breaker()) {
     std::printf("breaker: state=%s transitions=%llu suppressed=%llu\n",
-                core::to_string(static_cast<core::BreakerState>(gate->state())),
+                core::to_string(svc->breaker()->state()),
                 static_cast<unsigned long long>(st.breaker_transitions),
                 static_cast<unsigned long long>(st.repairs_suppressed));
   }

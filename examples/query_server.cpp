@@ -21,8 +21,8 @@
 // Overload mode replays a seeded virtual-clock arrival storm through the
 // resilience layer (core/resilience.h): deadlines, per-class admission,
 // brownout-to-estimates, jittered retries. Prints the latency/shed summary
-// and the structured HealthReport; exits 1 if any served answer overclaims
-// its freshness or the shed accounting fails to balance:
+// and the resilience_* health counters; exits 1 if any served answer
+// overclaims its freshness or the shed accounting fails to balance:
 //
 //   query_server --snapshot snap.dqry --overload 20000 --offered 200000
 //   query_server --snapshot snap.dqry --overload 20000 --offered 200000
@@ -38,6 +38,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <optional>
@@ -360,15 +361,17 @@ int run_serve(const Args& a) {
         static_cast<unsigned long long>(
             rep.quantile_us(core::PriorityClass::kInteractive, 0.99)),
         static_cast<unsigned long long>(rep.end_us));
-    const core::HealthReport health = rep.health(&snap);
-    std::printf("health: %s\n", health.debug_string().c_str());
+    MetricsRegistry health;
+    rep.to_metrics(health, snap);
+    std::printf("health:");
+    for (const auto& [name, value] : health.counters()) {
+      std::printf(" %s=%llu", name.c_str() + std::strlen("resilience_"),
+                  static_cast<unsigned long long>(value));
+    }
+    std::printf("\n");
 
     if (a.trace_out) cli::write_trace_file(*a.trace_out, trace);
-    if (a.metrics_out) {
-      MetricsRegistry reg;
-      health.to_metrics(reg);
-      cli::write_metrics_file(*a.metrics_out, reg);
-    }
+    if (a.metrics_out) cli::write_metrics_file(*a.metrics_out, health);
 
     // The contract this mode exists to enforce.
     if (rep.overclaims != 0) {

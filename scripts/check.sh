@@ -20,7 +20,8 @@
 #                  reader threads validating against the oracle).
 #   --overload-smoke  run only the overload-robustness gate: bench_resilience
 #                  floors (admitted-interactive p99 within 5x unloaded at 4x
-#                  saturation, explicit sheds, zero overclaims), a seeded
+#                  saturation, explicit sheds, zero overclaims), the
+#                  committed BENCH_resilience.json reproduced, a seeded
 #                  query_server overload replay with the shed-trace validated
 #                  against the health counters, and a dapsp_service breaker
 #                  open/half-open/close round trip at 1 and 4 engine threads
@@ -240,9 +241,10 @@ if [[ "${1:-}" == "--query-smoke" ]]; then
 fi
 
 # Overload-robustness smoke (DESIGN.md section 18): the resilience floors in
-# bench_resilience (--smoke --assert), then a seeded query_server overload
-# replay whose kShed trace is cross-checked against the exported health
-# counters, and a dapsp_service run whose repair breaker provably opens
+# bench_resilience (--smoke --assert), a full bench_resilience run that must
+# reproduce the committed BENCH_resilience.json, then a seeded query_server
+# overload replay whose kShed trace is cross-checked against the exported
+# health counters, and a dapsp_service run whose repair breaker provably opens
 # during a strangle window, suppresses repairs, and closes again — exit 0
 # requires the final tables fully certified despite the outage, and the run
 # must end in the same checkpoint and trace bytes at 1 and 4 engine threads.
@@ -258,6 +260,14 @@ overload_smoke() {
   # the committed full-size curve.
   ( cd "${tmp}" && "${OLDPWD}/${dir}/bench/bench_resilience" \
       --smoke --assert >/dev/null )
+  # The full curve is all virtual-clock figures (digests included), so a
+  # rerun must reproduce the committed file but for the host's thread count.
+  ( cd "${tmp}" && "${OLDPWD}/${dir}/bench/bench_resilience" >/dev/null )
+  if ! cmp <(grep -v '"hardware_threads"' "${tmp}/BENCH_resilience.json") \
+           <(grep -v '"hardware_threads"' BENCH_resilience.json); then
+    echo "overload smoke: BENCH_resilience.json differs from a fresh full run"
+    exit 1
+  fi
   "${dir}/examples/query_server" --export "${tmp}/s.dqry" \
     --universe 48 --seed 7 --labels 2
   "${dir}/examples/query_server" --snapshot "${tmp}/s.dqry" \

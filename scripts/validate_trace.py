@@ -260,7 +260,8 @@ def main() -> None:
                  f"{journal_payload_bytes} payload + 12*{journal_events}")
         # The resilience layer emits one kShed event per refused request;
         # every shed decision must be visible in BOTH the trace and the
-        # per-reason counters (a HealthReport export), and they must agree.
+        # per-reason counters (a SimReport::to_metrics export), and they
+        # must agree.
         for name, got in (("resilience_shed_rate", shed_by_reason[0]),
                           ("resilience_shed_queue_full", shed_by_reason[1]),
                           ("resilience_shed_queue_wait", shed_by_reason[2]),
@@ -269,12 +270,10 @@ def main() -> None:
             if want is not None and int(want) != got:
                 fail(f"{name} counter {want} != {got} shed trace events")
         # One kBreaker event per observed state change.
-        for name in ("service_breaker_transitions",
-                     "resilience_breaker_transitions"):
-            want = counters.get(name)
-            if want is not None and int(want) != breaker_events:
-                fail(f"{name} counter {want} != "
-                     f"{breaker_events} breaker trace events")
+        want = counters.get("service_breaker_transitions")
+        if want is not None and int(want) != breaker_events:
+            fail(f"service_breaker_transitions counter {want} != "
+                 f"{breaker_events} breaker trace events")
 
     print(f"validate_trace: OK ({len(events)} events, "
           f"{corrupt_events} corrupt, {delta_events} delta, "

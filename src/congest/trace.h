@@ -74,7 +74,7 @@ enum class TraceEventKind : std::uint8_t {
                       // aux = shed reason (0 rate-limited, 1 queue-full,
                       // 2 queue-wait deadline)
   kBreaker = 14,      // repair circuit breaker observed-state change
-                      // (core/service.h RepairGate): node = new state
+                      // (core/service.h CircuitBreaker): node = new state
                       // (0 closed, 1 open, 2 half-open), peer = previous
                       // state, round = service epoch, aux = cumulative
                       // observed-transition count

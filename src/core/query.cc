@@ -126,23 +126,40 @@ void QuerySnapshot::p2p_batch(
   }
 }
 
+namespace {
+
+// How much of an n-cell row a query may scan: all of it without a budget,
+// else what the budget grants. The answer stays exact over that prefix.
+NodeId granted_cells(NodeId n, WorkBudget* budget) {
+  return budget == nullptr ? n
+                           : static_cast<NodeId>(std::min<std::uint64_t>(
+                                 n, budget->grant(n)));
+}
+
+}  // namespace
+
 KNearestAnswer QuerySnapshot::k_nearest(NodeId u, std::uint32_t k,
                                         WorkBudget* budget) const {
   if (u >= n_) {
     throw std::invalid_argument(
         "QuerySnapshot::k_nearest: node out of universe");
   }
-  KNearestAnswer ans;
-  if (active_[u] == 0) return ans;
+  if (active_[u] == 0) return {};
+  const NodeId scan = granted_cells(n_, budget);
+  KNearestAnswer ans = k_nearest_in_row(u, k, dist_row(u).first(scan));
   ans.active = true;
   ans.status = status(u);
-  const std::uint32_t* row = dist_ + std::size_t{u} * n_;
-  // The budget bounds how much of the row this query may scan; the answer
-  // stays exact over the scanned prefix.
-  const NodeId scan = budget == nullptr
-                          ? n_
-                          : static_cast<NodeId>(std::min<std::uint64_t>(
-                                n_, budget->grant(n_)));
+  if (scan < n_) {
+    ans.truncated = true;
+    ans.scanned = scan;
+  }
+  return ans;
+}
+
+KNearestAnswer QuerySnapshot::k_nearest_in_row(
+    NodeId u, std::uint32_t k, std::span<const std::uint32_t> row) const {
+  KNearestAnswer ans;
+  if (k == 0) return ans;
   // A max-heap of the k best (dist, id) scanned so far, kept in the
   // answer's own storage: the scan allocates nothing else.
   const auto by_dist_then_id = [](const NearNeighbor& a,
@@ -150,26 +167,21 @@ KNearestAnswer QuerySnapshot::k_nearest(NodeId u, std::uint32_t k,
     return a.dist != b.dist ? a.dist < b.dist : a.node < b.node;
   };
   std::vector<NearNeighbor>& heap = ans.nearest;
-  if (k != 0) {
-    heap.reserve(std::min<std::size_t>(k, scan));
-    for (NodeId v = 0; v < scan; ++v) {
-      if (v == u || active_[v] == 0 || row[v] == kInfDist) continue;
-      const NearNeighbor c{v, row[v]};
-      if (heap.size() < k) {
-        heap.push_back(c);
-        std::ranges::push_heap(heap, by_dist_then_id);
-      } else if (by_dist_then_id(c, heap.front())) {
-        std::ranges::pop_heap(heap, by_dist_then_id);
-        heap.back() = c;
-        std::ranges::push_heap(heap, by_dist_then_id);
-      }
+  const auto scan = static_cast<NodeId>(row.size());
+  heap.reserve(std::min<std::size_t>(k, scan));
+  for (NodeId v = 0; v < scan; ++v) {
+    if (v == u || active_[v] == 0 || row[v] == kInfDist) continue;
+    const NearNeighbor c{v, row[v]};
+    if (heap.size() < k) {
+      heap.push_back(c);
+      std::ranges::push_heap(heap, by_dist_then_id);
+    } else if (by_dist_then_id(c, heap.front())) {
+      std::ranges::pop_heap(heap, by_dist_then_id);
+      heap.back() = c;
+      std::ranges::push_heap(heap, by_dist_then_id);
     }
-    std::ranges::sort_heap(heap, by_dist_then_id);
   }
-  if (scan < n_) {
-    ans.truncated = true;
-    ans.scanned = scan;
-  }
+  std::ranges::sort_heap(heap, by_dist_then_id);
   return ans;
 }
 
@@ -179,15 +191,22 @@ EccentricityAnswer QuerySnapshot::eccentricity(NodeId u,
     throw std::invalid_argument(
         "QuerySnapshot::eccentricity: node out of universe");
   }
-  EccentricityAnswer ans;
-  if (active_[u] == 0) return ans;
+  if (active_[u] == 0) return {};
+  const NodeId scan = granted_cells(n_, budget);
+  EccentricityAnswer ans = eccentricity_in_row(u, dist_row(u).first(scan));
   ans.active = true;
   ans.status = status(u);
-  const std::uint32_t* row = dist_ + std::size_t{u} * n_;
-  const NodeId scan = budget == nullptr
-                          ? n_
-                          : static_cast<NodeId>(std::min<std::uint64_t>(
-                                n_, budget->grant(n_)));
+  if (scan < n_) {
+    ans.truncated = true;
+    ans.scanned = scan;
+  }
+  return ans;
+}
+
+EccentricityAnswer QuerySnapshot::eccentricity_in_row(
+    NodeId u, std::span<const std::uint32_t> row) const {
+  EccentricityAnswer ans;
+  const auto scan = static_cast<NodeId>(row.size());
   for (NodeId v = 0; v < scan; ++v) {
     if (active_[v] == 0) continue;
     if (row[v] == kInfDist) {
@@ -200,10 +219,6 @@ EccentricityAnswer QuerySnapshot::eccentricity(NodeId u,
     }
   }
   if (ans.farthest == kNoNextHop) ans.farthest = u;  // isolated-in-component
-  if (scan < n_) {
-    ans.truncated = true;
-    ans.scanned = scan;
-  }
   return ans;
 }
 

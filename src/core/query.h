@@ -224,6 +224,16 @@ class QuerySnapshot {
   EccentricityAnswer eccentricity(NodeId u,
                                   WorkBudget* budget = nullptr) const;
 
+  // The row scans behind k_nearest and eccentricity, over any row of
+  // distances toward u indexed by node: a prefix of dist_row(u), or a
+  // LabelCache estimate row (the overload sim's brownout). Nodes this
+  // snapshot marks inactive are skipped. Fill only the scan's fields
+  // (nearest; ecc, farthest, unreachable).
+  KNearestAnswer k_nearest_in_row(NodeId u, std::uint32_t k,
+                                  std::span<const std::uint32_t> row) const;
+  EccentricityAnswer eccentricity_in_row(
+      NodeId u, std::span<const std::uint32_t> row) const;
+
   // APASP_{2k} estimate from the label section (requires has_labels()):
   // min over dominators of the saturating 2-hop sum. kInfDist when the
   // labels share no finite dominator.
@@ -385,7 +395,7 @@ class SnapshotStore {
   std::size_t retired_pending() const;
   // Reader registrations that found every slot taken on their first sweep
   // and had to spin-yield (counted once per contended construction) — the
-  // saturation signal the HealthReport surfaces.
+  // reader-slot saturation signal.
   std::uint64_t slots_exhausted() const noexcept {
     return slots_exhausted_.load(std::memory_order_relaxed);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <sstream>
 #include <utility>
 
 #include "util/blob.h"
@@ -70,15 +69,6 @@ const char* to_string(ShedReason r) noexcept {
     case ShedReason::kRate: return "rate-limited";
     case ShedReason::kQueueFull: return "queue-full";
     case ShedReason::kQueueWait: return "queue-wait";
-  }
-  return "?";
-}
-
-const char* to_string(BreakerState s) noexcept {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
   }
   return "?";
 }
@@ -158,10 +148,6 @@ std::optional<AdmissionController::Ready> AdmissionController::next_ready(
   return std::nullopt;
 }
 
-std::uint32_t AdmissionController::running(PriorityClass c) const noexcept {
-  return bucket(c).running;
-}
-
 std::size_t AdmissionController::queue_depth(PriorityClass c) const noexcept {
   return bucket(c).queue.size();
 }
@@ -187,76 +173,6 @@ std::uint64_t retry_delay_us(const RetryPolicy& policy,
                              attempt);
 }
 
-// ---- CircuitBreaker --------------------------------------------------------
-
-CircuitBreaker::CircuitBreaker(const BreakerConfig& config)
-    : config_(config) {}
-
-void CircuitBreaker::become(BreakerState next) {
-  if (next == state_) return;
-  state_ = next;
-  ++transitions_;
-}
-
-bool CircuitBreaker::allow(std::uint64_t now) {
-  switch (state_) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kOpen:
-      if (now >= opened_at_ && now - opened_at_ >= config_.cooldown_ticks) {
-        become(BreakerState::kHalfOpen);
-        probes_succeeded_ = 0;
-        return true;  // the probe
-      }
-      return false;
-    case BreakerState::kHalfOpen:
-      return true;
-  }
-  return true;
-}
-
-void CircuitBreaker::record_success(std::uint64_t now) {
-  (void)now;
-  switch (state_) {
-    case BreakerState::kClosed:
-      failures_ = 0;
-      break;
-    case BreakerState::kHalfOpen:
-      if (++probes_succeeded_ >= config_.probe_successes) {
-        become(BreakerState::kClosed);
-        failures_ = 0;
-      }
-      break;
-    case BreakerState::kOpen:
-      // A success reported while open can only come from a path that
-      // bypasses allow() — the service's operator scrub. A certified scrub
-      // is a full-table heal: close directly.
-      become(BreakerState::kClosed);
-      failures_ = 0;
-      break;
-  }
-}
-
-void CircuitBreaker::record_failure(std::uint64_t now) {
-  switch (state_) {
-    case BreakerState::kClosed:
-      if (++failures_ >= config_.failure_threshold) {
-        become(BreakerState::kOpen);
-        opened_at_ = now;
-        ++opens_;
-      }
-      break;
-    case BreakerState::kHalfOpen:
-      become(BreakerState::kOpen);
-      opened_at_ = now;
-      ++opens_;
-      break;
-    case BreakerState::kOpen:
-      opened_at_ = now;  // a bypassing scrub failed: re-arm the cooldown
-      break;
-  }
-}
-
 // ---- Brownout --------------------------------------------------------------
 
 BrownoutLevel BrownoutController::update(std::size_t total_queued) noexcept {
@@ -268,56 +184,26 @@ BrownoutLevel BrownoutController::update(std::size_t total_queued) noexcept {
     }
   } else if (total_queued <= policy_.exit_queue_depth) {
     level_ = BrownoutLevel::kNormal;
-    ++exits_;
   }
   return level_;
 }
 
-// ---- HealthReport ----------------------------------------------------------
-
-void HealthReport::to_metrics(MetricsRegistry& reg) const {
-  reg.counter("resilience_snapshot_epoch") = snapshot_epoch;
-  reg.counter("resilience_snapshot_sequence") = snapshot_sequence;
-  reg.counter("resilience_stale_rows") = stale_rows;
-  reg.counter("resilience_degraded") = degraded ? 1 : 0;
-  reg.counter("resilience_breaker_state") = breaker_state;
-  reg.counter("resilience_breaker_transitions") = breaker_transitions;
-  reg.counter("resilience_repairs_suppressed") = repairs_suppressed;
-  reg.counter("resilience_offered") = offered;
-  reg.counter("resilience_admitted") = admitted;
-  reg.counter("resilience_shed_rate") = shed_rate;
-  reg.counter("resilience_shed_queue_full") = shed_queue_full;
-  reg.counter("resilience_shed_queue_wait") = shed_queue_wait;
-  reg.counter("resilience_shed_total") = shed_total();
-  reg.counter("resilience_deadline_truncated") = deadline_truncated;
-  reg.counter("resilience_approximate_served") = approximate_served;
-  reg.counter("resilience_retries") = retries;
-  reg.counter("resilience_retry_exhausted") = retry_exhausted;
-  reg.counter("resilience_slots_exhausted") = slots_exhausted;
-  reg.counter("resilience_brownout_level") = brownout_level;
-  reg.counter("resilience_brownout_enters") = brownout_enters;
-}
-
-std::string HealthReport::debug_string() const {
-  std::ostringstream os;
-  os << "health{epoch=" << snapshot_epoch << " seq=" << snapshot_sequence
-     << " stale_rows=" << stale_rows << " degraded=" << (degraded ? 1 : 0)
-     << " breaker=" << to_string(static_cast<BreakerState>(breaker_state))
-     << " transitions=" << breaker_transitions
-     << " suppressed=" << repairs_suppressed << " offered=" << offered
-     << " admitted=" << admitted << " shed=" << shed_total() << " (rate="
-     << shed_rate << " qfull=" << shed_queue_full << " qwait="
-     << shed_queue_wait << ") deadline_truncated=" << deadline_truncated
-     << " approximate=" << approximate_served << " retries=" << retries
-     << " retry_exhausted=" << retry_exhausted
-     << " slots_exhausted=" << slots_exhausted << " brownout="
-     << static_cast<unsigned>(brownout_level) << " (enters="
-     << brownout_enters << ")}";
-  return os.str();
-}
-
 // ---- Arrival stream --------------------------------------------------------
 
+namespace {
+
+// One synthetic request. Its class sets its shape, so the classes have
+// genuinely different cost profiles: interactive -> p2p batch, batch ->
+// k-nearest of u, background -> eccentricity of u.
+struct SimRequest {
+  std::uint64_t id = 0;
+  std::uint64_t at_us = 0;  // virtual arrival time
+  PriorityClass cls = PriorityClass::kInteractive;
+  NodeId u = 0;  // source node (k-nearest / eccentricity)
+};
+
+// The deterministic arrival stream for a config (sorted by at_us; ids are
+// the stream position). Pure function of (config, n).
 std::vector<SimRequest> generate_overload_arrivals(const OverloadConfig& cfg,
                                                    NodeId n) {
   std::vector<SimRequest> out;
@@ -334,25 +220,21 @@ std::vector<SimRequest> generate_overload_arrivals(const OverloadConfig& cfg,
     SimRequest r;
     r.id = i;
     r.at_us = t_mus / 1'000;
-    // 70/20/10 class mix; kind mirrors the class (see header).
+    // 70/20/10 class mix.
     const std::uint64_t d = rng.below(10);
     r.cls = d < 7 ? PriorityClass::kInteractive
                   : (d < 9 ? PriorityClass::kBatch : PriorityClass::kBackground);
-    r.kind = static_cast<std::uint8_t>(r.cls);
     r.u = static_cast<NodeId>(rng.below(n));
-    r.k = cfg.k_nearest_k;
     out.push_back(r);
   }
   return out;
 }
 
-namespace {
-
-// Virtual cells one exact request of the given kind scans (before any
+// Virtual cells one exact request of the given class scans (before any
 // deadline cap).
-std::uint64_t exact_cells(const OverloadConfig& cfg, std::uint8_t kind,
+std::uint64_t exact_cells(const OverloadConfig& cfg, PriorityClass cls,
                           NodeId n) {
-  return kind == 0 ? cfg.batch_pairs : n;
+  return cls == PriorityClass::kInteractive ? cfg.batch_pairs : n;
 }
 
 std::uint64_t service_us_for_cells(std::uint64_t cells) {
@@ -371,7 +253,7 @@ std::uint64_t saturation_arrivals_per_sec(const OverloadConfig& cfg,
   std::uint64_t saturation = ~std::uint64_t{0};
   for (std::size_t c = 0; c < kPriorityClassCount; ++c) {
     const std::uint64_t cells = std::min(
-        deadline_cells, exact_cells(cfg, static_cast<std::uint8_t>(c), n));
+        deadline_cells, exact_cells(cfg, static_cast<PriorityClass>(c), n));
     const std::uint64_t svc_us = service_us_for_cells(cells);
     const std::uint32_t conc = cfg.admission.classes[c].max_concurrent;
     // Requests/sec this class can complete, scaled to the offered rate that
@@ -395,29 +277,27 @@ std::uint64_t SimReport::quantile_us(PriorityClass c, double q) const {
   return sorted[rank - 1];
 }
 
-HealthReport SimReport::health(const QuerySnapshot* snap) const {
-  HealthReport h;
-  if (snap != nullptr) {
-    h.snapshot_epoch = snap->epoch();
-    h.snapshot_sequence = snap->sequence();
-    h.degraded = snap->degraded();
-    for (NodeId v = 0; v < snap->n(); ++v) {
-      if (snap->active(v) && snap->status(v) == RowStatus::kStale) {
-        ++h.stale_rows;
-      }
-    }
+void SimReport::to_metrics(MetricsRegistry& reg,
+                           const QuerySnapshot& snap) const {
+  std::uint64_t stale_rows = 0;
+  for (NodeId v = 0; v < snap.n(); ++v) {
+    if (snap.active(v) && snap.status(v) == RowStatus::kStale) ++stale_rows;
   }
-  h.offered = offered;
-  h.admitted = admitted;
-  h.shed_rate = shed_rate;
-  h.shed_queue_full = shed_queue_full;
-  h.shed_queue_wait = shed_queue_wait;
-  h.deadline_truncated = deadline_truncated;
-  h.approximate_served = approximate_served;
-  h.retries = retries;
-  h.retry_exhausted = retry_exhausted;
-  h.brownout_enters = brownout_enters;
-  return h;
+  reg.counter("resilience_snapshot_epoch") = snap.epoch();
+  reg.counter("resilience_snapshot_sequence") = snap.sequence();
+  reg.counter("resilience_stale_rows") = stale_rows;
+  reg.counter("resilience_degraded") = snap.degraded() ? 1 : 0;
+  reg.counter("resilience_offered") = offered;
+  reg.counter("resilience_admitted") = admitted;
+  reg.counter("resilience_shed_rate") = shed_rate;
+  reg.counter("resilience_shed_queue_full") = shed_queue_full;
+  reg.counter("resilience_shed_queue_wait") = shed_queue_wait;
+  reg.counter("resilience_shed_total") = shed_total();
+  reg.counter("resilience_deadline_truncated") = deadline_truncated;
+  reg.counter("resilience_approximate_served") = approximate_served;
+  reg.counter("resilience_retries") = retries;
+  reg.counter("resilience_retry_exhausted") = retry_exhausted;
+  reg.counter("resilience_brownout_enters") = brownout_enters;
 }
 
 // ---- Overload simulation ---------------------------------------------------
@@ -444,9 +324,10 @@ ExecResult execute_request(const QuerySnapshot& snap, const OverloadConfig& cfg,
   WorkBudget budget;
   budget.limit = cfg.deadline_us == 0 ? 0 : cfg.deadline_us * kSimCellsPerUs;
   const bool brownout_served = level == BrownoutLevel::kEstimates &&
-                               r.kind != 0 && snap.has_labels();
+                               r.cls != PriorityClass::kInteractive &&
+                               snap.has_labels();
   std::uint64_t payload = kFnv1a64Basis;
-  if (r.kind == 0) {
+  if (r.cls == PriorityClass::kInteractive) {
     // Interactive point-to-point batch: cfg.batch_pairs seeded endpoints.
     Rng pr = keyed_rng(cfg.seed, 0x70327062ULL, r.id);  // "p2pb"
     std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -467,66 +348,42 @@ ExecResult execute_request(const QuerySnapshot& snap, const OverloadConfig& cfg,
     res.status = res.truncated ? ServeStatus::kDeadlineExceeded
                                : serve_status_from_row(worst);
     res.cells = budget.used;
-  } else if (brownout_served) {
-    // Heavy scan under brownout: the LabelCache estimate row. Virtual cost
-    // is the exact scan divided by kSimBrownoutDivisor (the label table
-    // stays cache-resident; the n^2 tables thrash). The answer NEVER
+  } else {
+    // A heavy row scan of u: k-nearest (batch) or eccentricity
+    // (background). Under brownout it scans the LabelCache estimate row at
+    // the exact scan's cost divided by kSimBrownoutDivisor (the label table
+    // stays cache-resident; the n^2 tables thrash), and the answer NEVER
     // claims exactness — kApproximate end to end.
-    const auto row = cache.row(snap, r.u);
-    if (r.kind == 1) {
-      std::vector<NearNeighbor> best;  // ascending (dist, id), size <= k
-      for (NodeId v = 0; v < n; ++v) {
-        if (v == r.u || !snap.active(v)) continue;
-        const std::uint32_t d = row[v];
-        if (d == kInfDist) continue;
-        NearNeighbor nb{v, d};
-        auto pos = std::upper_bound(
-            best.begin(), best.end(), nb, [](const auto& a, const auto& b) {
-              return a.dist != b.dist ? a.dist < b.dist : a.node < b.node;
-            });
-        best.insert(pos, nb);
-        if (best.size() > r.k) best.pop_back();
-      }
-      for (const NearNeighbor& nb : best) {
+    RowStatus status = RowStatus::kStale;
+    if (r.cls == PriorityClass::kBatch) {
+      const KNearestAnswer ans =
+          brownout_served
+              ? snap.k_nearest_in_row(r.u, cfg.k_nearest_k, cache.row(snap, r.u))
+              : snap.k_nearest(r.u, cfg.k_nearest_k, &budget);
+      for (const NearNeighbor& nb : ans.nearest) {
         payload = fnv1a64_u64(payload, nb.node);
         payload = fnv1a64_u64(payload, nb.dist);
       }
+      res.truncated = ans.truncated;
+      status = ans.status;
     } else {
-      std::uint32_t ecc = 0;
-      std::uint32_t unreachable = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        if (v == r.u || !snap.active(v)) continue;
-        const std::uint32_t d = row[v];
-        if (d == kInfDist) {
-          ++unreachable;
-        } else {
-          ecc = std::max(ecc, d);
-        }
-      }
-      payload = fnv1a64_u64(payload, ecc);
-      payload = fnv1a64_u64(payload, unreachable);
+      const EccentricityAnswer ans =
+          brownout_served ? snap.eccentricity_in_row(r.u, cache.row(snap, r.u))
+                          : snap.eccentricity(r.u, &budget);
+      payload = fnv1a64_u64(payload, ans.ecc);
+      payload = fnv1a64_u64(payload, ans.unreachable);
+      res.truncated = ans.truncated;
+      status = ans.status;
     }
-    res.estimate = true;
-    res.status = ServeStatus::kApproximate;
-    res.cells = std::max<std::uint64_t>(1, std::uint64_t{n} / kSimBrownoutDivisor);
-  } else if (r.kind == 1) {
-    const KNearestAnswer ans = snap.k_nearest(r.u, r.k, &budget);
-    for (const NearNeighbor& nb : ans.nearest) {
-      payload = fnv1a64_u64(payload, nb.node);
-      payload = fnv1a64_u64(payload, nb.dist);
+    res.status = res.truncated ? ServeStatus::kDeadlineExceeded
+                               : serve_status_from_row(status);
+    res.cells = budget.used;
+    if (brownout_served) {
+      res.estimate = true;
+      res.status = ServeStatus::kApproximate;
+      res.cells =
+          std::max<std::uint64_t>(1, std::uint64_t{n} / kSimBrownoutDivisor);
     }
-    res.truncated = ans.truncated;
-    res.status = ans.truncated ? ServeStatus::kDeadlineExceeded
-                               : serve_status_from_row(ans.status);
-    res.cells = budget.used;
-  } else {
-    const EccentricityAnswer ans = snap.eccentricity(r.u, &budget);
-    payload = fnv1a64_u64(payload, ans.ecc);
-    payload = fnv1a64_u64(payload, ans.unreachable);
-    res.truncated = ans.truncated;
-    res.status = ans.truncated ? ServeStatus::kDeadlineExceeded
-                               : serve_status_from_row(ans.status);
-    res.cells = budget.used;
   }
   res.payload = payload;
   return res;
@@ -699,7 +556,6 @@ SimReport run_overload_sim(const QuerySnapshot& snap, const OverloadConfig& cfg,
     rep.admitted += adm.counters(static_cast<PriorityClass>(ci)).admitted;
   }
   rep.brownout_enters = brown.enters();
-  rep.brownout_exits = brown.exits();
   return rep;
 }
 

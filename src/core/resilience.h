@@ -1,9 +1,10 @@
 // Overload robustness for the serving path (DESIGN.md §18): deadline
-// budgets, admission control, seeded retry/backoff, circuit-broken repair,
-// and brownout — all deterministic under a virtual clock.
+// budgets, admission control, seeded retry/backoff and brownout — all
+// deterministic under a virtual clock. The repair ladder's circuit breaker
+// belongs to the service (core/service.h CircuitBreaker).
 //
 // The paper's discipline is doing APSP inside a hard per-round budget; this
-// layer extends that budget-consciousness to the serving tier. Five pieces:
+// layer extends that budget-consciousness to the serving tier. Four pieces:
 //
 //   * ServeStatus — the answer-level status lattice. RowStatus (kExact /
 //     kRepaired / kStale) is a *row* property serialized inside DQRY blobs
@@ -25,18 +26,9 @@
 //     same keyed-stream construction as the fault injector. Co-located
 //     retriers spread out; reruns reproduce byte-for-byte.
 //
-//   * CircuitBreaker / BreakerRepairGate — wraps the service's repair
-//     ladder via core/service.h's RepairGate hook. K consecutive failed
-//     repairs open it: the service stops burning engine rounds on doomed
-//     ladders (epochs report kSuppressed), pins the last certified snapshot
-//     and serves degraded. After a cooldown (measured in epochs — a virtual
-//     clock, never wall time) it half-opens and one probe repair is
-//     re-admitted; success closes it, failure re-opens. scrub() bypasses
-//     the gate but reports its outcome, so maintenance can always heal.
-//
 //   * Brownout + overload simulation — a seeded virtual-clock injector
-//     generates arrival streams (class mix, bursts), and run_overload_sim
-//     drives them through a real QuerySnapshot with real reads: admission,
+//     generates an arrival stream (class mix), and run_overload_sim
+//     drives it through a real QuerySnapshot with real reads: admission,
 //     deadline-budgeted row scans, seeded transient failures + retries, and
 //     a brownout ladder that swaps heavy exact row scans for LabelCache
 //     estimate rows when the wait queues back up (the label table is
@@ -44,21 +36,18 @@
 //     exact tables thrash — modeled as a fixed cell-cost divisor). Every
 //     estimate-served answer carries kApproximate. Time is virtual
 //     microseconds; work is counted in table cells (WorkBudget) and
-//     converted at a fixed cells-per-us rate, so latency curves, shed
-//     rates and the breaker schedule are bit-identical at any thread count
-//     and on any host.
+//     converted at a fixed cells-per-us rate, so latency curves and shed
+//     rates are bit-identical at any thread count and on any host.
 //
-// HealthReport rolls the whole picture (staleness, breaker, shed/retry/
-// deadline/brownout counters) into one struct with a MetricsRegistry
-// exporter; scripts/validate_trace.py cross-checks the kShed/kBreaker trace
-// events against those counters.
+// SimReport::to_metrics exports a run's counters and the served snapshot's
+// staleness as resilience_* counters; scripts/validate_trace.py
+// cross-checks the kShed trace events against them.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "congest/trace.h"
@@ -190,7 +179,6 @@ class AdmissionController {
   std::optional<Ready> next_ready(PriorityClass c, std::uint64_t now_us,
                                   std::vector<Ready>* shed_out = nullptr);
 
-  std::uint32_t running(PriorityClass c) const noexcept;
   std::size_t queue_depth(PriorityClass c) const noexcept;
   std::size_t total_queued() const noexcept;
   const ClassCounters& counters(PriorityClass c) const noexcept;
@@ -236,92 +224,6 @@ std::uint64_t retry_delay_us(const RetryPolicy& policy,
                              std::uint64_t request_id, std::uint32_t attempt,
                              std::uint64_t prev_us) noexcept;
 
-// ---- Circuit breaker ------------------------------------------------------
-
-// Numeric values match the kBreaker trace-event encoding and
-// RepairGate::state().
-enum class BreakerState : std::uint8_t {
-  kClosed = 0,    // repairs flow; consecutive failures are counted
-  kOpen = 1,      // repairs refused until the cooldown elapses
-  kHalfOpen = 2,  // probe repairs admitted; success closes, failure re-opens
-};
-
-const char* to_string(BreakerState s) noexcept;
-
-struct BreakerConfig {
-  std::uint32_t failure_threshold = 3;  // consecutive failures to open
-  std::uint64_t cooldown_ticks = 8;     // open -> half-open after this many
-                                        // ticks (epochs, for the repair gate)
-  std::uint32_t probe_successes = 1;    // half-open successes to close
-};
-
-// Tick-driven circuit breaker. The clock is whatever monotone counter the
-// caller feeds in (service epochs for the repair gate, virtual microseconds
-// elsewhere) — never wall time, so open/half-open/close schedules are
-// deterministic and thread-count-independent.
-class CircuitBreaker {
- public:
-  explicit CircuitBreaker(const BreakerConfig& config = {});
-
-  // May the protected operation run at `now`? Transitions kOpen ->
-  // kHalfOpen once the cooldown has elapsed (and then admits the probe).
-  bool allow(std::uint64_t now);
-
-  // kClosed: resets the failure streak. kHalfOpen: counts a probe success,
-  // closing at probe_successes. kOpen: closes directly — the success came
-  // from a path that bypasses allow() (the service's scrub), and a fully
-  // certified table is a fully healed circuit.
-  void record_success(std::uint64_t now);
-
-  // kClosed: extends the streak, opening at failure_threshold. kHalfOpen:
-  // the probe failed — re-open and restart the cooldown. kOpen: re-arms
-  // the cooldown (a bypassing scrub failed; stay open longer).
-  void record_failure(std::uint64_t now);
-
-  BreakerState state() const noexcept { return state_; }
-  std::uint32_t consecutive_failures() const noexcept { return failures_; }
-  std::uint64_t transitions() const noexcept { return transitions_; }
-  std::uint64_t opens() const noexcept { return opens_; }
-
- private:
-  void become(BreakerState next);
-
-  BreakerConfig config_;
-  BreakerState state_ = BreakerState::kClosed;
-  std::uint32_t failures_ = 0;         // consecutive, while closed
-  std::uint32_t probes_succeeded_ = 0; // while half-open
-  std::uint64_t opened_at_ = 0;
-  std::uint64_t transitions_ = 0;
-  std::uint64_t opens_ = 0;
-};
-
-// The RepairGate adapter: plugs a CircuitBreaker into
-// ServiceConfig::repair_gate with the service epoch as the tick.
-class BreakerRepairGate final : public RepairGate {
- public:
-  explicit BreakerRepairGate(const BreakerConfig& config = {})
-      : breaker_(config) {}
-
-  bool allow_repair(std::uint64_t epoch) override {
-    return breaker_.allow(epoch);
-  }
-  void on_repair_outcome(std::uint64_t epoch, bool certified) override {
-    if (certified) {
-      breaker_.record_success(epoch);
-    } else {
-      breaker_.record_failure(epoch);
-    }
-  }
-  std::uint8_t state() const override {
-    return static_cast<std::uint8_t>(breaker_.state());
-  }
-
-  const CircuitBreaker& breaker() const noexcept { return breaker_; }
-
- private:
-  CircuitBreaker breaker_;
-};
-
 // ---- Brownout -------------------------------------------------------------
 
 enum class BrownoutLevel : std::uint8_t {
@@ -346,69 +248,14 @@ class BrownoutController {
   BrownoutLevel update(std::size_t total_queued) noexcept;
   BrownoutLevel level() const noexcept { return level_; }
   std::uint64_t enters() const noexcept { return enters_; }
-  std::uint64_t exits() const noexcept { return exits_; }
 
  private:
   BrownoutPolicy policy_;
   BrownoutLevel level_ = BrownoutLevel::kNormal;
   std::uint64_t enters_ = 0;
-  std::uint64_t exits_ = 0;
-};
-
-// ---- Health ---------------------------------------------------------------
-
-// One structured snapshot of the serving tier's robustness state: what an
-// operator (or the overload smoke) needs to answer "is this thing healthy,
-// and if not, is it degrading the way it promised to".
-struct HealthReport {
-  // Staleness of the snapshot being served.
-  std::uint64_t snapshot_epoch = 0;
-  std::uint64_t snapshot_sequence = 0;
-  std::uint32_t stale_rows = 0;
-  bool degraded = false;
-
-  // Repair circuit breaker (from the gate / ServiceStats).
-  std::uint8_t breaker_state = 0;  // BreakerState encoding
-  std::uint64_t breaker_transitions = 0;
-  std::uint64_t repairs_suppressed = 0;
-
-  // Admission / serving counters (summed over classes).
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t shed_rate = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_queue_wait = 0;
-  std::uint64_t deadline_truncated = 0;
-  std::uint64_t approximate_served = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t retry_exhausted = 0;
-  std::uint64_t slots_exhausted = 0;  // SnapshotStore reader saturation
-  std::uint8_t brownout_level = 0;    // BrownoutLevel encoding
-  std::uint64_t brownout_enters = 0;
-
-  std::uint64_t shed_total() const noexcept {
-    return shed_rate + shed_queue_full + shed_queue_wait;
-  }
-
-  // Exports every field as resilience_* counters (the names
-  // scripts/validate_trace.py cross-checks against kShed trace events).
-  void to_metrics(MetricsRegistry& reg) const;
-  std::string debug_string() const;
 };
 
 // ---- Seeded virtual-clock overload injection ------------------------------
-
-// One synthetic request. kind mirrors the class 1:1 by default (interactive
-// -> p2p batches, batch -> k-nearest, background -> eccentricity), so the
-// classes have genuinely different cost profiles.
-struct SimRequest {
-  std::uint64_t id = 0;
-  std::uint64_t at_us = 0;  // virtual arrival time
-  PriorityClass cls = PriorityClass::kInteractive;
-  std::uint8_t kind = 0;  // 0 p2p-batch, 1 k-nearest, 2 eccentricity
-  NodeId u = 0;           // source node (k-nearest / eccentricity)
-  std::uint32_t k = 0;    // k-nearest k
-};
 
 // The virtual cost model: one table cell takes 1/kSimCellsPerUs virtual
 // microseconds to scan, every request pays a fixed overhead, and a
@@ -439,11 +286,6 @@ struct OverloadConfig {
   std::uint32_t transient_failure_ppm = 0;
 };
 
-// The deterministic arrival stream for a config (sorted by at_us; ids are
-// the stream position). Pure function of (config, n).
-std::vector<SimRequest> generate_overload_arrivals(const OverloadConfig& cfg,
-                                                   NodeId n);
-
 // Mean offered arrivals/sec at which the configured class mix exactly
 // saturates its concurrency slots — the 1x point of an offered-load curve.
 std::uint64_t saturation_arrivals_per_sec(const OverloadConfig& cfg, NodeId n);
@@ -467,7 +309,6 @@ struct SimReport {
   // status plumbing makes this impossible; the counter proves it stayed 0.
   std::uint64_t overclaims = 0;
   std::uint64_t brownout_enters = 0;
-  std::uint64_t brownout_exits = 0;
   std::uint32_t max_total_queued = 0;
   std::uint64_t end_us = 0;    // virtual time of the last completion
   std::uint64_t digest = 0;    // FNV over the completion stream — the
@@ -483,9 +324,11 @@ struct SimReport {
   // (0 when the class completed nothing).
   std::uint64_t quantile_us(PriorityClass c, double q) const;
 
-  // Rolls the sim counters into a HealthReport (snapshot fields from
-  // `snap` when non-null).
-  HealthReport health(const QuerySnapshot* snap) const;
+  // The serving tier's health as resilience_* counters: the staleness of
+  // `snap` (the snapshot the run served) and this report's admission,
+  // shed, deadline, brownout and retry counters — the names
+  // scripts/validate_trace.py cross-checks against kShed trace events.
+  void to_metrics(MetricsRegistry& reg, const QuerySnapshot& snap) const;
 };
 
 // Runs the seeded overload simulation against a real snapshot: virtual

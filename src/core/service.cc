@@ -111,6 +111,86 @@ const char* to_string(EpochOutcome o) noexcept {
   return "?";
 }
 
+const char* to_string(BreakerState s) noexcept {
+  switch (s) {
+    case BreakerState::kClosed:
+      return "closed";
+    case BreakerState::kOpen:
+      return "open";
+    case BreakerState::kHalfOpen:
+      return "half-open";
+  }
+  return "?";
+}
+
+CircuitBreaker::CircuitBreaker(const BreakerConfig& config)
+    : config_(config) {}
+
+void CircuitBreaker::become(BreakerState next) {
+  if (next == state_) return;
+  state_ = next;
+  ++transitions_;
+}
+
+bool CircuitBreaker::allow(std::uint64_t now) {
+  switch (state_) {
+    case BreakerState::kClosed:
+      return true;
+    case BreakerState::kOpen:
+      if (now >= opened_at_ && now - opened_at_ >= config_.cooldown_ticks) {
+        become(BreakerState::kHalfOpen);
+        probes_succeeded_ = 0;
+        return true;  // the probe
+      }
+      return false;
+    case BreakerState::kHalfOpen:
+      return true;
+  }
+  return true;
+}
+
+void CircuitBreaker::record_success(std::uint64_t now) {
+  (void)now;
+  switch (state_) {
+    case BreakerState::kClosed:
+      failures_ = 0;
+      break;
+    case BreakerState::kHalfOpen:
+      if (++probes_succeeded_ >= config_.probe_successes) {
+        become(BreakerState::kClosed);
+        failures_ = 0;
+      }
+      break;
+    case BreakerState::kOpen:
+      // A success reported while open can only come from a path that
+      // bypasses allow() — the service's operator scrub. A certified scrub
+      // is a full-table heal: close directly.
+      become(BreakerState::kClosed);
+      failures_ = 0;
+      break;
+  }
+}
+
+void CircuitBreaker::record_failure(std::uint64_t now) {
+  switch (state_) {
+    case BreakerState::kClosed:
+      if (++failures_ >= config_.failure_threshold) {
+        become(BreakerState::kOpen);
+        opened_at_ = now;
+        ++opens_;
+      }
+      break;
+    case BreakerState::kHalfOpen:
+      become(BreakerState::kOpen);
+      opened_at_ = now;
+      ++opens_;
+      break;
+    case BreakerState::kOpen:
+      opened_at_ = now;  // a bypassing scrub failed: re-arm the cooldown
+      break;
+  }
+}
+
 DirtyReport analyze_dirty_rows(const DistanceMatrix& dist,
                                const BatchDiff& diff,
                                const DynamicGraph& after) {
@@ -255,6 +335,7 @@ DapspService::DapspService(const Graph& initial, const ServiceConfig& config)
 DapspService::DapspService(RestoreTag, const ServiceConfig& config,
                            DynamicGraph graph)
     : config_(config), graph_(std::move(graph)) {
+  if (config_.breaker) breaker_.emplace(*config_.breaker);
   const NodeId n = graph_.universe();
   apsp_.dist = DistanceMatrix(n);
   apsp_.next_hop = Table<NodeId>(n, n, kNoNextHop);
@@ -435,29 +516,31 @@ void DapspService::run_repair_ladder(const CellRung* cells, bool force_escalate,
   ep.outcome = ep.escalated       ? EpochOutcome::kEscalated
                : ep.attempts > 1 ? EpochOutcome::kRetried
                                  : EpochOutcome::kRepaired;
-  if (config_.repair_gate != nullptr) {
-    config_.repair_gate->on_repair_outcome(epoch_, ep.certified);
+  if (breaker_) {
+    if (ep.certified) {
+      breaker_->record_success(epoch_);
+    } else {
+      breaker_->record_failure(epoch_);
+    }
   }
 }
 
 void DapspService::close_epoch(const EpochReport& ep) {
   congest::accumulate(stats_.run, ep.stats);
   congest::TraceLog* trace = config_.engine.trace;
-  const std::uint8_t gs = config_.repair_gate != nullptr
-                              ? config_.repair_gate->state()
-                              : last_gate_state_;
-  if (gs != last_gate_state_) {
+  if (breaker_ && breaker_->state() != last_breaker_state_) {
+    const BreakerState bs = breaker_->state();
     ++stats_.breaker_transitions;
     if (trace != nullptr) {
       TraceEvent ev;
       ev.kind = TraceEventKind::kBreaker;
-      ev.node = gs;
-      ev.peer = last_gate_state_;
+      ev.node = static_cast<NodeId>(bs);
+      ev.peer = static_cast<NodeId>(last_breaker_state_);
       ev.round = epoch_;
       ev.aux = static_cast<std::uint32_t>(stats_.breaker_transitions);
       trace->append(ev);
     }
-    last_gate_state_ = gs;
+    last_breaker_state_ = bs;
   }
   if (trace != nullptr) {
     TraceEvent ev;
@@ -575,9 +658,8 @@ EpochReport DapspService::step(const ChurnBatch& batch) {
   if (suspects.empty() && !force) {
     ep.outcome = EpochOutcome::kClean;
     ep.certified = true;
-  } else if (config_.repair_gate != nullptr &&
-             !config_.repair_gate->allow_repair(epoch_)) {
-    // The gate (an open circuit breaker) refused the ladder: spend nothing.
+  } else if (breaker_ && !breaker_->allow(epoch_)) {
+    // The open breaker refused the ladder: spend nothing.
     // Every implicated row was already downgraded to kStale above, so the
     // epoch serves degraded from the last certified values and the suspects
     // re-enter next epoch's set. Join-guard rows stay stale too — their
@@ -632,7 +714,7 @@ EpochReport DapspService::scrub() {
   EpochReport ep;
   ep.epoch = epoch_;
   // Deliberately not gated: a scrub is operator-initiated maintenance and
-  // must always be able to heal. Its outcome still feeds the gate, so a
+  // must always be able to heal. Its outcome still feeds the breaker, so a
   // successful scrub closes an open breaker (and a failed one re-opens it).
   run_repair_ladder(nullptr, false, ep);
   stats_.scrubs += 1;

@@ -150,7 +150,7 @@ enum class EpochOutcome : std::uint8_t {
   kRetried = 2,     // needed the detection retry
   kEscalated = 3,   // full recompute fired: needs_full, or every earlier
                     // rung failed (certificate or watchdog trip)
-  kSuppressed = 4,  // the repair gate (circuit breaker) refused the ladder;
+  kSuppressed = 4,  // the circuit breaker refused the repair ladder;
                     // suspects stay kStale, the last certified snapshot
                     // keeps serving, and no repair work was spent
 };
@@ -195,9 +195,9 @@ struct ServiceStats {
   std::uint64_t epochs_failed = 0;  // all attempts failed; rows left stale
   std::uint64_t scrubs = 0;
   std::uint64_t checkpoints = 0;
-  // Overload robustness (core/resilience.h): epochs whose repair ladder the
-  // gate refused, and gate state changes the service observed (each one is
-  // also a kBreaker trace event).
+  // Overload robustness: epochs whose repair ladder the breaker refused,
+  // and breaker state changes the service observed (each one is also a
+  // kBreaker trace event).
   std::uint64_t repairs_suppressed = 0;
   std::uint64_t breaker_transitions = 0;
   // repair_apsp reports folded in (initial build included), full-recompute
@@ -231,27 +231,75 @@ struct SnapshotSink {
   virtual void on_snapshot(const DapspService& svc, bool degraded) = 0;
 };
 
-// Admission gate in front of the repair ladder — the hook a circuit breaker
-// (core/resilience.h BreakerRepairGate) plugs into. Consulted once per
-// step() that has a non-empty suspect set, before any repair work runs:
-//   * allow_repair(epoch) == false suppresses the whole ladder for the
-//     epoch. The suspects stay kStale, the served snapshot keeps answering
-//     from the last certified state, and the epoch reports kSuppressed —
-//     degraded, but at zero repair cost (how an open breaker pins the last
-//     certified snapshot while the engine is misbehaving).
-//   * on_repair_outcome(epoch, certified) reports how a ladder that did run
-//     resolved, driving the gate's failure/success accounting.
-// scrub() bypasses allow_repair (operator-initiated maintenance must always
-// be able to heal) but still reports its outcome, so a successful scrub can
-// close an open breaker. state() is observability: 0 closed / 1 open /
-// 2 half-open; the service emits a kBreaker trace event whenever the value
-// changes across its consultations. Gate state is not checkpointed: a
-// restored service starts from a closed gate.
-struct RepairGate {
-  virtual ~RepairGate() = default;
-  virtual bool allow_repair(std::uint64_t epoch) = 0;
-  virtual void on_repair_outcome(std::uint64_t epoch, bool certified) = 0;
-  virtual std::uint8_t state() const = 0;
+// Repair-ladder circuit breaker (DESIGN.md §18), owned by the service when
+// ServiceConfig::breaker is set, ticked by the service epoch. Consulted once
+// per step() that has a non-empty suspect set, before any repair work runs:
+//   * allow() == false suppresses the whole ladder for the epoch. The
+//     suspects stay kStale, the served snapshot keeps answering from the
+//     last certified state, and the epoch reports kSuppressed — degraded,
+//     but at zero repair cost (how an open breaker pins the last certified
+//     snapshot while the engine is misbehaving).
+//   * record_success / record_failure hear how a ladder that did run
+//     resolved.
+// scrub() bypasses allow() (operator-initiated maintenance must always be
+// able to heal) but still reports its outcome, so a successful scrub can
+// close an open breaker. The service emits a kBreaker trace event whenever
+// the state it observes at the end of an epoch changed. Breaker state is not
+// checkpointed: a restored service starts with a closed breaker.
+
+// Numeric values match the kBreaker trace-event encoding.
+enum class BreakerState : std::uint8_t {
+  kClosed = 0,    // repairs flow; consecutive failures are counted
+  kOpen = 1,      // repairs refused until the cooldown elapses
+  kHalfOpen = 2,  // probe repairs admitted; success closes, failure re-opens
+};
+
+const char* to_string(BreakerState s) noexcept;
+
+struct BreakerConfig {
+  std::uint32_t failure_threshold = 3;  // consecutive failures to open
+  std::uint64_t cooldown_ticks = 8;     // open -> half-open after this many
+                                        // ticks (service epochs)
+  std::uint32_t probe_successes = 1;    // half-open successes to close
+};
+
+// Tick-driven circuit breaker. The clock is whatever monotone counter the
+// caller feeds in (the service epoch) — never wall time, so open/half-open/
+// close schedules are deterministic and thread-count-independent.
+class CircuitBreaker {
+ public:
+  explicit CircuitBreaker(const BreakerConfig& config = {});
+
+  // May the protected operation run at `now`? Transitions kOpen ->
+  // kHalfOpen once the cooldown has elapsed (and then admits the probe).
+  bool allow(std::uint64_t now);
+
+  // kClosed: resets the failure streak. kHalfOpen: counts a probe success,
+  // closing at probe_successes. kOpen: closes directly — the success came
+  // from a path that bypasses allow() (the service's scrub), and a fully
+  // certified table is a fully healed circuit.
+  void record_success(std::uint64_t now);
+
+  // kClosed: extends the streak, opening at failure_threshold. kHalfOpen:
+  // the probe failed — re-open and restart the cooldown. kOpen: re-arms
+  // the cooldown (a bypassing scrub failed; stay open longer).
+  void record_failure(std::uint64_t now);
+
+  BreakerState state() const noexcept { return state_; }
+  std::uint32_t consecutive_failures() const noexcept { return failures_; }
+  std::uint64_t transitions() const noexcept { return transitions_; }
+  std::uint64_t opens() const noexcept { return opens_; }
+
+ private:
+  void become(BreakerState next);
+
+  BreakerConfig config_;
+  BreakerState state_ = BreakerState::kClosed;
+  std::uint32_t failures_ = 0;         // consecutive, while closed
+  std::uint32_t probes_succeeded_ = 0; // while half-open
+  std::uint64_t opened_at_ = 0;
+  std::uint64_t transitions_ = 0;
+  std::uint64_t opens_ = 0;
 };
 
 struct ServiceConfig {
@@ -273,9 +321,9 @@ struct ServiceConfig {
   // service. Not part of the checkpointed state.
   SnapshotSink* snapshot_sink = nullptr;
 
-  // Repair-ladder admission gate (see RepairGate). Not owned; must outlive
-  // the service. Not part of the checkpointed state.
-  RepairGate* repair_gate = nullptr;
+  // Circuit-break the repair ladder (see CircuitBreaker); unset = never.
+  // Not part of the checkpointed state.
+  std::optional<BreakerConfig> breaker;
 };
 
 // A served table, stored source-major: row s holds every node's entry
@@ -313,10 +361,13 @@ class DapspService {
   std::uint64_t epoch() const noexcept { return epoch_; }
   const ServiceStats& stats() const noexcept { return stats_; }
   const ApspResult& tables() const noexcept { return apsp_; }
-  const ServiceConfig& config() const noexcept { return config_; }
+  // The repair-ladder breaker; empty unless ServiceConfig::breaker is set.
+  const std::optional<CircuitBreaker>& breaker() const noexcept {
+    return breaker_;
+  }
 
   // Ops/fault-drill knob: retune the per-attempt round watchdog,
-  // config().engine.max_rounds, on a live service (0 restores the engine
+  // ServiceConfig engine.max_rounds, on a live service (0 restores the engine
   // default). Deliberately mutable — the overload drills pin it to 1 round
   // to force deterministic repair failures, then lift it; it is config, not
   // checkpointed state.
@@ -378,7 +429,7 @@ class DapspService {
   // The repair ladder shared by step() and scrub(): cells, detection, full
   // recompute. Without `cells` the first rung is certificate-driven
   // detection. Fills the report's repair fields and outcome, and reports
-  // the outcome to the repair gate.
+  // the outcome to the breaker.
   void run_repair_ladder(const CellRung* cells, bool force_escalate,
                          EpochReport& ep);
   // Rung (1); false when its certificate failed. `unhealed` gains every row
@@ -398,7 +449,7 @@ class DapspService {
   void serve_rows(std::span<const NodeId> rows);
   void refresh_served(std::span<const NodeId> rows, RowStatus status);
   // Ends a step() or scrub() epoch: folds its engine stats into the
-  // service's, emits a kBreaker event (and counts it) when the gate's
+  // service's, emits a kBreaker event (and counts it) when the breaker's
   // observed state changed, then the kEpoch event.
   void close_epoch(const EpochReport& ep);
 
@@ -410,7 +461,8 @@ class DapspService {
   Table<NodeId> served_next_hop_;
   std::vector<RowStatus> row_status_;
   std::uint64_t epoch_ = 0;
-  std::uint8_t last_gate_state_ = 0;  // last observed RepairGate::state()
+  std::optional<CircuitBreaker> breaker_;
+  BreakerState last_breaker_state_ = BreakerState::kClosed;  // last observed
   ServiceStats stats_;
 };
 

@@ -4,9 +4,10 @@
 Usage: test_bench_cli.py <bench binary>...
 
 Each binary runs with --bogus in an empty working directory; those taking
-flags with a value also run with a value-taking flag and no value. Every
-run must exit 2 and leave the directory empty: a refused command line never
-rewrites a committed BENCH_*.json.
+flags with a value also run with a value-taking flag and no value, with a
+non-numeric value and with a partly numeric one. Every run must exit 2 and
+leave the directory empty: a refused command line never rewrites a
+committed BENCH_*.json.
 """
 import os
 import subprocess
@@ -23,7 +24,8 @@ def main():
         name = os.path.basename(binary)
         cases = [["--bogus"]]
         if name in VALUE_FLAG:
-            cases.append([VALUE_FLAG[name]])
+            flag = VALUE_FLAG[name]
+            cases += [[flag], [flag, "abc"], [flag, "5x"]]
         for args in cases:
             with tempfile.TemporaryDirectory() as tmp:
                 proc = subprocess.run([binary, *args], cwd=tmp,
