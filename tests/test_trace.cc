@@ -17,7 +17,9 @@
 #include "congest/trace.h"
 #include "core/pebble_apsp.h"
 #include "core/primitives/bfs_process.h"
+#include "core/ssp.h"
 #include "graph/generators.h"
+#include "util/blob.h"
 #include "util/metrics.h"
 
 namespace dapsp::congest {
@@ -167,6 +169,169 @@ TEST(TraceDeterminism, FaultyRunsAcrossThreadCounts) {
             << g.summary() << " plan=" << plan_no << " threads=" << t;
       }
     }
+  }
+}
+
+// --- Golden: full traces, stats and metrics pinned to recorded digests ---
+
+// FNV-1a over every field of every event, in log order: pins where each
+// kind of event falls relative to the others, not only the sends.
+std::uint64_t trace_digest(const TraceLog& log) {
+  std::uint64_t h = kFnv1a64Basis;
+  for (const TraceEvent& ev : log.events()) {
+    h = fnv1a64_u64(h, static_cast<std::uint64_t>(ev.kind));
+    h = fnv1a64_u64(h, ev.node);
+    h = fnv1a64_u64(h, ev.peer);
+    h = fnv1a64_u64(h, ev.round);
+    h = fnv1a64_u64(h, ev.aux);
+    h = fnv1a64_u64(h, ev.msg.kind);
+    h = fnv1a64_u64(h, ev.msg.num_fields);
+    for (const std::uint32_t f : ev.msg.f) h = fnv1a64_u64(h, f);
+  }
+  return h;
+}
+
+std::uint64_t stats_digest(const RunStats& s) {
+  std::uint64_t h = kFnv1a64Basis;
+  for (const std::uint64_t x :
+       {s.rounds, s.messages, s.total_bits, s.max_edge_bits,
+        s.max_edge_messages, s.max_node_bits, std::uint64_t{s.bandwidth_bits},
+        s.messages_dropped, s.messages_delayed, s.messages_duplicated,
+        s.messages_corrupted, std::uint64_t{s.nodes_crashed},
+        s.node_stall_rounds, s.neighbors_suspected}) {
+    h = fnv1a64_u64(h, x);
+  }
+  return h;
+}
+
+std::uint64_t metrics_digest(const EngineMetrics& m) {
+  std::uint64_t h = kFnv1a64Basis;
+  for (const Histogram* hist :
+       {&m.edge_bits, &m.edge_messages, &m.round_activity}) {
+    h = fnv1a64_u64(h, hist->counts().size());
+    for (const std::uint64_t c : hist->counts()) h = fnv1a64_u64(h, c);
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t x) {
+  std::ostringstream os;
+  os << std::hex << x;
+  return std::move(os).str();
+}
+
+std::string golden_line(const std::string& name, const RunStats& s,
+                        const TraceLog& trace, const EngineMetrics& metrics) {
+  return name + ": rounds=" + std::to_string(s.rounds) +
+         " messages=" + std::to_string(s.messages) +
+         " events=" + std::to_string(trace.events().size()) +
+         " trace=" + hex(trace_digest(trace)) +
+         " stats=" + hex(stats_digest(s)) +
+         " metrics=" + hex(metrics_digest(metrics));
+}
+
+// Drops, delays, duplicates, corruption and one crash-stop, under the
+// reliable adapter and its failure detector.
+EngineConfig golden_fault_config(NodeId crash_node, std::uint64_t crash_round) {
+  FaultPlan plan;
+  plan.seed = 2718;
+  plan.drop_prob = 0.1;
+  plan.duplicate_prob = 0.1;
+  plan.delay_prob = 0.1;
+  plan.max_extra_delay = 2;
+  plan.corrupt_prob = 0.05;
+  plan.crashes.push_back({crash_node, crash_round});
+  EngineConfig cfg;
+  cfg.faults = plan;
+  cfg.max_rounds = 500000;
+  apply_reliable(cfg);
+  return cfg;
+}
+
+void expect_every_fault(const RunStats& s) {
+  EXPECT_GT(s.messages_dropped, 0u);
+  EXPECT_GT(s.messages_delayed, 0u);
+  EXPECT_GT(s.messages_duplicated, 0u);
+  EXPECT_GT(s.messages_corrupted, 0u);
+  EXPECT_EQ(s.nodes_crashed, 1u);
+}
+
+std::vector<std::string> golden_runs(std::uint32_t threads) {
+  const Graph g = gen::random_connected(16, 24, 5);
+  const std::vector<NodeId> sources = {0, 7, 13};
+  std::vector<std::string> lines;
+  const auto instrument = [&](EngineConfig& cfg, TraceLog& trace,
+                              EngineMetrics& metrics) {
+    cfg.threads = threads;
+    cfg.trace = &trace;
+    cfg.metrics = &metrics;
+  };
+  for (const bool faulty : {false, true}) {
+    const std::string tag = faulty ? " faulty" : " fault-free";
+    {
+      TraceLog trace;
+      EngineMetrics metrics;
+      core::ApspOptions opt;
+      if (faulty) opt.engine = golden_fault_config(9, 60);
+      instrument(opt.engine, trace, metrics);
+      const core::ApspResult r = core::run_pebble_apsp(g, opt);
+      if (faulty) expect_every_fault(r.stats);
+      lines.push_back(golden_line("pebble" + tag + " " +
+                                      to_string(r.status),
+                                  r.stats, trace, metrics));
+    }
+    {
+      TraceLog trace;
+      EngineMetrics metrics;
+      core::SspOptions opt;
+      if (faulty) opt.engine = golden_fault_config(4, 50);
+      instrument(opt.engine, trace, metrics);
+      const core::SspResult r = core::run_ssp(g, sources, opt);
+      if (faulty) expect_every_fault(r.stats);
+      lines.push_back(golden_line("ssp" + tag + " " + to_string(r.status),
+                                  r.stats, trace, metrics));
+    }
+  }
+  // The unwrapped engine's own fault path: the Flood probe under a lossy,
+  // corrupting plan and under link failure plus crash.
+  EngineConfig corrupting = lossy_config();
+  corrupting.faults->corrupt_prob = 0.1;
+  const EngineConfig plans[] = {corrupting, structural_config(g)};
+  for (std::size_t k = 0; k < 2; ++k) {
+    TraceLog trace;
+    EngineMetrics metrics;
+    EngineConfig cfg = plans[k];
+    cfg.max_rounds = 200000;
+    instrument(cfg, trace, metrics);
+    Engine e(g, cfg);
+    e.init([](NodeId v) { return std::make_unique<Flood>(v); });
+    const Outcome out = e.run_bounded();
+    lines.push_back(golden_line("flood plan " + std::to_string(k) + " " +
+                                    to_string(out.status),
+                                out.stats, trace, metrics));
+  }
+  return lines;
+}
+
+TEST(TraceDeterminism, GoldenFullTraceDigests) {
+  // Recorded before the engine accounted sends at send time; every event
+  // kind's position in the log is part of the digest.
+  const std::vector<std::string> golden = {
+      "pebble fault-free completed: rounds=72 messages=982 events=2204 "
+      "trace=6a0314c958bb239 stats=69b1b03722cbbbda metrics=31440b8a0c6da8d",
+      "ssp fault-free completed: rounds=36 messages=326 events=652 "
+      "trace=86114447a15e480f stats=25548b2efa1bc952 metrics=1e662a4e405febbc",
+      "pebble faulty degraded: rounds=235 messages=5818 events=13681 "
+      "trace=acb2f4feaf6d6ceb stats=297b0a56df68628b metrics=dc8a4531d6defd4b",
+      "ssp faulty degraded: rounds=232 messages=5449 events=12757 "
+      "trace=93c1babfe336b35a stats=ea1a1a9b2007357f metrics=ebdb5db96078264b",
+      "flood plan 0 completed: rounds=9 messages=89 events=223 "
+      "trace=34cc2614b086552b stats=fc47c8108ad53538 metrics=aaafcb0960a28af4",
+      "flood plan 1 degraded: rounds=5 messages=78 events=157 "
+      "trace=12bdf823fe157c6e stats=d9e9db4a2b0e05ea metrics=ba5596a91d03f6f2",
+  };
+  for (const std::uint32_t threads : {1u, 4u}) {
+    EXPECT_EQ(golden_runs(threads), golden) << "threads=" << threads;
   }
 }
 
