@@ -23,12 +23,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "congest/trace.h"
 #include "core/pebble_apsp.h"
 #include "core/ssp.h"
@@ -351,6 +351,8 @@ void write_json(const char* path, const std::vector<ScalingRow>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kOptions =
+      "[--assert-speedup | --large | --soak [n]] [--benchmark_* flags]";
   // Strip our own flags before google-benchmark sees (and rejects) them.
   bool assert_speedup = false;
   bool large = false;
@@ -366,7 +368,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--soak") {
       soak = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        soak_n = static_cast<NodeId>(std::atoi(argv[++i]));
+        soak_n = bench::flag_value<NodeId>(argv[++i], argv[0], kOptions);
       }
     } else {
       argv[kept++] = argv[i];
@@ -380,7 +382,9 @@ int main(int argc, char** argv) {
   if (soak) return run_soak(soak_n);
 
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    bench::usage_exit(argv[0], kOptions);
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 

@@ -31,21 +31,23 @@
 //
 // Execution is sharded (DESIGN.md §11): within a round every node reads only
 // the previous round's frozen inboxes, so EngineConfig::threads > 1 runs the
-// node loop on a worker pool — per-node sends are buffered, bandwidth and
-// fault accounting stay sender-owned, and per-shard counters are merged in
-// fixed node order, making every observable output (rounds, messages, bits,
-// per-edge loads, congestion errors, fault decisions, RunStats) bit-identical
-// at every thread count, including 1. Observability (DESIGN.md §12) rides the
-// same machinery: the structured TraceLog and EngineMetrics histograms are
+// node loop on a worker pool. Each send is accounted where it is made —
+// field width, bandwidth, stats and fault resolution, all on sender-owned
+// state — and per-shard counters are merged in fixed node order, making
+// every observable output (rounds, messages, bits, per-edge loads,
+// congestion errors, fault decisions, RunStats) bit-identical at every
+// thread count, including 1. Observability (DESIGN.md §12) rides the same
+// machinery: the structured TraceLog and EngineMetrics histograms are
 // collected per shard and merged in fixed sender order, so instrumented runs
 // keep both the parallel speedup and the bit-identical-output contract.
 //
 // Memory layout is flat (DESIGN.md §16): adjacency is the graph's CSR plus a
 // precomputed mirror-edge table (the receiver-side index of every directed
-// edge, replacing a per-message binary search), message buffers are per-shard
-// bump-pointer arenas (util/arena.h) that reset each round without freeing,
-// and each round's deliveries are scattered into one flat double-buffered
-// inbox array with per-receiver [begin, len) segments. After a warm-up round
+// edge, replacing a per-message binary search), each accounted send goes
+// straight into a per-shard bump-pointer arena (util/arena.h) that resets
+// each round without freeing, and each round's deliveries are scattered into
+// one flat double-buffered inbox array with per-receiver [begin, len)
+// segments. After a warm-up round
 // the steady-state round loop performs zero heap allocations
 // (tests/test_arena.cc pins this); tests/test_engine_equivalence.cc pins the
 // flat engine's observable behaviour against an independently written serial
@@ -57,6 +59,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -117,8 +120,15 @@ class RoundCtx {
   // sends to the same neighbor in one round are allowed as long as their
   // total bit cost fits the bandwidth B.
   virtual void send(std::uint32_t index, const Message& m) = 0;
-  // Convenience: send to every neighbor.
-  void send_all(const Message& m);
+  // Sends `m` to every neighbor, in index order.
+  virtual void send_all(const Message& m);
+  // Sends `m` to every neighbor in index order except those whose bit is set
+  // in `skip` (bit i of skip[i / 64] for neighbor i; indices past its words
+  // are not skipped) — Claim 1's "forward to all but this round's senders".
+  // Same effect as the matching send() calls; the engine-backed context
+  // accounts the whole forward in one call.
+  virtual void send_all_except(const Message& m,
+                               std::span<const std::uint64_t> skip);
 
  protected:
   explicit RoundCtx(NodeId id) noexcept : id_(id) {}
@@ -381,17 +391,9 @@ class Engine {
  private:
   class Ctx;  // the engine-backed RoundCtx implementation
 
-  // One send buffered during the parallel node phase, in per-sender order.
-  struct PendingSend {
-    std::uint32_t neighbor_index;
-    Message msg;
-  };
   // A send after bandwidth accounting and fault resolution: one delivered
-  // copy with its receiver-side view and any extra delay. The sender is
-  // carried along so deliver_round() can emit kDeliver traces without a
-  // reverse adjacency lookup.
+  // copy with its receiver-side view and any extra delay.
   struct ResolvedDelivery {
-    NodeId from;
     NodeId to;
     Received rec;
     std::uint32_t extra_delay;
@@ -413,12 +415,13 @@ class Engine {
     NodeId hi = 0;
     RunStats stats;        // deltas only: counters and per-round maxima
     EngineMetrics metrics;  // this round's samples (config.metrics only)
-    // Distinct directed edges the current node touched this round — scratch
-    // of account_node(), drained into `metrics` after the node's outbox.
+    // Distinct directed edges the current node touched this round, drained
+    // into `metrics` once the node has run (config.metrics only).
     std::vector<std::size_t> touched_edges;
-    // The current node's buffered sends (reset per NODE: the fused phase B
-    // consumes each node's outbox before the next node runs).
-    BumpArena<PendingSend> outbox;
+    // The current node's send-side trace events (kSend and the fault fates),
+    // appended to `events` after its on_round() so that its own kFrontier
+    // and kNeighborDown events come first (trace only; reset per NODE).
+    BumpArena<TraceEvent> send_events;
     // This shard's resolved deliveries and trace events for the round (reset
     // per ROUND). Nodes run in ascending order within the shard, so the
     // arenas' push order concatenated across shards IS ascending sender
@@ -444,7 +447,7 @@ class Engine {
       stats = RunStats{};
       metrics.clear();
       touched_edges.clear();
-      outbox.reset();
+      send_events.reset();
       deliveries.reset();
       events.reset();
       busy_delta = 0;
@@ -469,23 +472,20 @@ class Engine {
   };
 
   void step();  // executes one round
-  // Phase A: one node's on_round() against the frozen inbox frame; sends are
-  // buffered into the shard's outbox arena. Exceptions are captured into
-  // `acc`. Phase B (account_node) runs fused, inline, for every node — the
-  // trace is fed from the buffered events afterwards, never by serializing
-  // this. Afterwards the node's wake_round() hint decides whether it stays
-  // awake next round (the return value) or sleeps on a timer.
+  // The node step: one node's on_round() against the frozen inbox frame.
+  // Each send is accounted where it is made (Ctx::account: field width,
+  // bandwidth, stats, fault resolution) and pushed as a ResolvedDelivery;
+  // only sender-owned state (edge/node counters of v's directed edges, the
+  // shard's arenas and accumulator) is written, so shards never race.
+  // Exceptions are captured into `acc`. Afterwards the node's wake_round()
+  // hint decides whether it stays awake next round (the return value) or
+  // sleeps on a timer.
   bool run_node(NodeId v, ShardAccum& acc);
-  // Phase B: bandwidth accounting + fault resolution for the node's buffered
-  // outbox. Only sender-owned state (edge/node counters of v's directed
-  // edges, the shard's delivery/event arenas, the shard accumulator) is
-  // written, so shards never race.
-  void account_node(NodeId v, ShardAccum& acc);
-  // Phase C (serial): count + prefix-sum + scatter the shards' resolved
+  // Delivery (serial): count + prefix-sum + scatter the shards' resolved
   // deliveries (plus delayed copies coming due) into the next inbox frame in
   // ascending sender order, mark the receivers awake, then swap frames.
   void deliver_round();
-  void run_phases();  // A+B across shards, merge, error propagation
+  void run_phases();  // node steps across shards, merge, error propagation
   // Appends the per-shard event arenas in shard order (= ascending sender
   // order) to the trace log — the serial engine's global send order.
   void drain_node_events();
@@ -555,8 +555,6 @@ class Engine {
   std::vector<std::uint64_t> edge_bits_;
   std::vector<std::uint64_t> edge_msgs_;
   std::vector<std::uint64_t> edge_stamp_;
-  std::vector<std::uint64_t> node_bits_;
-  std::vector<std::uint64_t> node_stamp_;
 
   // Fault state (engaged only when config_.faults is set).
   std::unique_ptr<FaultInjector> faults_;

@@ -6,14 +6,15 @@
 // duplication), crash-stops, failure-detector NeighborDown verdicts, and
 // protocol-level BFS frontier progress (RoundCtx::trace_frontier).
 //
-// Collection is sharded: during the parallel phases every event is appended
-// to a per-sender buffer owned by that node's shard (lock-free — shards own
-// disjoint node ranges), and after the round the engine drains the buffers
-// in ascending sender order into the log. The resulting stream is
-// round-major, then sender-major, then send-order — exactly the serial
-// engine's global send order — so trace files are byte-identical at every
-// EngineConfig::threads value (the determinism contract, DESIGN.md §11).
-// Events recorded during serial engine phases (deliveries, crashes) are
+// Collection is sharded: during the parallel node step every event is
+// appended to a buffer owned by that node's shard (lock-free — shards own
+// disjoint node ranges), a node's send-side events after its own, and after
+// the round the engine drains the buffers in ascending sender order into the
+// log. The resulting stream is round-major, then sender-major — exactly the
+// serial engine's global send order — so trace files are byte-identical at
+// every EngineConfig::threads value (the determinism contract, DESIGN.md
+// §11).
+// Events recorded during the serial delivery phase (deliveries, crashes) are
 // appended directly, at fixed points of the round, so they land at the same
 // stream positions regardless of thread count.
 //

@@ -23,7 +23,7 @@ const char* to_string(RowCoverage c) noexcept {
 
 std::vector<RowCoverage> classify_coverage(
     std::span<const std::uint8_t> survived, std::span<const NodeId> sources,
-    const DistEntryFn& entry) {
+    DistEntryFn entry) {
   const NodeId n = static_cast<NodeId>(survived.size());
   std::size_t survivors = 0;
   for (std::uint8_t s : survived) survivors += s != 0;
@@ -73,7 +73,7 @@ class CertifyProcess final : public congest::Process {
   // Without a scope (`view` false) the node ships and judges every row and
   // `rows` is empty.
   CertifyProcess(NodeId id, std::span<const NodeId> sources,
-                 std::vector<RowPart> rows, const DistEntryFn& entry,
+                 std::vector<RowPart> rows, DistEntryFn entry,
                  std::span<const std::uint8_t> survived, bool view)
       : id_(id),
         sources_(sources),
@@ -179,7 +179,7 @@ class CertifyProcess final : public congest::Process {
   NodeId id_;
   std::span<const NodeId> sources_;
   std::vector<RowPart> rows_;
-  const DistEntryFn& entry_;
+  DistEntryFn entry_;  // refers to certify_rows' argument; dies before it
   std::span<const std::uint8_t> survived_;
   bool view_;
   std::vector<std::uint32_t> values_;  // one per row taken part in
@@ -194,7 +194,7 @@ class CertifyProcess final : public congest::Process {
 CertifyReport certify_rows(const Graph& g,
                            std::span<const std::uint8_t> survived,
                            std::span<const NodeId> sources,
-                           const DistEntryFn& entry,
+                           DistEntryFn entry,
                            const CertifyOptions& options) {
   const NodeId n = g.num_nodes();
   if (survived.size() != n) {

@@ -43,12 +43,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "congest/engine.h"
 #include "graph/graph.h"
+#include "util/parallel.h"
 
 namespace dapsp::core {
 
@@ -63,14 +63,16 @@ const char* to_string(RowCoverage c) noexcept;
 
 // entry(v, s): the distance-to-source-s value node v holds (kInfDist when
 // unknown). The indirection lets one certifier serve pebble-APSP rows,
-// S-SP deltas, and hand-built tables in tests.
-using DistEntryFn = std::function<std::uint32_t(NodeId v, NodeId source)>;
+// S-SP deltas, and hand-built tables in tests. A non-owning reference (one
+// plain call per cell, no allocation): the callable must outlive the call
+// it is passed to.
+using DistEntryFn = FunctionRef<std::uint32_t(NodeId v, NodeId source)>;
 
 // Labels each source row. survived[v] != 0 marks the nodes still alive at
 // harvest; entries of dead nodes are never consulted.
 std::vector<RowCoverage> classify_coverage(
     std::span<const std::uint8_t> survived, std::span<const NodeId> sources,
-    const DistEntryFn& entry);
+    DistEntryFn entry);
 
 struct CertifyOptions {
   congest::EngineConfig engine{};
@@ -115,7 +117,7 @@ struct CertifyReport {
 CertifyReport certify_rows(const Graph& g,
                            std::span<const std::uint8_t> survived,
                            std::span<const NodeId> sources,
-                           const DistEntryFn& entry,
+                           DistEntryFn entry,
                            const CertifyOptions& options = {});
 
 }  // namespace dapsp::core

@@ -50,7 +50,6 @@ class PebbleApspProcess final : public congest::Process {
     round_roots_.clear();
 
     for (const congest::Received& r : ctx.inbox()) {
-      if (tree_.handle(ctx, r)) continue;
       switch (r.msg.kind) {
         case kApspFlood:
           // Handled even in degraded mode: relaying in-flight floods costs
@@ -73,6 +72,7 @@ class PebbleApspProcess final : public congest::Process {
           summary_up_.handle(r);
           break;
         default:
+          tree_.handle(ctx, r);  // the tree build's kFlood, kAck and kEcho
           break;
       }
     }
@@ -107,6 +107,24 @@ class PebbleApspProcess final : public congest::Process {
     if (!visited_ || !acted_) return false;
     if (!aggregate_) return true;
     return have_result_ && result_bcast_.idle();
+  }
+
+  // Sleeps between timers: the tree build's, the pebble's one-round wait
+  // before the node's own flood, and the root's COLLECT round. A pending
+  // notice or a root ready to start the pebble runs at once; everything
+  // else (flood forwards, the pebble, aggregation) arrives by message.
+  std::uint64_t wake_round(std::uint64_t r) const override {
+    if (done()) return congest::kNever;
+    if (notice_.pending()) return r;
+    std::uint64_t wake = tree_.wake_round(id_, r);
+    if (visited_ && !acted_) wake = std::min(wake, std::max(r, act_round_));
+    if (id_ == 0 && !notice_.degraded()) {
+      if (tree_.root_complete() && !visited_) return r;
+      if (aggregate_ && traversal_done_ && !collect_fired_) {
+        wake = std::min(wake, std::max(r, collect_round_));
+      }
+    }
+    return wake;
   }
 
   void on_neighbor_down(std::uint32_t, std::uint64_t) override {
@@ -156,15 +174,12 @@ class PebbleApspProcess final : public congest::Process {
   }
 
   void flush_new_roots(congest::RoundCtx& ctx) {
-    const std::uint32_t deg = ctx.degree();
+    const std::size_t stride_words = excl_stride_ / 64;
     for (std::size_t s = 0; s < round_roots_.size(); ++s) {
       const std::uint32_t root = round_roots_[s];
-      const std::uint32_t d = dist_row_[root] + 1;
-      const std::size_t base = s * excl_stride_;
-      for (std::uint32_t i = 0; i < deg; ++i) {
-        if (round_excl_.test(base + i)) continue;
-        ctx.send(i, congest::Message::make(kApspFlood, root, d));
-      }
+      ctx.send_all_except(
+          congest::Message::make(kApspFlood, root, dist_row_[root] + 1),
+          round_excl_.words().subspan(s * stride_words, stride_words));
     }
     round_excl_.clear_prefix(round_roots_.size() * excl_stride_);
     round_roots_.clear();
@@ -181,10 +196,7 @@ class PebbleApspProcess final : public congest::Process {
   }
 
   void start_own_flood(congest::RoundCtx& ctx) {
-    const std::uint32_t deg = ctx.degree();
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      ctx.send(i, congest::Message::make(kApspFlood, id_, 1));
-    }
+    ctx.send_all(congest::Message::make(kApspFlood, id_, 1));
   }
 
   void forward_pebble(congest::RoundCtx& ctx) {

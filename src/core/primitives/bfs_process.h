@@ -22,6 +22,7 @@
 // The root is complete once all its children echoed: <= 2*ecc(root)+3 rounds.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -110,6 +111,17 @@ class TreeMachine {
 
   // Drives flood/ack/echo sends. Call once per round after handling inbox.
   void advance(congest::RoundCtx& ctx);
+
+  // Wake hint for the owning Process::wake_round(): the root's bootstrap in
+  // round 0, at once while the flood is unforwarded, round dist + 2 (the
+  // children's ACKs are in) until the children are final; after that only
+  // messages (echoes) move the machine.
+  std::uint64_t wake_round(NodeId self, std::uint64_t r) const {
+    if (dist_ == kInfDist) return self == 0 && r == 0 ? 0 : congest::kNever;
+    if (!flooded_) return r;
+    if (!children_final_) return std::max<std::uint64_t>(r, dist_ + 2ull);
+    return congest::kNever;
+  }
 
   // Local participation complete (echo sent, or root: all echoes received).
   bool finished(NodeId self) const {

@@ -54,7 +54,7 @@ RepairReport repair_apsp(const Graph& g, ApspResult& result,
 
   std::vector<NodeId> all_sources(n);
   for (NodeId v = 0; v < n; ++v) all_sources[v] = v;
-  const DistEntryFn entry = [&result](NodeId v, NodeId s) {
+  const auto entry = [&result](NodeId v, NodeId s) {
     return result.dist.at(v, s);
   };
 

@@ -210,6 +210,8 @@ class Bitset {
     }
   }
   std::size_t size() const noexcept { return bits_; }
+  // The word array: bit i is bit i % 64 of words()[i / 64].
+  std::span<const std::uint64_t> words() const noexcept { return words_; }
 
   bool test(std::size_t i) const noexcept {
     return (words_[i >> 6] >> (i & 63)) & 1u;

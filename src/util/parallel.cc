@@ -19,7 +19,7 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void WorkerPool::run(unsigned num_shards, FunctionRef fn) {
+void WorkerPool::run(unsigned num_shards, FunctionRef<void(unsigned)> fn) {
   if (num_shards == 0) return;
   {
     std::unique_lock<std::mutex> lk(mutex_);
@@ -37,7 +37,7 @@ void WorkerPool::run(unsigned num_shards, FunctionRef fn) {
   drain();  // the caller is always a participant
   std::unique_lock<std::mutex> lk(mutex_);
   done_cv_.wait(lk, [&] { return remaining_ == 0; });
-  fn_ = FunctionRef{};
+  fn_ = FunctionRef<void(unsigned)>{};
 }
 
 void WorkerPool::drain() {

@@ -12,37 +12,49 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace dapsp {
 
-// Non-owning reference to a callable invoked as void(unsigned). run() used
-// to take std::function, whose construction heap-allocates once the capture
-// list outgrows the small-buffer optimisation — a per-round allocation in
-// the engine's hot loop. FunctionRef is two words, never allocates, and the
-// referenced callable only needs to outlive the run() call (the engine's
-// shard lambda lives on the caller's stack for exactly that long).
-class FunctionRef {
+// Non-owning reference to a callable invoked as R(Args...). WorkerPool::run
+// used to take std::function, whose construction heap-allocates once the
+// capture list outgrows the small-buffer optimisation — a per-round
+// allocation in the engine's hot loop. FunctionRef is two words, never
+// allocates, and calls through one plain function pointer. The referenced
+// callable must outlive every call: bind a named callable, or a temporary
+// only as a function argument (never `FunctionRef<...> f = [..]{..};`, which
+// dangles at the end of the statement).
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
  public:
   FunctionRef() = default;
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, FunctionRef>>>
+                !std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+                std::is_invocable_r_v<R, F&, Args...>>>
   FunctionRef(F&& f) noexcept  // NOLINT: implicit by design, mirrors std::function
-      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
-        call_([](void* obj, unsigned shard) {
-          (*static_cast<std::remove_reference_t<F>*>(obj))(shard);
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(
+              std::forward<Args>(args)...);
         }) {}
 
-  void operator()(unsigned shard) const { call_(obj_, shard); }
+  R operator()(Args... args) const {
+    return call_(obj_, std::forward<Args>(args)...);
+  }
   explicit operator bool() const noexcept { return call_ != nullptr; }
 
  private:
   void* obj_ = nullptr;
-  void (*call_)(void*, unsigned) = nullptr;
+  R (*call_)(void*, Args...) = nullptr;
 };
 
 class WorkerPool {
@@ -61,7 +73,7 @@ class WorkerPool {
   // copied — no allocation per run). fn must not call run() reentrantly.
   // Exceptions thrown by fn terminate (the engine catches per-node failures
   // itself and never lets them escape into the pool).
-  void run(unsigned num_shards, FunctionRef fn);
+  void run(unsigned num_shards, FunctionRef<void(unsigned)> fn);
 
   unsigned workers() const noexcept {
     return static_cast<unsigned>(threads_.size());
@@ -74,7 +86,7 @@ class WorkerPool {
   std::mutex mutex_;
   std::condition_variable wake_cv_;   // workers wait for a new generation
   std::condition_variable done_cv_;   // run() waits for remaining_ == 0
-  FunctionRef fn_;
+  FunctionRef<void(unsigned)> fn_;
   unsigned num_shards_ = 0;
   std::atomic<unsigned> next_shard_{0};
   unsigned remaining_ = 0;            // guarded by mutex_

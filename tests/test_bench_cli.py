@@ -5,9 +5,10 @@ Usage: test_bench_cli.py <bench binary>...
 
 Each binary runs with --bogus in an empty working directory; those taking
 flags with a value also run with a value-taking flag and no value, with a
-non-numeric value and with a partly numeric one. Every run must exit 2 and
-leave the directory empty: a refused command line never rewrites a
-committed BENCH_*.json.
+non-numeric value and with a partly numeric one (a flag whose value is
+optional, like bench_engine_perf's --soak, skips the no-value run). Every
+run must exit 2, print a usage line and leave the directory empty: a
+refused command line never rewrites a committed BENCH_*.json.
 """
 import os
 import subprocess
@@ -16,6 +17,8 @@ import tempfile
 
 # Flags that take a value, per bench; one of them is given with none.
 VALUE_FLAG = {"bench_query": "--n", "bench_resilience": "--n"}
+# Flags whose value is optional: only malformed values are refused.
+OPTIONAL_VALUE_FLAG = {"bench_engine_perf": "--soak"}
 
 
 def main():
@@ -26,6 +29,9 @@ def main():
         if name in VALUE_FLAG:
             flag = VALUE_FLAG[name]
             cases += [[flag], [flag, "abc"], [flag, "5x"]]
+        if name in OPTIONAL_VALUE_FLAG:
+            flag = OPTIONAL_VALUE_FLAG[name]
+            cases += [[flag, "abc"], [flag, "5x"]]
         for args in cases:
             with tempfile.TemporaryDirectory() as tmp:
                 proc = subprocess.run([binary, *args], cwd=tmp,
