@@ -4,14 +4,15 @@
 // to the paper's predicted bound.
 #pragma once
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "cli_output.h"
 
 namespace dapsp::bench {
 
@@ -60,22 +61,14 @@ inline void note(const std::string& s) { std::printf("   %s\n", s.c_str()); }
   std::exit(2);
 }
 
-// A flag's value, parsed whole: empty, non-numeric, partly numeric or
-// out-of-range text is a usage error, and so is a zero count (integral T)
-// or a non-finite real.
+// A flag's value, parsed whole (cli::parse_number): empty, non-numeric,
+// partly numeric, out-of-range or non-finite text is a usage error, and so
+// is a zero count (integral T).
 template <typename T>
 T flag_value(const char* text, const char* argv0, const char* options) {
-  T v{};
-  const char* end = text + std::strlen(text);
-  const auto [stop, ec] = std::from_chars(text, end, v);
-  bool ok = ec == std::errc{} && stop == end;
-  if constexpr (std::is_integral_v<T>) {
-    ok = ok && v != 0;
-  } else {
-    ok = ok && std::isfinite(v);
-  }
-  if (!ok) usage_exit(argv0, options);
-  return v;
+  const std::optional<T> v = cli::parse_number<T>(text);
+  if (!v || (std::is_integral_v<T> && *v == 0)) usage_exit(argv0, options);
+  return *v;
 }
 
 }  // namespace dapsp::bench

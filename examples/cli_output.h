@@ -1,18 +1,52 @@
-// Output files of the example CLIs (dapsp_cli, dapsp_service, query_server):
-// a trace and a metrics registry, each written in the format its file suffix
-// names, with one stderr line saying where it went.
+// Shared pieces of the command-line tools: whole-value parsing of numeric
+// flags (the one parser of the example CLIs dapsp_cli, dapsp_service and
+// query_server, and of the benches' bench::flag_value), and the example
+// CLIs' output files, a trace and a metrics registry, each written in the
+// format its file suffix names, with one stderr line saying where it went.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "congest/trace.h"
 #include "util/metrics.h"
 
 namespace dapsp::cli {
+
+// `text` as one number of type T, or nullopt when it is empty, not a
+// number, followed by anything, outside T's range (a sign on an unsigned T
+// included), or a non-finite real.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return std::nullopt;
+  }
+  return v;
+}
+
+// "a<sep>b" as two whole numbers, or nullopt.
+template <typename A, typename B>
+std::optional<std::pair<A, B>> parse_pair(std::string_view text, char sep) {
+  const std::size_t at = text.find(sep);
+  if (at == std::string_view::npos) return std::nullopt;
+  const std::optional<A> a = parse_number<A>(text.substr(0, at));
+  const std::optional<B> b = parse_number<B>(text.substr(at + 1));
+  if (!a || !b) return std::nullopt;
+  return std::pair<A, B>{*a, *b};
+}
 
 inline bool has_suffix(const std::string& s, const char* suffix) {
   const std::size_t len = std::strlen(suffix);

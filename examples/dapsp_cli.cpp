@@ -106,6 +106,14 @@ struct Args {
   std::exit(2);
 }
 
+// A numeric flag value, parsed whole; anything else is a usage error.
+template <typename T>
+T number(const std::string& text) {
+  const std::optional<T> v = cli::parse_number<T>(text);
+  if (!v) usage();
+  return *v;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) usage();
@@ -119,13 +127,13 @@ Args parse(int argc, char** argv) {
     if (arg == "-g" || arg == "--graph") {
       a.graph_file = next();
     } else if (arg == "--epsilon") {
-      a.epsilon = std::stod(next());
+      a.epsilon = number<double>(next());
     } else if (arg == "--k") {
-      a.k = static_cast<std::uint32_t>(std::stoul(next()));
+      a.k = number<std::uint32_t>(next());
     } else if (arg == "--seed") {
-      a.seed = std::stoull(next());
+      a.seed = number<std::uint64_t>(next());
     } else if (arg == "--threads") {
-      a.threads = static_cast<std::uint32_t>(std::stoul(next()));
+      a.threads = number<std::uint32_t>(next());
     } else if (arg == "--trace-out") {
       a.trace_out = next();
     } else if (arg == "--metrics-out") {
@@ -133,25 +141,22 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--exact") {
       a.exact = true;
     } else if (arg == "--drop") {
-      a.drop = std::stod(next());
+      a.drop = number<double>(next());
     } else if (arg == "--corrupt") {
-      a.corrupt = std::stod(next());
+      a.corrupt = number<double>(next());
     } else if (arg == "--fault-seed") {
-      a.fault_seed = std::stoull(next());
+      a.fault_seed = number<std::uint64_t>(next());
     } else if (arg == "--crash") {
-      const std::string spec = next();
-      const std::size_t at = spec.find('@');
-      if (at == std::string::npos) usage();
-      a.crashes.push_back(
-          {static_cast<NodeId>(std::stoul(spec.substr(0, at))),
-           std::stoull(spec.substr(at + 1))});
+      const auto spec = cli::parse_pair<NodeId, std::uint64_t>(next(), '@');
+      if (!spec) usage();
+      a.crashes.push_back({spec->first, spec->second});
     } else if (arg == "--repair") {
       a.repair = true;
     } else if (arg == "--sources") {
       std::stringstream ss(next());
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        a.sources.push_back(static_cast<NodeId>(std::stoul(tok)));
+        a.sources.push_back(number<NodeId>(tok));
       }
     } else if (!arg.empty() && arg[0] == '-') {
       usage();
@@ -226,9 +231,8 @@ int cmd_gen(const Args& a) {
   if (a.positional.empty()) usage();
   const std::string& fam = a.positional[0];
   auto arg_at = [&](std::size_t i, NodeId fallback) -> NodeId {
-    return i < a.positional.size()
-               ? static_cast<NodeId>(std::stoul(a.positional[i]))
-               : fallback;
+    return i < a.positional.size() ? number<NodeId>(a.positional[i])
+                                   : fallback;
   };
   Graph g;
   if (fam == "path") {

@@ -122,6 +122,14 @@ struct Args {
   std::exit(2);
 }
 
+// A numeric flag value, parsed whole; anything else is a usage error.
+template <typename T>
+T number(const std::string& text) {
+  const std::optional<T> v = cli::parse_number<T>(text);
+  if (!v) usage();
+  return *v;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -135,29 +143,29 @@ Args parse(int argc, char** argv) {
     } else if (arg == "-g" || arg == "--graph") {
       a.graph_file = next();
     } else if (arg == "--universe") {
-      a.universe = static_cast<NodeId>(std::stoul(next()));
+      a.universe = number<NodeId>(next());
     } else if (arg == "--updates") {
-      a.updates = std::stoull(next());
+      a.updates = number<std::uint64_t>(next());
     } else if (arg == "--seed") {
-      a.seed = std::stoull(next());
+      a.seed = number<std::uint64_t>(next());
     } else if (arg == "--batch-max") {
-      a.batch_max = static_cast<std::uint32_t>(std::stoul(next()));
+      a.batch_max = number<std::uint32_t>(next());
     } else if (arg == "--chaos") {
-      a.chaos = std::stod(next());
+      a.chaos = number<double>(next());
     } else if (arg == "--threads") {
-      a.threads = static_cast<std::uint32_t>(std::stoul(next()));
+      a.threads = number<std::uint32_t>(next());
     } else if (arg == "--scrub-every") {
-      a.scrub_every = static_cast<std::uint32_t>(std::stoul(next()));
+      a.scrub_every = number<std::uint32_t>(next());
     } else if (arg == "--checkpoint-every") {
-      a.checkpoint_every = std::stoull(next());
+      a.checkpoint_every = number<std::uint64_t>(next());
     } else if (arg == "--kill-at") {
-      a.kill_at = std::stoull(next());
+      a.kill_at = number<std::uint64_t>(next());
     } else if (arg == "--durable-dir") {
       a.durable_dir = next();
     } else if (arg == "--recover") {
       a.recover = true;
     } else if (arg == "--kill-at-byte") {
-      a.kill_at_byte = std::stoull(next());
+      a.kill_at_byte = number<std::uint64_t>(next());
     } else if (arg == "--ckpt-dump") {
       a.ckpt_dump = next();
     } else if (arg == "--trace-out") {
@@ -165,25 +173,22 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       a.metrics_out = next();
     } else if (arg == "--breaker") {
-      const std::string spec = next();
-      unsigned k = 0, c = 0;
-      if (std::sscanf(spec.c_str(), "%u@%u", &k, &c) != 2 || k == 0) usage();
+      const auto spec =
+          cli::parse_pair<std::uint32_t, std::uint64_t>(next(), '@');
+      if (!spec || spec->first == 0) usage();
       core::BreakerConfig bc;
-      bc.failure_threshold = k;
-      bc.cooldown_ticks = c;
+      bc.failure_threshold = spec->first;
+      bc.cooldown_ticks = spec->second;
       a.breaker = bc;
     } else if (arg == "--strangle") {
-      const std::string spec = next();
-      unsigned long long lo = 0, hi = 0;
-      if (std::sscanf(spec.c_str(), "%llu:%llu", &lo, &hi) != 2 || lo == 0 ||
-          hi < lo) {
-        usage();
-      }
-      a.strangle = {lo, hi};
+      const auto spec =
+          cli::parse_pair<std::uint64_t, std::uint64_t>(next(), ':');
+      if (!spec || spec->first == 0 || spec->second < spec->first) usage();
+      a.strangle = *spec;
     } else if (arg == "--serve") {
-      a.serve_readers = static_cast<std::uint32_t>(std::stoul(next()));
+      a.serve_readers = number<std::uint32_t>(next());
     } else if (arg == "--serve-lookups") {
-      a.serve_lookups = static_cast<std::uint32_t>(std::stoul(next()));
+      a.serve_lookups = number<std::uint32_t>(next());
     } else if (arg == "--quiet") {
       a.quiet = true;
     } else {

@@ -18,18 +18,6 @@
 //   query_server --snapshot snap.dqry --estimate 3 17   (needs --labels)
 //   query_server --snapshot snap.dqry --bench-lookups 1000000
 //
-// Overload mode replays a seeded virtual-clock arrival storm through the
-// resilience layer (core/resilience.h): deadlines, per-class admission,
-// brownout-to-estimates, jittered retries. Prints the latency/shed summary
-// and the resilience_* health counters; exits 1 if any served answer
-// overclaims its freshness or the shed accounting fails to balance:
-//
-//   query_server --snapshot snap.dqry --overload 20000 --offered 200000
-//   query_server --snapshot snap.dqry --overload 20000 --offered 200000
-//       --deadline-us 8 --trace-out shed.jsonl --metrics-out health.json
-//
-// (the last example is one command line).
-//
 // Every answer carries its serving status (exact/repaired/stale, plus
 // approximate for label estimates): a stale row is served, but the caller
 // is told the value may not reflect the epoch's graph, and a label-derived
@@ -38,7 +26,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <optional>
@@ -47,16 +34,13 @@
 #include <vector>
 
 #include "cli_output.h"
-#include "congest/trace.h"
 #include "core/distance_labels.h"
 #include "core/query.h"
-#include "core/resilience.h"
 #include "core/service.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "util/blob.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 
 using namespace dapsp;
@@ -81,12 +65,6 @@ struct Args {
   std::optional<NodeId> ecc;
   std::optional<std::pair<NodeId, NodeId>> estimate;
   std::uint64_t bench_lookups = 0;
-  // Overload replay.
-  std::uint64_t overload_requests = 0;
-  std::uint64_t offered_per_sec = 100'000;
-  std::uint64_t deadline_us = 0;
-  std::optional<std::string> trace_out;
-  std::optional<std::string> metrics_out;
 };
 
 [[noreturn]] void usage() {
@@ -96,10 +74,16 @@ struct Args {
       "                    [--seed s] [--updates k] [--chaos p] [--labels k]\n"
       "       query_server --snapshot <f> (--info | --query u v |\n"
       "                    --k-nearest u k | --ecc u | --estimate u v |\n"
-      "                    --bench-lookups n |\n"
-      "                    --overload n [--offered r] [--deadline-us d]\n"
-      "                    [--seed s] [--trace-out f] [--metrics-out f])\n");
+      "                    --bench-lookups n [--seed s])\n");
   std::exit(2);
+}
+
+// A numeric flag value, parsed whole; anything else is a usage error.
+template <typename T>
+T number(const std::string& text) {
+  const std::optional<T> v = cli::parse_number<T>(text);
+  if (!v) usage();
+  return *v;
 }
 
 Args parse(int argc, char** argv) {
@@ -110,7 +94,7 @@ Args parse(int argc, char** argv) {
       if (i + 1 >= argc) usage();
       return argv[++i];
     };
-    auto next_node = [&]() { return static_cast<NodeId>(std::stoul(next())); };
+    auto next_node = [&]() { return number<NodeId>(next()); };
     if (arg == "--export") {
       a.export_path = next();
     } else if (arg == "--gen") {
@@ -120,13 +104,13 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--universe") {
       a.universe = next_node();
     } else if (arg == "--seed") {
-      a.seed = std::stoull(next());
+      a.seed = number<std::uint64_t>(next());
     } else if (arg == "--updates") {
-      a.updates = std::stoull(next());
+      a.updates = number<std::uint64_t>(next());
     } else if (arg == "--chaos") {
-      a.chaos = std::stod(next());
+      a.chaos = number<double>(next());
     } else if (arg == "--labels") {
-      a.labels_k = static_cast<std::uint32_t>(std::stoul(next()));
+      a.labels_k = number<std::uint32_t>(next());
     } else if (arg == "--snapshot") {
       a.snapshot_path = next();
     } else if (arg == "--info") {
@@ -136,24 +120,14 @@ Args parse(int argc, char** argv) {
       a.query = {u, next_node()};
     } else if (arg == "--k-nearest") {
       const NodeId u = next_node();
-      a.k_nearest = {u, static_cast<std::uint32_t>(std::stoul(next()))};
+      a.k_nearest = {u, number<std::uint32_t>(next())};
     } else if (arg == "--ecc") {
       a.ecc = next_node();
     } else if (arg == "--estimate") {
       const NodeId u = next_node();
       a.estimate = {u, next_node()};
     } else if (arg == "--bench-lookups") {
-      a.bench_lookups = std::stoull(next());
-    } else if (arg == "--overload") {
-      a.overload_requests = std::stoull(next());
-    } else if (arg == "--offered") {
-      a.offered_per_sec = std::stoull(next());
-    } else if (arg == "--deadline-us") {
-      a.deadline_us = std::stoull(next());
-    } else if (arg == "--trace-out") {
-      a.trace_out = next();
-    } else if (arg == "--metrics-out") {
-      a.metrics_out = next();
+      a.bench_lookups = number<std::uint64_t>(next());
     } else {
       usage();
     }
@@ -301,88 +275,11 @@ int run_serve(const Args& a) {
         snap.label_estimate(a.estimate->first, a.estimate->second);
     const core::QueryAnswer exact =
         snap.p2p(a.estimate->first, a.estimate->second);
-    // A label-derived answer is never status-exact, whatever the row says:
-    // the caller sees the same kApproximate marker the brownout path uses.
-    std::printf("estimate(%u,%u)=%u [%s] exact=%u (additive slack <= %u)\n",
-                a.estimate->first, a.estimate->second, est,
-                core::to_string(core::ServeStatus::kApproximate), exact.dist,
-                2 * snap.label_k());
-    return 0;
-  }
-  if (a.overload_requests > 0) {
-    core::OverloadConfig cfg;
-    cfg.seed = a.seed;
-    cfg.requests = a.overload_requests;
-    cfg.arrivals_per_sec = a.offered_per_sec;
-    cfg.deadline_us = a.deadline_us;
-    // Serving-tier defaults: interactive protected by concurrency + a tight
-    // wait bound, batch bounded, background rate-limited; brownout swaps
-    // heavy scans for label estimates once the queues back up.
-    auto& inter = cfg.admission.policy(core::PriorityClass::kInteractive);
-    inter.max_concurrent = 4;
-    inter.max_queue = 16;
-    inter.max_wait_us = 50;
-    auto& batch = cfg.admission.policy(core::PriorityClass::kBatch);
-    batch.max_concurrent = 2;
-    batch.max_queue = 8;
-    batch.max_wait_us = 500;
-    auto& bg = cfg.admission.policy(core::PriorityClass::kBackground);
-    bg.tokens_per_sec = 20'000;
-    bg.burst = 4;
-    bg.max_concurrent = 1;
-    bg.max_queue = 4;
-    bg.max_wait_us = 1'000;
-    cfg.brownout.enter_queue_depth = 6;
-    cfg.brownout.exit_queue_depth = 2;
-    cfg.retry.seed = a.seed;
-
-    congest::TraceLog trace;
-    const core::SimReport rep =
-        run_overload_sim(snap, cfg, a.trace_out ? &trace : nullptr);
-
+    // A label-derived answer is never status-exact, whatever the row says.
     std::printf(
-        "overload: offered=%llu admitted=%llu shed=%llu "
-        "(rate=%llu queue_full=%llu queue_wait=%llu)\n",
-        static_cast<unsigned long long>(rep.offered),
-        static_cast<unsigned long long>(rep.admitted),
-        static_cast<unsigned long long>(rep.shed_total()),
-        static_cast<unsigned long long>(rep.shed_rate),
-        static_cast<unsigned long long>(rep.shed_queue_full),
-        static_cast<unsigned long long>(rep.shed_queue_wait));
-    std::printf(
-        "served: exact=%llu stale=%llu approximate=%llu truncated=%llu "
-        "(p50/p99 interactive %llu/%llu us, virtual end %llu us)\n",
-        static_cast<unsigned long long>(rep.exact_served),
-        static_cast<unsigned long long>(rep.stale_served),
-        static_cast<unsigned long long>(rep.approximate_served),
-        static_cast<unsigned long long>(rep.deadline_truncated),
-        static_cast<unsigned long long>(
-            rep.quantile_us(core::PriorityClass::kInteractive, 0.50)),
-        static_cast<unsigned long long>(
-            rep.quantile_us(core::PriorityClass::kInteractive, 0.99)),
-        static_cast<unsigned long long>(rep.end_us));
-    MetricsRegistry health;
-    rep.to_metrics(health, snap);
-    std::printf("health:");
-    for (const auto& [name, value] : health.counters()) {
-      std::printf(" %s=%llu", name.c_str() + std::strlen("resilience_"),
-                  static_cast<unsigned long long>(value));
-    }
-    std::printf("\n");
-
-    if (a.trace_out) cli::write_trace_file(*a.trace_out, trace);
-    if (a.metrics_out) cli::write_metrics_file(*a.metrics_out, health);
-
-    // The contract this mode exists to enforce.
-    if (rep.overclaims != 0) {
-      std::fprintf(stderr, "FAIL: %llu degraded answers claimed exact\n",
-                   static_cast<unsigned long long>(rep.overclaims));
-      return 1;
-    }
-    if (rep.offered != rep.admitted + rep.shed_total()) {
-      std::fprintf(stderr, "FAIL: shed accounting does not balance\n");
-      return 1;
-    }
+        "estimate(%u,%u)=%u [approximate] exact=%u (additive slack <= %u)\n",
+        a.estimate->first, a.estimate->second, est, exact.dist,
+        2 * snap.label_k());
     return 0;
   }
   if (a.bench_lookups > 0) {

@@ -3,7 +3,7 @@
 # under ASan+UBSan.
 #
 # Usage: scripts/check.sh [--tsan] [--perf-smoke] [--kill-matrix [dir]]
-#                         [--query-smoke [dir]] [--overload-smoke [dir]]
+#                         [--query-smoke [dir]] [--breaker-smoke [dir]]
 #                         [--bench-build] [--scale] [extra ctest args...]
 #   --tsan         run only the ThreadSanitizer configuration (the concurrency
 #                  surface: engine, equivalence, faults, determinism, the
@@ -18,20 +18,18 @@
 #   --query-smoke  run only the query-tier gate: bench_query's lookup-rate
 #                  floor plus a serve soak (snapshot swaps under churn with
 #                  reader threads validating against the oracle).
-#   --overload-smoke  run only the overload-robustness gate: bench_resilience
-#                  floors (admitted-interactive p99 within 5x unloaded at 4x
-#                  saturation, explicit sheds, zero overclaims), the
-#                  committed BENCH_resilience.json reproduced, a seeded
-#                  query_server overload replay with the shed-trace validated
-#                  against the health counters, and a dapsp_service breaker
-#                  open/half-open/close round trip at 1 and 4 engine threads
-#                  (cmp-identical checkpoint and trace).
+#   --breaker-smoke  run only the repair circuit breaker gate: a strangled
+#                  dapsp_service open/half-open/close round trip at 1 and 4
+#                  engine threads (cmp-identical checkpoint and trace) and
+#                  its trace validated against its counters.
 #   --bench-build  run only the benchmark build: configure perfbench/ out of
 #                  tree into .bench_build/perfbench, build dapsp_perfbench
 #                  and perfbench_tests, and run the benchmark's ctest.
 #   --scale        run only the churn differential at universe 1024 and 2048
 #                  (every cell and next hop against seq::apsp; ~10 s on a
 #                  4-vCPU host, ~200 MB).
+# The default run also regenerates BENCH_faults.json, whose every figure is
+# deterministic, and compares it byte for byte with the committed file.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,9 +53,11 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # inbox frames differentially at 1/2/8 threads, test_trace runs the
   # sharded collection and drain of the TraceLog, the engine's one event
   # channel, at 1/2/8 threads, and test_certify / test_repair run the
-  # certificate, whose per-shard wake-up timers sleep across rounds.
+  # certificate, whose per-shard wake-up timers sleep across rounds, and
+  # test_query soaks the snapshot store and churns reader-slot registration
+  # at 8 threads over a saturated store.
   run_config build-tsan Tsan OFF \
-    -R 'test_engine|test_engine_equivalence|test_arena|test_faults|test_determinism|test_query|test_resilience|test_trace|test_certify|test_repair' "$@"
+    -R 'test_engine|test_engine_equivalence|test_arena|test_faults|test_determinism|test_query|test_trace|test_certify|test_repair' "$@"
   echo "TSan checks passed."
   exit 0
 fi
@@ -240,47 +240,19 @@ if [[ "${1:-}" == "--query-smoke" ]]; then
   exit 0
 fi
 
-# Overload-robustness smoke (DESIGN.md section 18): the resilience floors in
-# bench_resilience (--smoke --assert), a full bench_resilience run that must
-# reproduce the committed BENCH_resilience.json, then a seeded query_server
-# overload replay whose kShed trace is cross-checked against the exported
-# health counters, and a dapsp_service run whose repair breaker provably opens
-# during a strangle window, suppresses repairs, and closes again — exit 0
-# requires the final tables fully certified despite the outage, and the run
-# must end in the same checkpoint and trace bytes at 1 and 4 engine threads.
-overload_smoke() {
+# Breaker smoke (DESIGN.md section 18): a dapsp_service run whose repair
+# breaker provably opens during a strangle window, suppresses repairs, and
+# closes again — exit 0 requires the final tables fully certified despite
+# the outage, and the run must end in the same checkpoint and trace bytes at
+# 1 and 4 engine threads; its trace is then cross-checked against its
+# counters.
+breaker_smoke() {
   local dir="$1" tmp
-  echo "== overload smoke (${dir}) =="
+  echo "== breaker smoke (${dir}) =="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "${dir}" -j "${JOBS}" \
-    --target bench_resilience dapsp_service query_server
+  cmake --build "${dir}" -j "${JOBS}" --target dapsp_service
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
-  # Run in ${tmp}: the smoke run's BENCH_resilience.json must not clobber
-  # the committed full-size curve.
-  ( cd "${tmp}" && "${OLDPWD}/${dir}/bench/bench_resilience" \
-      --smoke --assert >/dev/null )
-  # The full curve is all virtual-clock figures (digests included), so a
-  # rerun must reproduce the committed file but for the host's thread count.
-  ( cd "${tmp}" && "${OLDPWD}/${dir}/bench/bench_resilience" >/dev/null )
-  if ! cmp <(grep -v '"hardware_threads"' "${tmp}/BENCH_resilience.json") \
-           <(grep -v '"hardware_threads"' BENCH_resilience.json); then
-    echo "overload smoke: BENCH_resilience.json differs from a fresh full run"
-    exit 1
-  fi
-  "${dir}/examples/query_server" --export "${tmp}/s.dqry" \
-    --universe 48 --seed 7 --labels 2
-  "${dir}/examples/query_server" --snapshot "${tmp}/s.dqry" \
-    --overload 20000 --offered 2000000 --deadline-us 3 --seed 7 \
-    --trace-out "${tmp}/shed.json" --metrics-out "${tmp}/health.json"
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/validate_trace.py "${tmp}/shed.json" "${tmp}/health.json"
-  else
-    echo "python3 not found; skipping shed trace validation"
-  fi
-  # The strangled round trip at 1 and 4 engine threads: the breaker closes
-  # after the window, and the final checkpoint and the service trace are
-  # byte-identical across thread counts.
   local t f
   for t in 1 4; do
     "${dir}/examples/dapsp_service" --universe 20 --updates 30 --seed 7 \
@@ -288,14 +260,14 @@ overload_smoke() {
       --ckpt-dump "${tmp}/svc_t${t}.ckpt" \
       --trace-out "${tmp}/svc_t${t}.jsonl" > "${tmp}/svc_t${t}.out"
     if ! grep -q 'breaker: state=closed' "${tmp}/svc_t${t}.out"; then
-      echo "overload smoke: breaker did not close after the strangle window"
+      echo "breaker smoke: breaker did not close after the strangle window"
       cat "${tmp}/svc_t${t}.out"
       exit 1
     fi
   done
   for f in ckpt jsonl; do
     if ! cmp "${tmp}/svc_t1.${f}" "${tmp}/svc_t4.${f}"; then
-      echo "overload smoke: strangled run's .${f} differs at 1 vs 4 threads"
+      echo "breaker smoke: strangled run's .${f} differs at 1 vs 4 threads"
       exit 1
     fi
   done
@@ -307,13 +279,29 @@ overload_smoke() {
     python3 scripts/validate_trace.py \
       "${tmp}/svc_trace.json" "${tmp}/svc_metrics.json"
   fi
-  echo "overload smoke passed"
+  echo "breaker smoke passed"
 }
 
-if [[ "${1:-}" == "--overload-smoke" ]]; then
-  overload_smoke "${2:-build}"
+if [[ "${1:-}" == "--breaker-smoke" ]]; then
+  breaker_smoke "${2:-build}"
   exit 0
 fi
+
+# Deterministic bench file (ROADMAP item 5): every figure bench_faults writes
+# (rounds, round ratios, row counts, verdicts) comes from seeded runs, so a
+# fresh run in a temp directory must reproduce the committed
+# BENCH_faults.json byte for byte.
+faults_bench_check() {
+  local dir="$1" tmp
+  echo "== BENCH_faults.json check (${dir}) =="
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"' RETURN
+  ( cd "${tmp}" && "${OLDPWD}/${dir}/bench/bench_faults" >/dev/null )
+  if ! cmp "${tmp}/BENCH_faults.json" BENCH_faults.json; then
+    echo "BENCH_faults.json differs from a fresh bench_faults run"
+    exit 1
+  fi
+}
 
 # Benchmark build (BENCHMARK.json, perfbench/): the benchmark compiles the
 # library sources as a package of its own, so nothing else in this script
@@ -350,7 +338,8 @@ chaos_smoke build
 churn_smoke build
 perf_smoke build
 query_smoke build
-overload_smoke build
+breaker_smoke build
+faults_bench_check build
 run_config build-asan Asan ON "$@"
 kill_matrix_smoke build-asan
 

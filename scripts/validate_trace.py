@@ -15,11 +15,9 @@ argument, also checks the --metrics-out JSON shape, and cross-checks event
 counts against the run's counters: corrupt events vs "messages_corrupted",
 and — for a dapsp_service run — delta/crash/epoch events vs the
 service_deltas / service_crashes / service_epochs / service_scrubs counters.
-"shed" / "breaker" events (the resilience layer's explicit load-shedding
-decisions and repair-circuit-breaker state changes, DESIGN.md section 18)
-are validated against their encodings and cross-checked per shed reason
-against the resilience_shed_* counters and the
-service_breaker_transitions counter.
+"breaker" events (the service's repair circuit breaker state changes,
+DESIGN.md section 18) are validated against their encoding and
+cross-checked against the service_breaker_transitions counter.
 """
 import json
 import sys
@@ -34,8 +32,6 @@ DELTA_CRASH_BIT = 0x100
 NODE_LEAVE = 3
 MAX_EPOCH_OUTCOME = 4  # clean / repaired / retried / escalated / suppressed
 
-# kShed aux = ShedReason (core/resilience.h): rate / queue-full / queue-wait.
-MAX_SHED_REASON = 2
 # kBreaker node/peer = BreakerState: closed / open / half-open.
 MAX_BREAKER_STATE = 2
 
@@ -132,22 +128,6 @@ def check_epoch_event(i: int, ev: dict) -> None:
         fail(f"epoch event {i}: suspect-row count missing")
 
 
-def check_shed_event(i: int, ev: dict) -> int:
-    """Validates one load-shed event; returns the ShedReason."""
-    args = ev.get("args")
-    if not isinstance(args, dict):
-        fail(f"shed event {i} has no args")
-    if not isinstance(args.get("node"), int):
-        fail(f"shed event {i} missing int 'node' (request id)")
-    cls = args.get("peer")
-    if not isinstance(cls, int) or not 0 <= cls <= 2:
-        fail(f"shed event {i}: priority class {cls!r} not in [0, 2]")
-    reason = args.get("aux", 0)
-    if not isinstance(reason, int) or not 0 <= reason <= MAX_SHED_REASON:
-        fail(f"shed event {i}: shed reason {reason!r} out of range")
-    return reason
-
-
 def check_breaker_event(i: int, ev: dict) -> None:
     args = ev.get("args")
     if not isinstance(args, dict):
@@ -178,7 +158,6 @@ def main() -> None:
     delta_events = crash_events = epoch_events = 0
     journal_events = recovery_events = 0
     journal_payload_bytes = replayed_batches = 0
-    shed_by_reason = [0, 0, 0]  # rate / queue-full / queue-wait
     breaker_events = 0
     for i, ev in enumerate(events):
         ts = ev.get("ts")
@@ -205,8 +184,6 @@ def main() -> None:
         elif cat == "recovery":
             recovery_events += 1
             replayed_batches += check_recovery_event(i, ev)
-        elif cat == "shed":
-            shed_by_reason[check_shed_event(i, ev)] += 1
         elif cat == "breaker":
             breaker_events += 1
             check_breaker_event(i, ev)
@@ -258,17 +235,6 @@ def main() -> None:
                 int(want) != journal_payload_bytes + 12 * journal_events:
             fail(f"service_journal_bytes counter {want} != "
                  f"{journal_payload_bytes} payload + 12*{journal_events}")
-        # The resilience layer emits one kShed event per refused request;
-        # every shed decision must be visible in BOTH the trace and the
-        # per-reason counters (a SimReport::to_metrics export), and they
-        # must agree.
-        for name, got in (("resilience_shed_rate", shed_by_reason[0]),
-                          ("resilience_shed_queue_full", shed_by_reason[1]),
-                          ("resilience_shed_queue_wait", shed_by_reason[2]),
-                          ("resilience_shed_total", sum(shed_by_reason))):
-            want = counters.get(name)
-            if want is not None and int(want) != got:
-                fail(f"{name} counter {want} != {got} shed trace events")
         # One kBreaker event per observed state change.
         want = counters.get("service_breaker_transitions")
         if want is not None and int(want) != breaker_events:
@@ -279,7 +245,7 @@ def main() -> None:
           f"{corrupt_events} corrupt, {delta_events} delta, "
           f"{crash_events} crash, {epoch_events} epoch, "
           f"{journal_events} journal, {recovery_events} recovery, "
-          f"{sum(shed_by_reason)} shed, {breaker_events} breaker)")
+          f"{breaker_events} breaker)")
 
 
 if __name__ == "__main__":

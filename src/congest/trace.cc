@@ -34,8 +34,6 @@ const char* to_string(TraceEventKind k) noexcept {
       return "journal";
     case TraceEventKind::kRecovery:
       return "recovery";
-    case TraceEventKind::kShed:
-      return "shed";
     case TraceEventKind::kBreaker:
       return "breaker";
   }

@@ -66,14 +66,7 @@ enum class TraceEventKind : std::uint8_t {
                       // round = recovered epoch, aux = bit 0 checkpoint
                       // generation fallback, bit 1 journal tail truncated,
                       // bit 2 fresh start (no usable checkpoint)
-  kShed = 13,         // admission controller refused a request
-                      // (core/resilience.h): node = request id (low 32
-                      // bits), peer = priority class (0 interactive,
-                      // 1 batch, 2 background), round = virtual time of
-                      // the shed decision (us; arrival for rate/queue-full
-                      // sheds, reap time for queue-wait sheds — monotone),
-                      // aux = shed reason (0 rate-limited, 1 queue-full,
-                      // 2 queue-wait deadline)
+  // 13 is unused: it was a retired load-shed event; values stay pinned.
   kBreaker = 14,      // repair circuit breaker observed-state change
                       // (core/service.h CircuitBreaker): node = new state
                       // (0 closed, 1 open, 2 half-open), peer = previous

@@ -77,13 +77,12 @@ inline constexpr std::uint32_t kQueryFlagDegraded = 1u << 1;
 CheckpointError classify_query_blob(
     std::span<const std::uint8_t> blob) noexcept;
 
-// Deterministic per-request work budget (core/resilience.h threads one
-// through every query a request makes). The unit is one table cell touched
-// — a pure function of the query and the snapshot, never of wall time — so
-// deadline behavior is bit-reproducible at any thread count. limit == 0
-// means unbounded. A query that exhausts the budget mid-row stops scanning
-// and returns a truncated partial answer (see the `truncated` fields);
-// the resilience layer downgrades such answers to kDeadlineExceeded.
+// Deterministic per-request work budget: a caller may thread one through
+// every query a request makes. The unit is one table cell touched — a pure
+// function of the query and the snapshot, never of wall time — so budgeted
+// answers are bit-reproducible at any thread count. limit == 0 means
+// unbounded. A query that exhausts the budget mid-row stops scanning and
+// returns a truncated partial answer (see the `truncated` fields).
 struct WorkBudget {
   std::uint64_t limit = 0;  // total cells this request may touch (0 = inf)
   std::uint64_t used = 0;   // cells charged so far
@@ -210,8 +209,7 @@ class QuerySnapshot {
   // the answer is returned truncated (k_nearest/eccentricity set their
   // `truncated` marker; p2p_batch stops after the answered prefix, so
   // out.size() < pairs.size() is the truncation signal). Work accounting is
-  // cell-exact and deterministic — the virtual-clock overload simulations
-  // (core/resilience.h) convert it into service time.
+  // cell-exact and deterministic.
 
   // Throws std::invalid_argument on out-of-universe ids.
   QueryAnswer p2p(NodeId from, NodeId to) const;
@@ -223,16 +221,6 @@ class QuerySnapshot {
                            WorkBudget* budget = nullptr) const;
   EccentricityAnswer eccentricity(NodeId u,
                                   WorkBudget* budget = nullptr) const;
-
-  // The row scans behind k_nearest and eccentricity, over any row of
-  // distances toward u indexed by node: a prefix of dist_row(u), or a
-  // LabelCache estimate row (the overload sim's brownout). Nodes this
-  // snapshot marks inactive are skipped. Fill only the scan's fields
-  // (nearest; ecc, farthest, unreachable).
-  KNearestAnswer k_nearest_in_row(NodeId u, std::uint32_t k,
-                                  std::span<const std::uint32_t> row) const;
-  EccentricityAnswer eccentricity_in_row(
-      NodeId u, std::span<const std::uint32_t> row) const;
 
   // APASP_{2k} estimate from the label section (requires has_labels()):
   // min over dominators of the saturating 2-hop sum. kInfDist when the
@@ -250,6 +238,14 @@ class QuerySnapshot {
   // fields and table views.
   static CheckpointError parse(std::span<const std::uint8_t> blob,
                                QuerySnapshot& snap) noexcept;
+  // The row scans behind k_nearest and eccentricity, over a prefix of
+  // dist_row(u) (the cells the budget granted). Nodes this snapshot marks
+  // inactive are skipped. Fill only the scan's fields (nearest; ecc,
+  // farthest, unreachable).
+  KNearestAnswer k_nearest_in_row(NodeId u, std::uint32_t k,
+                                  std::span<const std::uint32_t> row) const;
+  EccentricityAnswer eccentricity_in_row(
+      NodeId u, std::span<const std::uint32_t> row) const;
 
   std::vector<std::uint8_t> owned_;
   MappedBlob mapped_;

@@ -195,7 +195,7 @@ struct ServiceStats {
   std::uint64_t epochs_failed = 0;  // all attempts failed; rows left stale
   std::uint64_t scrubs = 0;
   std::uint64_t checkpoints = 0;
-  // Overload robustness: epochs whose repair ladder the breaker refused,
+  // Repair circuit breaker: epochs whose repair ladder the breaker refused,
   // and breaker state changes the service observed (each one is also a
   // kBreaker trace event).
   std::uint64_t repairs_suppressed = 0;
@@ -368,9 +368,9 @@ class DapspService {
 
   // Ops/fault-drill knob: retune the per-attempt round watchdog,
   // ServiceConfig engine.max_rounds, on a live service (0 restores the engine
-  // default). Deliberately mutable — the overload drills pin it to 1 round
-  // to force deterministic repair failures, then lift it; it is config, not
-  // checkpointed state.
+  // default). Deliberately mutable — the breaker drills (--strangle) pin it
+  // to 1 round to force deterministic repair failures, then lift it; it is
+  // config, not checkpointed state.
   void set_watchdog_rounds(std::uint64_t rounds) noexcept {
     config_.engine.max_rounds = rounds;
   }

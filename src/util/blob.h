@@ -61,8 +61,8 @@ std::uint64_t frame_checksum(std::span<const std::uint8_t> bytes) noexcept;
 inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
 
 // FNV-1a 64 over `bytes`, continuing from `h`; fnv1a64_u64 steps over the 8
-// little-endian bytes of one word. These are the determinism and resilience
-// digests' accumulators, not a frame checksum.
+// little-endian bytes of one word. These are the determinism digests'
+// accumulators, not a frame checksum.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
                       std::uint64_t h = kFnv1a64Basis) noexcept;
 std::uint64_t fnv1a64_u64(std::uint64_t h, std::uint64_t word) noexcept;

@@ -58,7 +58,7 @@ class Rng {
 
 // A keyed stream: one mix64 round per key component, with distinct odd
 // multipliers, so streams for neighboring (a, b) keys share no affine
-// structure (fault streams, backoff jitter, overload-sim requests).
+// structure (the fault injector's per-(node, round) streams).
 inline Rng keyed_rng(std::uint64_t seed, std::uint64_t a,
                      std::uint64_t b) noexcept {
   const std::uint64_t z = mix64(seed ^ (0x9e3779b97f4a7c15ULL * (a + 1)));

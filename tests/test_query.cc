@@ -13,9 +13,15 @@
 //   * monotone-conservative status disclosure at every publish point,
 //     including the deterministic mid-epoch (degraded) publish — a row
 //     degrading between snapshot publish and query must never claim kExact,
+//   * the DQRY torn-write sweep: every prefix truncation point of a blob
+//     classifies cleanly (never crashes, never mis-serves),
+//   * WorkBudget semantics: budgeted queries stop cell-exact and return
+//     honest truncated partials; the budget-less path answers in full,
 //   * SnapshotStore swap/pin/retire-after-grace semantics, single-threaded
 //     and with 1/2/8 concurrent reader threads validating mid-swap answers
-//     (the TSan target), and the LabelCache.
+//     (the TSan target), reader-slot exhaustion (bounded spin-yield
+//     registration, 8 threads churning a saturated store), and the
+//     LabelCache.
 //
 // The validation invariant used throughout: an answer whose status is
 // kExact or kRepaired, served from a snapshot published at service epoch e,
@@ -467,6 +473,158 @@ TEST(QueryBlob, ChurnedAndRestoredServiceHopsEncodeLikeNestedRows) {
             encode_query_snapshot(svc, 0, false));
 }
 
+// A snapshot of random_connected(n, extra, seed)'s exact tables, with a
+// k = 2 label section when asked.
+QuerySnapshot make_snapshot(NodeId n, NodeId extra, std::uint64_t seed,
+                            bool with_labels) {
+  const Graph g = gen::random_connected(n, extra, seed);
+  std::optional<DistanceLabeling> labels;
+  if (with_labels) labels.emplace(build_distance_labels(g, 2));
+  return QuerySnapshot::from_blob(
+      encode_static(g, labels ? &*labels : nullptr));
+}
+
+// ------------------------------------------------------ DQRY torn-write sweep
+
+// The query-tier mirror of the journal's torn-tail sweep. A
+// partially persisted (prefix-truncated) DQRY blob must classify cleanly at
+// EVERY truncation point — never kNone, never a crash — and from_blob must
+// refuse it with an exception rather than mis-serve.
+void torn_sweep(bool with_labels) {
+  const QuerySnapshot snap = make_snapshot(6, 3, 11, with_labels);
+  const std::span<const std::uint8_t> blob = snap.bytes();
+  ASSERT_EQ(classify_query_blob(blob), CheckpointError::kNone);
+
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const auto prefix = blob.first(len);
+    const CheckpointError err = classify_query_blob(prefix);
+    EXPECT_NE(err, CheckpointError::kNone)
+        << "truncation at " << len << "/" << blob.size()
+        << " classified as intact (labels=" << with_labels << ")";
+    std::vector<std::uint8_t> bytes(prefix.begin(), prefix.end());
+    EXPECT_THROW(QuerySnapshot::from_blob(std::move(bytes)),
+                 std::runtime_error)
+        << "from_blob accepted a torn prefix of " << len << " bytes";
+  }
+  // And the intact blob still loads.
+  std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
+  EXPECT_NO_THROW(QuerySnapshot::from_blob(std::move(bytes)));
+}
+
+TEST(TornBlob, EveryTruncationPointClassifiesCleanlyNoLabels) {
+  torn_sweep(false);
+}
+
+TEST(TornBlob, EveryTruncationPointClassifiesCleanlyWithLabels) {
+  torn_sweep(true);
+}
+
+
+// ------------------------------------------------ deadline budget semantics
+
+TEST(WorkBudget, GrantChargesAndExhausts) {
+  WorkBudget unbounded;
+  EXPECT_FALSE(unbounded.exhausted());
+  EXPECT_EQ(unbounded.grant(1'000), 1'000u);
+  EXPECT_EQ(unbounded.used, 1'000u);
+
+  WorkBudget b;
+  b.limit = 10;
+  EXPECT_EQ(b.grant(4), 4u);
+  EXPECT_EQ(b.remaining(), 6u);
+  EXPECT_EQ(b.grant(100), 6u);  // clipped to the remainder
+  EXPECT_TRUE(b.exhausted());
+  EXPECT_EQ(b.grant(5), 0u);
+}
+
+TEST(BudgetedQueries, P2pBatchAnswersThePrefixThatFit) {
+  const QuerySnapshot snap = make_snapshot(12, 8, 3, false);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId i = 0; i < 8; ++i) pairs.emplace_back(i, (i + 3) % 12);
+
+  std::vector<QueryAnswer> full;
+  snap.p2p_batch(pairs, full, nullptr);
+  ASSERT_EQ(full.size(), pairs.size());
+
+  WorkBudget b;
+  b.limit = 5;
+  std::vector<QueryAnswer> part;
+  snap.p2p_batch(pairs, part, &b);
+  ASSERT_EQ(part.size(), 5u);  // the answered prefix, cell-exact
+  for (std::size_t i = 0; i < part.size(); ++i) {
+    EXPECT_EQ(part[i].dist, full[i].dist);
+    EXPECT_EQ(part[i].status, full[i].status);
+  }
+}
+
+TEST(BudgetedQueries, KNearestTruncatesToTheScannedPrefixExactly) {
+  const QuerySnapshot snap = make_snapshot(16, 10, 4, false);
+  const NodeId u = 5;
+  const KNearestAnswer full = snap.k_nearest(u, 4, nullptr);
+  EXPECT_FALSE(full.truncated);
+
+  WorkBudget b;
+  b.limit = 9;
+  const KNearestAnswer part = snap.k_nearest(u, 4, &b);
+  ASSERT_TRUE(part.truncated);
+  EXPECT_EQ(part.scanned, 9u);
+  EXPECT_EQ(b.used, 9u);
+
+  // The truncated answer must be exact over the scanned prefix: recompute
+  // the k nearest considering only nodes v < scanned.
+  const auto row = snap.dist_row(u);
+  std::vector<NearNeighbor> expect;
+  for (NodeId v = 0; v < part.scanned; ++v) {
+    if (v == u || !snap.active(v) || row[v] == kInfDist) continue;
+    expect.push_back({v, row[v]});
+  }
+  std::sort(expect.begin(), expect.end(), [](const auto& a, const auto& b2) {
+    return a.dist != b2.dist ? a.dist < b2.dist : a.node < b2.node;
+  });
+  if (expect.size() > 4) expect.resize(4);
+  ASSERT_EQ(part.nearest.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(part.nearest[i].node, expect[i].node);
+    EXPECT_EQ(part.nearest[i].dist, expect[i].dist);
+  }
+}
+
+TEST(BudgetedQueries, EccentricityTruncationIsAPrefixLowerBound) {
+  const QuerySnapshot snap = make_snapshot(16, 10, 5, false);
+  const NodeId u = 2;
+  const EccentricityAnswer full = snap.eccentricity(u, nullptr);
+  EXPECT_FALSE(full.truncated);
+
+  WorkBudget b;
+  b.limit = 7;
+  const EccentricityAnswer part = snap.eccentricity(u, &b);
+  ASSERT_TRUE(part.truncated);
+  EXPECT_EQ(part.scanned, 7u);
+  EXPECT_LE(part.ecc, full.ecc);
+
+  const auto row = snap.dist_row(u);
+  std::uint32_t expect_ecc = 0;
+  for (NodeId v = 0; v < part.scanned; ++v) {
+    if (v == u || !snap.active(v) || row[v] == kInfDist) continue;
+    expect_ecc = std::max(expect_ecc, row[v]);
+  }
+  EXPECT_EQ(part.ecc, expect_ecc);
+}
+
+TEST(BudgetedQueries, AmpleBudgetMatchesTheUnbudgetedAnswer) {
+  const QuerySnapshot snap = make_snapshot(12, 6, 6, false);
+  WorkBudget b;
+  b.limit = 1'000'000;
+  const KNearestAnswer with = snap.k_nearest(3, 5, &b);
+  const KNearestAnswer without = snap.k_nearest(3, 5, nullptr);
+  EXPECT_FALSE(with.truncated);
+  ASSERT_EQ(with.nearest.size(), without.nearest.size());
+  for (std::size_t i = 0; i < with.nearest.size(); ++i) {
+    EXPECT_EQ(with.nearest[i].node, without.nearest[i].node);
+    EXPECT_EQ(with.nearest[i].dist, without.nearest[i].dist);
+  }
+}
+
 // ----------------------------------------------- differential churn validation
 
 // The seeded sweep: 200 graph x churn configurations. Every snapshot the
@@ -725,6 +883,65 @@ TEST(SnapshotStoreConcurrent, OneReaderUnderChurn) { run_concurrent_soak(1); }
 TEST(SnapshotStoreConcurrent, TwoReadersUnderChurn) { run_concurrent_soak(2); }
 TEST(SnapshotStoreConcurrent, EightReadersUnderChurn) {
   run_concurrent_soak(8);
+}
+
+// ------------------------------------------------- reader-slot exhaustion
+
+TEST(ReaderSlots, ExhaustionThrowsAfterTheSpinBudgetAndCounts) {
+  SnapshotStore store;
+  std::vector<std::unique_ptr<SnapshotReader>> readers;
+  for (std::size_t i = 0; i < kMaxSnapshotReaders; ++i) {
+    readers.push_back(std::make_unique<SnapshotReader>(store));
+  }
+  EXPECT_EQ(store.slots_exhausted(), 0u);
+  EXPECT_THROW(SnapshotReader(store, /*max_spins=*/4), std::runtime_error);
+  // Counted once per contended registration, not once per sweep.
+  EXPECT_EQ(store.slots_exhausted(), 1u);
+  EXPECT_THROW(SnapshotReader(store, /*max_spins=*/4), std::runtime_error);
+  EXPECT_EQ(store.slots_exhausted(), 2u);
+}
+
+TEST(ReaderSlots, SpinYieldOutlastsATransientFullHouse) {
+  SnapshotStore store;
+  std::vector<std::unique_ptr<SnapshotReader>> readers;
+  for (std::size_t i = 0; i < kMaxSnapshotReaders; ++i) {
+    readers.push_back(std::make_unique<SnapshotReader>(store));
+  }
+
+  // A late reader spins while the house is full; once one slot frees it
+  // must claim it instead of throwing.
+  std::thread late([&store] {
+    SnapshotReader reader(store, /*max_spins=*/100'000'000);
+    SnapshotRef ref = reader.acquire();  // empty store: just exercises it
+    EXPECT_FALSE(ref);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  readers.pop_back();  // free one slot
+  late.join();
+  EXPECT_GE(store.slots_exhausted(), 1u);
+}
+
+TEST(ReaderSlots, EightThreadChurnOverASaturatedStoreNeverFailsSpuriously) {
+  SnapshotStore store;
+  // 60 persistent readers leave 4 slots for 8 churning threads: every
+  // construction contends, many sweeps find the house momentarily full.
+  std::vector<std::unique_ptr<SnapshotReader>> persistent;
+  for (std::size_t i = 0; i < kMaxSnapshotReaders - 4; ++i) {
+    persistent.push_back(std::make_unique<SnapshotReader>(store));
+  }
+
+  std::vector<std::thread> churn;
+  for (unsigned t = 0; t < 8; ++t) {
+    churn.emplace_back([&store] {
+      for (int i = 0; i < 400; ++i) {
+        SnapshotReader reader(store, /*max_spins=*/100'000'000);
+        SnapshotRef ref = reader.acquire();
+      }
+    });
+  }
+  for (std::thread& th : churn) th.join();
+  // No throw above is the assertion; the store must still be functional.
+  EXPECT_NO_THROW({ SnapshotReader after(store); });
 }
 
 // ---------------------------------------------------------------- LabelCache

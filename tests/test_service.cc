@@ -3,7 +3,10 @@
 // checkpoint-resume, dirty-region analyzer soundness against the sequential
 // oracle, per-epoch oracle-exact serving, escalation and graceful
 // degradation under a tight watchdog, bit-rot + scrub, checkpoint/restore
-// round-trips, and thread-count invariance.
+// round-trips, thread-count invariance, and the repair circuit breaker (its
+// state machine, and the breaker a live service owns: suppressed epochs,
+// kBreaker trace events, scrub-heals-an-open-breaker, bit-identical at
+// 1/2/8 engine threads).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -1096,6 +1099,232 @@ TEST(Service, CountersSurfaceInDebugStrings) {
   EXPECT_EQ(std::string(to_string(EpochOutcome::kEscalated)), "escalated");
   EXPECT_EQ(std::string(to_string(DeltaKind::kNodeJoin)), "node-join");
   EXPECT_FALSE(to_string(GraphDelta{DeltaKind::kEdgeInsert, 0, 8}).empty());
+}
+
+// ------------------------------------------------------------ circuit breaker
+
+TEST(Breaker, OpensAfterConsecutiveFailuresAndCoolsDownToHalfOpen) {
+  BreakerConfig cfg;
+  cfg.failure_threshold = 3;
+  cfg.cooldown_ticks = 5;
+  cfg.probe_successes = 1;
+  CircuitBreaker br(cfg);
+
+  EXPECT_TRUE(br.allow(1));
+  br.record_failure(1);
+  br.record_failure(2);
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+  // A success resets the streak — only *consecutive* failures open.
+  br.record_success(3);
+  br.record_failure(4);
+  br.record_failure(5);
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+  br.record_failure(6);
+  EXPECT_EQ(br.state(), BreakerState::kOpen);
+  EXPECT_EQ(br.opens(), 1u);
+
+  // Refused during the cooldown, half-open (and admitted) after it.
+  EXPECT_FALSE(br.allow(7));
+  EXPECT_FALSE(br.allow(10));
+  EXPECT_TRUE(br.allow(11));  // 11 - 6 >= 5
+  EXPECT_EQ(br.state(), BreakerState::kHalfOpen);
+  EXPECT_STREQ(to_string(br.state()), "half-open");
+
+  // The probe succeeds: closed, streak cleared.
+  br.record_success(11);
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+  EXPECT_EQ(br.consecutive_failures(), 0u);
+  // closed -> open -> half-open -> closed.
+  EXPECT_EQ(br.transitions(), 3u);
+}
+
+TEST(Breaker, HalfOpenFailureReopensAndRestartsTheCooldown) {
+  BreakerConfig cfg;
+  cfg.failure_threshold = 1;
+  cfg.cooldown_ticks = 4;
+  CircuitBreaker br(cfg);
+
+  br.record_failure(10);
+  EXPECT_EQ(br.state(), BreakerState::kOpen);
+  EXPECT_TRUE(br.allow(14));
+  EXPECT_EQ(br.state(), BreakerState::kHalfOpen);
+  br.record_failure(14);  // the probe failed
+  EXPECT_EQ(br.state(), BreakerState::kOpen);
+  EXPECT_EQ(br.opens(), 2u);
+  EXPECT_FALSE(br.allow(17));  // cooldown restarted at 14
+  EXPECT_TRUE(br.allow(18));
+}
+
+TEST(Breaker, SuccessWhileOpenClosesDirectly) {
+  // The scrub path bypasses allow(); a certified scrub is a full-table
+  // heal, so the breaker closes without a probe phase.
+  BreakerConfig cfg;
+  cfg.failure_threshold = 1;
+  cfg.cooldown_ticks = 100;
+  CircuitBreaker br(cfg);
+  br.record_failure(1);
+  EXPECT_EQ(br.state(), BreakerState::kOpen);
+  br.record_success(2);
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+  EXPECT_TRUE(br.allow(3));
+}
+
+TEST(Breaker, MultipleProbeSuccessesRequiredWhenConfigured) {
+  BreakerConfig cfg;
+  cfg.failure_threshold = 1;
+  cfg.cooldown_ticks = 1;
+  cfg.probe_successes = 2;
+  CircuitBreaker br(cfg);
+  br.record_failure(1);
+  EXPECT_TRUE(br.allow(2));
+  br.record_success(2);
+  EXPECT_EQ(br.state(), BreakerState::kHalfOpen);  // one probe is not enough
+  br.record_success(3);
+  EXPECT_EQ(br.state(), BreakerState::kClosed);
+}
+
+// --------------------------------------- breaker wired into the live service
+
+struct BreakerScenario {
+  std::vector<congest::TraceEvent> breaker_events;
+  std::vector<std::uint8_t> outcomes;  // EpochOutcome per step
+  std::uint64_t suppressed = 0;
+  std::uint64_t transitions = 0;
+  std::vector<std::uint8_t> final_blob;
+  bool certified_at_end = false;
+};
+
+// The seeded failed-repair scenario: two
+// strangled epochs open the breaker, a cooldown epoch is suppressed, the
+// half-open probe heals the backlog, and a final churn epoch under the
+// half-open gate closes it. Runs at a configurable engine thread count.
+BreakerScenario run_breaker_scenario(unsigned threads) {
+  DapspService healthy(gen::cycle(12), {});
+  const std::vector<std::uint8_t> blob = healthy.checkpoint_blob();
+
+  congest::TraceLog trace;
+  ServiceConfig sc;
+  sc.engine.max_rounds = 2;  // strangle: every ladder rung trips
+  sc.breaker = BreakerConfig{/*failure_threshold=*/2, /*cooldown_ticks=*/2,
+                             /*probe_successes=*/2};
+  sc.engine.threads = threads;
+  sc.engine.trace = &trace;
+  DapspService svc = DapspService::restore_blob(blob, sc, nullptr);
+
+  BreakerScenario out;
+  const auto step_with = [&](ChurnBatch b) {
+    const EpochReport ep = svc.step(b);
+    out.outcomes.push_back(static_cast<std::uint8_t>(ep.outcome));
+  };
+
+  ChurnBatch b1;
+  b1.deltas.push_back({DeltaKind::kEdgeRemove, 0, 1});
+  step_with(b1);  // strangled repair fails: breaker failure 1 of 2
+  ChurnBatch b2;
+  b2.deltas.push_back({DeltaKind::kEdgeRemove, 6, 7});
+  step_with(b2);  // failure 2: the breaker opens
+
+  step_with({});  // cooldown: repair suppressed, rows stay stale
+
+  // The operator fixes the watchdog; the next allowed epoch is the
+  // half-open probe over the carried-over stale backlog.
+  svc.set_watchdog_rounds(0);
+  step_with({});  // probe 1 of 2 succeeds: still half-open
+
+  ChurnBatch b3;
+  b3.deltas.push_back({DeltaKind::kEdgeRemove, 3, 4});
+  step_with(b3);  // probe 2 of 2 succeeds: closed
+
+  for (const congest::TraceEvent& ev : trace.events()) {
+    if (ev.kind == congest::TraceEventKind::kBreaker) {
+      out.breaker_events.push_back(ev);
+    }
+  }
+  out.suppressed = svc.stats().repairs_suppressed;
+  out.transitions = svc.stats().breaker_transitions;
+  out.certified_at_end = svc.fully_certified();
+  out.final_blob = svc.checkpoint_blob();
+  return out;
+}
+
+TEST(ServiceBreaker, OpensSuppressesHalfOpensAndCloses) {
+  const BreakerScenario s = run_breaker_scenario(1);
+
+  const std::vector<std::uint8_t> want_outcomes = {
+      static_cast<std::uint8_t>(EpochOutcome::kEscalated),   // strangled
+      static_cast<std::uint8_t>(EpochOutcome::kEscalated),   // opens
+      static_cast<std::uint8_t>(EpochOutcome::kSuppressed),  // cooldown
+      static_cast<std::uint8_t>(EpochOutcome::kRepaired),    // probe 1
+      static_cast<std::uint8_t>(EpochOutcome::kRepaired),    // probe 2
+  };
+  EXPECT_EQ(s.outcomes, want_outcomes);
+  EXPECT_EQ(s.suppressed, 1u);
+  EXPECT_TRUE(s.certified_at_end);
+
+  // Observed-state changes: closed -> open, open -> half-open, half-open ->
+  // closed, each a kBreaker trace event with (node = new, peer = previous).
+  ASSERT_EQ(s.breaker_events.size(), 3u);
+  EXPECT_EQ(s.breaker_events[0].node, 1u);  // open
+  EXPECT_EQ(s.breaker_events[0].peer, 0u);
+  EXPECT_EQ(s.breaker_events[1].node, 2u);  // half-open (probe 1 held it)
+  EXPECT_EQ(s.breaker_events[1].peer, 1u);
+  EXPECT_EQ(s.breaker_events[2].node, 0u);  // closed
+  EXPECT_EQ(s.breaker_events[2].peer, 2u);
+  EXPECT_EQ(s.transitions, 3u);
+  for (std::size_t i = 0; i < s.breaker_events.size(); ++i) {
+    EXPECT_EQ(s.breaker_events[i].aux, i + 1);  // cumulative count
+  }
+}
+
+void expect_same_breaker_events(const std::vector<congest::TraceEvent>& a,
+                                const std::vector<congest::TraceEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].node, b[i].node);
+    EXPECT_EQ(a[i].peer, b[i].peer);
+    EXPECT_EQ(a[i].round, b[i].round);
+    EXPECT_EQ(a[i].aux, b[i].aux);
+  }
+}
+
+TEST(ServiceBreaker, ScenarioIsBitIdenticalAtOneTwoEightThreads) {
+  const BreakerScenario t1 = run_breaker_scenario(1);
+  const BreakerScenario t2 = run_breaker_scenario(2);
+  const BreakerScenario t8 = run_breaker_scenario(8);
+  EXPECT_EQ(t1.outcomes, t2.outcomes);
+  EXPECT_EQ(t1.outcomes, t8.outcomes);
+  expect_same_breaker_events(t1.breaker_events, t2.breaker_events);
+  expect_same_breaker_events(t1.breaker_events, t8.breaker_events);
+  EXPECT_EQ(t1.final_blob, t2.final_blob);
+  EXPECT_EQ(t1.final_blob, t8.final_blob);
+}
+
+TEST(ServiceBreaker, ScrubHealsAndClosesAnOpenBreaker) {
+  DapspService healthy(gen::cycle(10), {});
+  const std::vector<std::uint8_t> blob = healthy.checkpoint_blob();
+
+  ServiceConfig sc;
+  sc.engine.max_rounds = 2;
+  sc.breaker = BreakerConfig{/*failure_threshold=*/1, /*cooldown_ticks=*/100,
+                             /*probe_successes=*/1};
+  DapspService svc = DapspService::restore_blob(blob, sc, nullptr);
+
+  ChurnBatch b;
+  b.deltas.push_back({DeltaKind::kEdgeRemove, 0, 1});
+  svc.step(b);
+  // Open after one strangled failure.
+  EXPECT_EQ(svc.breaker()->state(), BreakerState::kOpen);
+
+  // While open, repairs are suppressed...
+  EXPECT_EQ(svc.step({}).outcome, EpochOutcome::kSuppressed);
+
+  // ...but the operator scrub bypasses the gate, heals everything, and its
+  // reported success closes the breaker without waiting out the cooldown.
+  svc.set_watchdog_rounds(0);
+  const EpochReport sep = svc.scrub();
+  EXPECT_TRUE(sep.certified);
+  EXPECT_EQ(svc.breaker()->state(), BreakerState::kClosed);
+  EXPECT_TRUE(svc.fully_certified());
 }
 
 }  // namespace
